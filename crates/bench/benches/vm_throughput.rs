@@ -26,7 +26,7 @@ fn bench(c: &mut Criterion) {
         env!("CARGO_MANIFEST_DIR"),
         "/../../BENCH_vm_throughput.json"
     );
-    std::fs::write(path, mv_bench::vm_throughput_json(&rows))
+    std::fs::write(path, mv_bench::tier_throughput_json("vm_throughput", &rows))
         .expect("write BENCH_vm_throughput.json");
     println!("wrote {path}\n");
 

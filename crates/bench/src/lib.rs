@@ -297,12 +297,13 @@ pub struct PhaseLatency {
     pub max_us: f64,
 }
 
-fn percentile_us(sorted_ns: &[u64], q: f64) -> f64 {
-    if sorted_ns.is_empty() {
+/// The `q`-quantile of `sorted` by the `round((n - 1) q)` rank rule
+/// (0 when empty).
+fn percentile(sorted: &[u64], q: f64) -> f64 {
+    if sorted.is_empty() {
         return 0.0;
     }
-    let idx = ((sorted_ns.len() - 1) as f64 * q).round() as usize;
-    sorted_ns[idx] as f64 / 1e3
+    sorted[((sorted.len() - 1) as f64 * q).round() as usize] as f64
 }
 
 /// §6.1, event-derived: per-phase commit-latency distribution over
@@ -347,9 +348,9 @@ pub fn commit_latency_percentiles(n_sites: usize, rounds: usize) -> Vec<PhaseLat
         ns.sort_unstable();
         PhaseLatency {
             phase,
-            p50_us: percentile_us(&ns, 0.50),
-            p95_us: percentile_us(&ns, 0.95),
-            max_us: percentile_us(&ns, 1.0),
+            p50_us: percentile(&ns, 0.50) / 1e3,
+            p95_us: percentile(&ns, 0.95) / 1e3,
+            max_us: percentile(&ns, 1.0) / 1e3,
         }
     })
     .collect()
@@ -821,14 +822,6 @@ pub struct CommitStormRow {
     pub workers_exact: bool,
 }
 
-fn percentile_cycles(sorted: &[u64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx] as f64
-}
-
 /// mvd commit-storm sweep: the identical randomized flip stream driven
 /// through the commit daemon and through the naive baseline, one row per
 /// quiesce protocol.
@@ -854,8 +847,8 @@ pub fn commit_storm_data(
             coalesced: daemon.stats.coalesced,
             commit_ratio: commit_storm::commit_ratio(&daemon, &naive),
             speedup: commit_storm::speedup(&daemon, &naive),
-            p50_cycles: percentile_cycles(&lat, 0.50),
-            p95_cycles: percentile_cycles(&lat, 0.95),
+            p50_cycles: percentile(&lat, 0.50),
+            p95_cycles: percentile(&lat, 0.95),
             workers_exact: daemon.workers_exact && naive.workers_exact,
         });
     }
@@ -957,39 +950,16 @@ pub fn vm_throughput_exe(iters: i64) -> mvobj::Executable {
     a.cmp_ri(Reg::R1, iters);
     a.jcc("loop", Cond::Lt);
     a.emit(Insn::Halt);
-    a.label("bump");
-    let off = a.len() as u64;
-    a.emit(Insn::AluRI {
+    let mut bump = mvasm::Assembler::new();
+    bump.emit(Insn::AluRI {
         op: AluOp::Add,
         dst: Reg::R2,
         imm: 1,
     });
-    a.ret();
-    let blob = a.finish().expect("assemble");
+    bump.ret();
     let mut o = mvobj::Object::new("vm_throughput");
-    o.append(mvobj::SEC_TEXT, mvobj::SectionKind::Text, &blob.bytes);
-    o.define(mvobj::Symbol::func("main", mvobj::SEC_TEXT, 0, off));
-    o.define(mvobj::Symbol::func(
-        "bump",
-        mvobj::SEC_TEXT,
-        off,
-        blob.bytes.len() as u64 - off,
-    ));
-    for f in &blob.fixups {
-        let kind = match f.kind {
-            mvasm::FixupKind::Rel32 { next_insn } => mvobj::RelocKind::Rel32 {
-                next_insn: next_insn as u64,
-            },
-            mvasm::FixupKind::Abs64 => mvobj::RelocKind::Abs64,
-        };
-        o.relocate(mvobj::Reloc {
-            section: mvobj::SEC_TEXT.into(),
-            offset: f.offset as u64,
-            kind,
-            symbol: f.symbol.clone(),
-            addend: f.addend,
-        });
-    }
+    o.add_code("main", &a.finish().expect("assemble"));
+    o.add_code("bump", &bump.finish().expect("assemble"));
     mvobj::link(&[o], &mvobj::Layout::default()).expect("link")
 }
 
@@ -1107,30 +1077,8 @@ pub fn native_hot_exe(iters: i64) -> mvobj::Executable {
     a.cmp_ri(Reg::R1, iters);
     a.jcc("loop", Cond::Lt);
     a.emit(Insn::Halt);
-    let blob = a.finish().expect("assemble");
     let mut o = mvobj::Object::new("native_hot");
-    o.append(mvobj::SEC_TEXT, mvobj::SectionKind::Text, &blob.bytes);
-    o.define(mvobj::Symbol::func(
-        "main",
-        mvobj::SEC_TEXT,
-        0,
-        blob.bytes.len() as u64,
-    ));
-    for f in &blob.fixups {
-        let kind = match f.kind {
-            mvasm::FixupKind::Rel32 { next_insn } => mvobj::RelocKind::Rel32 {
-                next_insn: next_insn as u64,
-            },
-            mvasm::FixupKind::Abs64 => mvobj::RelocKind::Abs64,
-        };
-        o.relocate(mvobj::Reloc {
-            section: mvobj::SEC_TEXT.into(),
-            offset: f.offset as u64,
-            kind,
-            symbol: f.symbol.clone(),
-            addend: f.addend,
-        });
-    }
+    o.add_code("main", &a.finish().expect("assemble"));
     mvobj::link(&[o], &mvobj::Layout::default()).expect("link")
 }
 
@@ -1147,32 +1095,6 @@ pub fn native_tier_data(iters: i64, trials: u32) -> Vec<VmThroughputRow> {
     )
 }
 
-/// Serializes [`native_tier_data`] rows as the `BENCH_native.json`
-/// document CI records for the perf trajectory.
-pub fn native_tier_json(rows: &[VmThroughputRow]) -> String {
-    use std::fmt::Write;
-    let mut s = String::from(
-        "{\n  \"bench\": \"native_tier\",\n  \"unit\": \"guest instructions / host second\",\n  \
-         \"rows\": [\n",
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {{\"tier\": \"{}\", \"instructions\": {}, \"nanos\": {}, \
-             \"insns_per_sec\": {:.0}, \"speedup\": {:.2}, \"identical\": {}}}{}",
-            r.tier,
-            r.instructions,
-            r.nanos,
-            r.insns_per_sec,
-            r.speedup,
-            r.identical,
-            if i + 1 == rows.len() { "" } else { "," }
-        );
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 /// Renders [`vm_throughput_data`] rows as table series.
 pub fn vm_throughput_series(rows: &[VmThroughputRow]) -> Vec<Series> {
     let mut mips = Series::new("throughput (M guest insns / host s)");
@@ -1185,13 +1107,13 @@ pub fn vm_throughput_series(rows: &[VmThroughputRow]) -> Vec<Series> {
     vec![mips, speedup]
 }
 
-/// Serializes [`vm_throughput_data`] rows as the
-/// `BENCH_vm_throughput.json` document CI records for the perf
-/// trajectory.
-pub fn vm_throughput_json(rows: &[VmThroughputRow]) -> String {
+/// Serializes tier-throughput rows ([`vm_throughput_data`],
+/// [`native_tier_data`]) as the `BENCH_<bench>.json` document CI
+/// records for the perf trajectory.
+pub fn tier_throughput_json(bench: &str, rows: &[VmThroughputRow]) -> String {
     use std::fmt::Write;
-    let mut s = String::from(
-        "{\n  \"bench\": \"vm_throughput\",\n  \"unit\": \"guest instructions / host second\",\n  \
+    let mut s = format!(
+        "{{\n  \"bench\": \"{bench}\",\n  \"unit\": \"guest instructions / host second\",\n  \
          \"rows\": [\n",
     );
     for (i, r) in rows.iter().enumerate() {
@@ -1617,16 +1539,17 @@ mod tests {
         }
         assert_eq!(rows[0].tier, ExecTier::Tierless);
         assert_eq!(rows[0].speedup, 1.0);
-        // Record the trajectory before gating, so a failed gate still
-        // leaves the measured rows behind for diagnosis.
-        let json = vm_throughput_json(&rows);
+        let json = tier_throughput_json("vm_throughput", &rows);
         assert!(json.contains("\"bench\": \"vm_throughput\""));
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_vm_throughput.json"
-        );
-        std::fs::write(path, &json).expect("write BENCH_vm_throughput.json");
         if !cfg!(debug_assertions) {
+            // Record the trajectory before gating, so a failed gate
+            // still leaves the measured rows behind for diagnosis.
+            // Debug runs measure the shrunken workload and write nothing.
+            let path = concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/../../BENCH_vm_throughput.json"
+            );
+            std::fs::write(path, &json).expect("write BENCH_vm_throughput.json");
             assert!(
                 rows[1].speedup > 1.0,
                 "tier-0 must beat tierless: {:.2}x",
@@ -1665,13 +1588,14 @@ mod tests {
             assert!(r.insns_per_sec > 0.0);
         }
         assert_eq!(rows[2].tier, ExecTier::Native);
-        // Record the trajectory before gating, so a failed gate still
-        // leaves the measured rows behind for diagnosis.
-        let json = native_tier_json(&rows);
+        let json = tier_throughput_json("native_tier", &rows);
         assert!(json.contains("\"bench\": \"native_tier\""));
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_native.json");
-        std::fs::write(path, &json).expect("write BENCH_native.json");
         if !cfg!(debug_assertions) {
+            // Record the trajectory before gating, so a failed gate
+            // still leaves the measured rows behind for diagnosis.
+            // Debug runs measure the shrunken workload and write nothing.
+            let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_native.json");
+            std::fs::write(path, &json).expect("write BENCH_native.json");
             let over_superblock = rows[1].nanos as f64 / rows[2].nanos as f64;
             assert!(
                 over_superblock >= 2.0,

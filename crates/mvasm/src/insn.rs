@@ -130,6 +130,53 @@ impl AluOp {
         })
     }
 
+    /// `true` for the division family (`divs`, `divu`, `rems`, `remu`):
+    /// the only ops that can fault (on a zero divisor).
+    pub const fn divides(self) -> bool {
+        matches!(self, AluOp::Divs | AluOp::Divu | AluOp::Rems | AluOp::Remu)
+    }
+
+    /// `a op b` for the nine non-dividing ops — the fault-free form that
+    /// register-only fast paths call. Shift counts are taken modulo 64;
+    /// `shrs` sign-fills. The division family is unreachable here: it
+    /// goes through [`AluOp::eval`].
+    #[inline]
+    pub fn apply(self, a: u64, b: u64) -> u64 {
+        match self {
+            AluOp::Add => a.wrapping_add(b),
+            AluOp::Sub => a.wrapping_sub(b),
+            AluOp::Mul => a.wrapping_mul(b),
+            AluOp::And => a & b,
+            AluOp::Or => a | b,
+            AluOp::Xor => a ^ b,
+            AluOp::Shl => a.wrapping_shl(b as u32),
+            AluOp::Shrs => (a as i64).wrapping_shr(b as u32) as u64,
+            AluOp::Shru => a.wrapping_shr(b as u32),
+            AluOp::Divs | AluOp::Divu | AluOp::Rems | AluOp::Remu => {
+                unreachable!("dividing ops go through AluOp::eval")
+            }
+        }
+    }
+
+    /// `a op b` with MV64 semantics: wrapping arithmetic, signed division
+    /// and remainder truncating toward zero (`i64::MIN / -1` wraps to
+    /// `i64::MIN`, `i64::MIN % -1` is 0). `None` iff the op
+    /// [`divides`](AluOp::divides) and `b` is zero — the point where the
+    /// machine faults and a constant folder declines to fold.
+    #[inline]
+    pub fn eval(self, a: u64, b: u64) -> Option<u64> {
+        if self.divides() && b == 0 {
+            return None;
+        }
+        Some(match self {
+            AluOp::Divs => (a as i64).wrapping_div(b as i64) as u64,
+            AluOp::Divu => a / b,
+            AluOp::Rems => (a as i64).wrapping_rem(b as i64) as u64,
+            AluOp::Remu => a % b,
+            _ => self.apply(a, b),
+        })
+    }
+
     /// Mnemonic as printed by the disassembler.
     pub const fn mnemonic(self) -> &'static str {
         match self {
@@ -642,5 +689,39 @@ mod tests {
             assert_eq!(op.encode(), b);
         }
         assert_eq!(AluOp::decode(13), None);
+    }
+
+    #[test]
+    fn aluop_eval_pins_the_edge_cases() {
+        let all = || (0..13).map(|b| AluOp::decode(b).unwrap());
+        let min = i64::MIN as u64;
+        let neg1 = -1i64 as u64;
+        for op in all().filter(|op| op.divides()) {
+            assert_eq!(op.eval(7, 0), None, "{op:?} by zero");
+            assert_eq!(op.eval(0, 0), None, "{op:?} zero by zero");
+        }
+        assert_eq!(AluOp::Divs.eval(min, neg1), Some(min));
+        assert_eq!(AluOp::Rems.eval(min, neg1), Some(0));
+        assert_eq!(AluOp::Divs.eval(-7i64 as u64, 2), Some(-3i64 as u64));
+        assert_eq!(AluOp::Rems.eval(-7i64 as u64, 2), Some(-1i64 as u64));
+        assert_eq!(AluOp::Divu.eval(neg1, 2), Some(u64::MAX / 2));
+        assert_eq!(AluOp::Remu.eval(neg1, 10), Some(5));
+        // Shift counts are taken mod 64; `shrs` sign-fills, `shru` does not.
+        assert_eq!(AluOp::Shl.eval(1, 64), Some(1));
+        assert_eq!(AluOp::Shl.eval(1, 65), Some(2));
+        assert_eq!(AluOp::Shl.eval(1, neg1), Some(1 << 63));
+        assert_eq!(AluOp::Shru.eval(min, 127), Some(1));
+        assert_eq!(AluOp::Shrs.eval(min, 63), Some(neg1));
+        assert_eq!(AluOp::Shrs.eval(min, 64), Some(min));
+        assert_eq!(AluOp::Shrs.eval(-8i64 as u64, 1), Some(-4i64 as u64));
+        // The fault-free form agrees with `eval` on every non-dividing op.
+        let vals = [0, 1, 2, 63, 64, 65, 0x5A5A, min, neg1, i64::MAX as u64];
+        for op in all().filter(|op| !op.divides()) {
+            for &a in &vals {
+                for &b in &vals {
+                    assert_eq!(op.eval(a, b), Some(op.apply(a, b)), "{op:?} {a} {b}");
+                }
+            }
+        }
     }
 }

@@ -22,7 +22,7 @@
 //!   `ret`, free of relative control transfers.
 
 use crate::error::CompileError;
-use crate::ir::{Callee, FuncIr, Inst, Intrinsic, IrBin, IrUn, Operand, Term};
+use crate::ir::{Callee, FuncIr, Inst, Intrinsic, IrUn, Operand, Term};
 use crate::lower::Ctx;
 use mvasm::{AluOp, Assembler, Cond, Insn, Reg, Width};
 use mvobj::descriptor::NOT_INLINABLE;
@@ -445,7 +445,7 @@ impl<'a> Gen<'a> {
             (
                 Term::Br { cond: Operand::Temp(ct), .. },
                 Some(Inst::Bin { op, dst, .. }),
-            ) if dst == ct && cmp_cond(*op).is_some()
+            ) if dst == ct && op.cmp_cond().is_some()
         );
 
         let n = block.insts.len();
@@ -491,7 +491,7 @@ impl<'a> Gen<'a> {
                     let Some(Inst::Bin { op, .. }) = block.insts.last() else {
                         unreachable!()
                     };
-                    cmp_cond(*op).expect("fusion checked")
+                    op.cmp_cond().expect("fusion checked")
                 } else {
                     match cond {
                         Operand::Temp(tt) => {
@@ -556,13 +556,13 @@ impl<'a> Gen<'a> {
     fn inst(&mut self, _i: usize, inst: &Inst) -> Result<(), CompileError> {
         match inst {
             Inst::Bin { op, dst, a, b } => {
-                if let Some(cc) = cmp_cond(*op) {
+                if let Some(cc) = op.cmp_cond() {
                     self.emit_cmp(*a, *b);
                     let rd = self.define(*dst);
                     self.a.emit(Insn::Setcc { cc, dst: rd });
                     return Ok(());
                 }
-                let aluop = alu_op(*op).expect("non-compare IR op maps to ALU");
+                let aluop = op.alu_op().expect("non-compare IR op maps to ALU");
                 // dst ← a; dst ←op b.
                 let rd = self.define(*dst);
                 match a {
@@ -893,39 +893,4 @@ impl<'a> Gen<'a> {
         }
         Ok(())
     }
-}
-
-fn cmp_cond(op: IrBin) -> Option<Cond> {
-    Some(match op {
-        IrBin::CmpEq => Cond::Eq,
-        IrBin::CmpNe => Cond::Ne,
-        IrBin::CmpLts => Cond::Lt,
-        IrBin::CmpLes => Cond::Le,
-        IrBin::CmpGts => Cond::Gt,
-        IrBin::CmpGes => Cond::Ge,
-        IrBin::CmpLtu => Cond::B,
-        IrBin::CmpLeu => Cond::Be,
-        IrBin::CmpGtu => Cond::A,
-        IrBin::CmpGeu => Cond::Ae,
-        _ => return None,
-    })
-}
-
-fn alu_op(op: IrBin) -> Option<AluOp> {
-    Some(match op {
-        IrBin::Add => AluOp::Add,
-        IrBin::Sub => AluOp::Sub,
-        IrBin::Mul => AluOp::Mul,
-        IrBin::Divs => AluOp::Divs,
-        IrBin::Divu => AluOp::Divu,
-        IrBin::Rems => AluOp::Rems,
-        IrBin::Remu => AluOp::Remu,
-        IrBin::And => AluOp::And,
-        IrBin::Or => AluOp::Or,
-        IrBin::Xor => AluOp::Xor,
-        IrBin::Shl => AluOp::Shl,
-        IrBin::Shrs => AluOp::Shrs,
-        IrBin::Shru => AluOp::Shru,
-        _ => return None,
-    })
 }

@@ -13,6 +13,7 @@
 //! after optimization* and are merged by the multiverse pass, exactly like
 //! the body merge of Fig. 2.
 
+use mvasm::{AluOp, Cond};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
@@ -62,54 +63,53 @@ pub enum IrBin {
 }
 
 impl IrBin {
-    /// Constant-folds the operation; `None` on division by zero (left to
-    /// fault at run time).
-    pub fn eval(self, a: i64, b: i64) -> Option<i64> {
+    /// The MV64 ALU op computing this operation (`None` for comparisons).
+    pub(crate) fn alu_op(self) -> Option<AluOp> {
         Some(match self {
-            IrBin::Add => a.wrapping_add(b),
-            IrBin::Sub => a.wrapping_sub(b),
-            IrBin::Mul => a.wrapping_mul(b),
-            IrBin::Divs => {
-                if b == 0 {
-                    return None;
-                }
-                a.wrapping_div(b)
-            }
-            IrBin::Divu => {
-                if b == 0 {
-                    return None;
-                }
-                ((a as u64) / (b as u64)) as i64
-            }
-            IrBin::Rems => {
-                if b == 0 {
-                    return None;
-                }
-                a.wrapping_rem(b)
-            }
-            IrBin::Remu => {
-                if b == 0 {
-                    return None;
-                }
-                ((a as u64) % (b as u64)) as i64
-            }
-            IrBin::And => a & b,
-            IrBin::Or => a | b,
-            IrBin::Xor => a ^ b,
-            IrBin::Shl => a.wrapping_shl(b as u32),
-            IrBin::Shrs => a.wrapping_shr(b as u32),
-            IrBin::Shru => ((a as u64).wrapping_shr(b as u32)) as i64,
-            IrBin::CmpEq => (a == b) as i64,
-            IrBin::CmpNe => (a != b) as i64,
-            IrBin::CmpLts => (a < b) as i64,
-            IrBin::CmpLes => (a <= b) as i64,
-            IrBin::CmpGts => (a > b) as i64,
-            IrBin::CmpGes => (a >= b) as i64,
-            IrBin::CmpLtu => ((a as u64) < (b as u64)) as i64,
-            IrBin::CmpLeu => ((a as u64) <= (b as u64)) as i64,
-            IrBin::CmpGtu => ((a as u64) > (b as u64)) as i64,
-            IrBin::CmpGeu => ((a as u64) >= (b as u64)) as i64,
+            IrBin::Add => AluOp::Add,
+            IrBin::Sub => AluOp::Sub,
+            IrBin::Mul => AluOp::Mul,
+            IrBin::Divs => AluOp::Divs,
+            IrBin::Divu => AluOp::Divu,
+            IrBin::Rems => AluOp::Rems,
+            IrBin::Remu => AluOp::Remu,
+            IrBin::And => AluOp::And,
+            IrBin::Or => AluOp::Or,
+            IrBin::Xor => AluOp::Xor,
+            IrBin::Shl => AluOp::Shl,
+            IrBin::Shrs => AluOp::Shrs,
+            IrBin::Shru => AluOp::Shru,
+            _ => return None,
         })
+    }
+
+    /// The MV64 condition computing this comparison (`None` otherwise).
+    pub(crate) fn cmp_cond(self) -> Option<Cond> {
+        Some(match self {
+            IrBin::CmpEq => Cond::Eq,
+            IrBin::CmpNe => Cond::Ne,
+            IrBin::CmpLts => Cond::Lt,
+            IrBin::CmpLes => Cond::Le,
+            IrBin::CmpGts => Cond::Gt,
+            IrBin::CmpGes => Cond::Ge,
+            IrBin::CmpLtu => Cond::B,
+            IrBin::CmpLeu => Cond::Be,
+            IrBin::CmpGtu => Cond::A,
+            IrBin::CmpGeu => Cond::Ae,
+            _ => return None,
+        })
+    }
+
+    /// Constant-folds the operation with exactly the semantics of the
+    /// instruction codegen emits for it ([`AluOp::eval`], [`Cond::eval`]);
+    /// `None` on division by zero (left to fault at run time).
+    pub fn eval(self, a: i64, b: i64) -> Option<i64> {
+        let (a, b) = (a as u64, b as u64);
+        let v = match self.cmp_cond() {
+            Some(cc) => cc.eval(a, b) as u64,
+            None => self.alu_op()?.eval(a, b)?,
+        };
+        Some(v as i64)
     }
 }
 

@@ -10,7 +10,8 @@
 //! construction — the block layer memoizes *decode*, never semantics.
 //!
 //! Invalidation is precise, driven by the same per-page `code_version`
-//! generations the per-instruction decode cache uses:
+//! generations the per-instruction decode cache uses, through the
+//! [`PageGens`] record that blocks and lowered native regions share:
 //!
 //! * every block records the generation of **every page any of its
 //!   instruction encodings touches** (an instruction straddling a page
@@ -29,7 +30,8 @@
 //!   stale block stays observably stale exactly as long as a stale
 //!   per-instruction decode would.
 
-use mvasm::{AluOp, Insn};
+use crate::mem::{Memory, PAGE_SIZE};
+use mvasm::Insn;
 use std::cell::Cell;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
@@ -94,9 +96,9 @@ pub struct DecodedBlock {
     pub entry: u64,
     /// The memoized `(pc, insn)` trace, in execution order.
     pub ops: Vec<(u64, Insn)>,
-    /// `(page_number, code_version)` for every page any op's encoding
-    /// touches, as observed when the block was recorded.
-    pub pages: Vec<(u64, u64)>,
+    /// The generation of every page any op's encoding touches, as
+    /// observed when the block was recorded.
+    pub pages: PageGens,
     /// `true` once this entry was promoted to a fused superblock.
     pub superblock: bool,
     /// `fast_runs[i]` is the length of the maximal run of *fast* ops
@@ -106,10 +108,6 @@ pub struct DecodedBlock {
     /// cannot fault, halt, transfer control, or observe `tsc`/[`crate::Stats`],
     /// and nothing else can observe machine state mid-quantum.
     pub fast_runs: Vec<u32>,
-    /// [`crate::Memory::flush_epoch`] at the last successful validation:
-    /// while the global epoch still matches, no page generation anywhere
-    /// can have moved, so the per-page comparison is skipped.
-    pub(crate) epoch: Cell<u64>,
 }
 
 impl DecodedBlock {
@@ -127,11 +125,16 @@ impl DecodedBlock {
             | Insn::CmpRR { .. }
             | Insn::CmpRI { .. }
             | Insn::Setcc { .. } => true,
-            Insn::AluRR { op, .. } | Insn::AluRI { op, .. } => {
-                !matches!(op, AluOp::Divs | AluOp::Divu | AluOp::Rems | AluOp::Remu)
-            }
+            Insn::AluRR { op, .. } | Insn::AluRI { op, .. } => !op.divides(),
             _ => false,
         }
+    }
+
+    /// The macro-fusion latch after the fast op `insn` retires with
+    /// `next` as the following `pc`: `Some(next)` iff it is a `cmp`,
+    /// which the very next `jcc` may fuse with.
+    pub(crate) fn fuse_latch(insn: &Insn, next: u64) -> Option<u64> {
+        matches!(insn, Insn::CmpRR { .. } | Insn::CmpRI { .. }).then_some(next)
     }
 
     /// Builds the [`DecodedBlock::fast_runs`] table for `ops`.
@@ -144,6 +147,7 @@ impl DecodedBlock {
         }
         runs
     }
+
     /// `true` if any op of this block *starts* in `[start, end)` — the
     /// same instruction-start-address rule
     /// [`crate::Machine::invalidate_decode_range`] applies to the
@@ -151,6 +155,73 @@ impl DecodedBlock {
     /// and single decodes in lockstep.
     pub fn overlaps(&self, start: u64, end: u64) -> bool {
         self.ops.iter().any(|&(pc, _)| pc >= start && pc < end)
+    }
+}
+
+/// The code generations a memoized translation was built from: the
+/// `(page_number, code_version)` of every page any of its instruction
+/// encodings touches, plus the [`Memory::flush_epoch`] at the last
+/// successful validation. Blocks and lowered native regions share this
+/// one validity rule, so a flush invalidates both tiers in lockstep.
+#[derive(Default)]
+pub struct PageGens {
+    pages: Vec<(u64, u64)>,
+    /// While the global flush epoch still matches, no page generation
+    /// anywhere can have moved, so the per-page comparison is skipped.
+    epoch: Cell<u64>,
+}
+
+impl PageGens {
+    /// An empty record stamped with `mem`'s current flush epoch.
+    pub(crate) fn new(mem: &Memory) -> PageGens {
+        PageGens {
+            pages: Vec::new(),
+            epoch: Cell::new(mem.flush_epoch()),
+        }
+    }
+
+    /// Records the current generation of every page the `len`-byte
+    /// encoding at `pc` touches (deduplicated) — a straddling
+    /// instruction contributes both its pages, so flushing either one
+    /// invalidates the translation.
+    pub(crate) fn record(&mut self, mem: &Memory, pc: u64, len: usize) {
+        let first = pc / PAGE_SIZE;
+        let last = (pc + len as u64 - 1) / PAGE_SIZE;
+        for page in first..=last {
+            if !self.pages.iter().any(|&(p, _)| p == page) {
+                self.pages.push((page, mem.code_version(page * PAGE_SIZE)));
+            }
+        }
+    }
+
+    /// `true` while every recorded page keeps its generation, with an
+    /// O(1) fast path when nothing was flushed since the last successful
+    /// validation.
+    #[inline]
+    pub(crate) fn valid(&self, mem: &Memory) -> bool {
+        let epoch = mem.flush_epoch();
+        if self.epoch.get() == epoch {
+            return true;
+        }
+        if self
+            .pages
+            .iter()
+            .all(|&(page, ver)| mem.code_version(page * PAGE_SIZE) == ver)
+        {
+            self.epoch.set(epoch);
+            return true;
+        }
+        false
+    }
+
+    /// `true` if any recorded page intersects `[start, end)`
+    /// (page-granular).
+    pub(crate) fn overlaps(&self, start: u64, end: u64) -> bool {
+        if start >= end {
+            return false;
+        }
+        let (first, last) = (start / PAGE_SIZE, (end - 1) / PAGE_SIZE);
+        self.pages.iter().any(|&(p, _)| p >= first && p <= last)
     }
 }
 
@@ -242,9 +313,8 @@ mod tests {
             entry: 0x100,
             fast_runs: DecodedBlock::fast_runs_of(&ops),
             ops,
-            pages: vec![(0, 0)],
+            pages: PageGens::default(),
             superblock: false,
-            epoch: Cell::new(0),
         };
         assert!(b.overlaps(0x100, 0x101));
         assert!(b.overlaps(0x104, 0x200));
@@ -257,7 +327,7 @@ mod tests {
 
     #[test]
     fn fast_runs_batch_register_only_ops_and_stop_at_everything_else() {
-        use mvasm::Reg;
+        use mvasm::{AluOp, Reg};
         let alu = |op| Insn::AluRI {
             op,
             dst: Reg::R0,
@@ -283,6 +353,23 @@ mod tests {
         .map(|(i, insn)| (i as u64 * 4, insn))
         .collect();
         assert_eq!(DecodedBlock::fast_runs_of(&ops), vec![3, 2, 1, 0, 0, 1, 0]);
+    }
+
+    #[test]
+    fn page_gens_track_straddles_flushes_and_overlap() {
+        let mut mem = Memory::new();
+        mem.map(0x1000, 3 * PAGE_SIZE, mvobj::Prot::RX);
+        let mut gens = PageGens::new(&mem);
+        gens.record(&mem, 0x2000 - 2, 10); // straddles pages 1 and 2
+        gens.record(&mem, 0x2000 + 8, 4); // page 2 again: deduplicated
+        assert_eq!(gens.pages, vec![(1, 0), (2, 0)]);
+        assert!(gens.overlaps(0x1fff, 0x2000));
+        assert!(!gens.overlaps(0x3000, 0x4000));
+        assert!(!gens.overlaps(0x2000, 0x2000), "empty range");
+        mem.flush_icache(0x3000, 1); // another page: epoch moves, gens hold
+        assert!(gens.valid(&mem));
+        mem.flush_icache(0x2000, 1); // the straddled tail page
+        assert!(!gens.valid(&mem));
     }
 
     #[test]

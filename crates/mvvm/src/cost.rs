@@ -8,6 +8,8 @@
 //! trap, and a hypercall is cheaper than a trap but much more expensive
 //! than a native `sti`/`cli`.
 
+use mvasm::AluOp;
+
 /// Per-instruction-class cycle costs charged by the interpreter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CostModel {
@@ -105,6 +107,17 @@ impl Default for CostModel {
 }
 
 impl CostModel {
+    /// Cycle charge of one ALU instruction: `mul` for multiplies, `div`
+    /// for the division family, `alu` for everything else.
+    #[inline]
+    pub(crate) fn alu_op(&self, op: AluOp) -> u64 {
+        match op {
+            AluOp::Mul => self.mul,
+            _ if op.divides() => self.div,
+            _ => self.alu,
+        }
+    }
+
     /// A zero-cost model: every instruction costs one cycle, no penalties.
     /// Useful for functional tests where cycle accounting is noise.
     pub fn uniform() -> CostModel {

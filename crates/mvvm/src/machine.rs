@@ -8,7 +8,7 @@
 //! profiles, fault points — is identical across tiers by construction.
 
 use crate::block::{
-    BlockCacheStats, DecodedBlock, ExecTier, MAX_BLOCK_INSTS, MAX_SUPERBLOCK_FUSES,
+    BlockCacheStats, DecodedBlock, ExecTier, PageGens, MAX_BLOCK_INSTS, MAX_SUPERBLOCK_FUSES,
     MAX_SUPERBLOCK_INSTS,
 };
 use crate::cost::CostModel;
@@ -20,7 +20,6 @@ use crate::stats::Stats;
 use crate::tier0::{BlockCache, HOT_THRESHOLD};
 use mvasm::{AluOp, DecodeError, Insn, Reg};
 use mvobj::Executable;
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
@@ -503,9 +502,7 @@ impl Machine {
                 return Ok(insn);
             }
         }
-        let mut buf = [0u8; 16];
-        let n = self.mem.fetch(pc, &mut buf)?;
-        let (insn, _) = mvasm::decode(&buf[..n]).map_err(|err| Fault::Decode { addr: pc, err })?;
+        let insn = self.mem.fetch_insn(pc)?;
         self.decode_cache
             .insert(pc, (insn, version, self.tail_version(pc, insn, version)));
         Ok(insn)
@@ -523,44 +520,12 @@ impl Machine {
         }
     }
 
-    #[inline]
+    /// A dividing ALU op (every other ALU op is register-only and goes
+    /// through [`Machine::exec_fast`]). A zero divisor faults without
+    /// charging any cycles.
     fn alu(&mut self, op: AluOp, a: u64, b: u64, at: u64) -> Result<u64, Fault> {
-        let (v, c) = match op {
-            AluOp::Add => (a.wrapping_add(b), self.cost.alu),
-            AluOp::Sub => (a.wrapping_sub(b), self.cost.alu),
-            AluOp::Mul => (a.wrapping_mul(b), self.cost.mul),
-            AluOp::Divs => {
-                if b == 0 {
-                    return Err(Fault::DivByZero { addr: at });
-                }
-                ((a as i64).wrapping_div(b as i64) as u64, self.cost.div)
-            }
-            AluOp::Divu => {
-                if b == 0 {
-                    return Err(Fault::DivByZero { addr: at });
-                }
-                (a / b, self.cost.div)
-            }
-            AluOp::Rems => {
-                if b == 0 {
-                    return Err(Fault::DivByZero { addr: at });
-                }
-                ((a as i64).wrapping_rem(b as i64) as u64, self.cost.div)
-            }
-            AluOp::Remu => {
-                if b == 0 {
-                    return Err(Fault::DivByZero { addr: at });
-                }
-                (a % b, self.cost.div)
-            }
-            AluOp::And => (a & b, self.cost.alu),
-            AluOp::Or => (a | b, self.cost.alu),
-            AluOp::Xor => (a ^ b, self.cost.alu),
-            AluOp::Shl => (a.wrapping_shl(b as u32), self.cost.alu),
-            AluOp::Shrs => ((a as i64).wrapping_shr(b as u32) as u64, self.cost.alu),
-            AluOp::Shru => (a.wrapping_shr(b as u32), self.cost.alu),
-        };
-        self.charge(c);
+        let v = op.eval(a, b).ok_or(Fault::DivByZero { addr: at })?;
+        self.charge(self.cost.alu_op(op));
         Ok(v)
     }
 
@@ -573,9 +538,10 @@ impl Machine {
 
     /// Executes one already-decoded instruction at `pc`. This is the
     /// single execution routine: the tierless loop calls it after
-    /// `decode_at`, block replay calls it with the memoized decode —
-    /// cycles, stats, traces, profiles and fault behavior are therefore
-    /// identical across tiers by construction.
+    /// `decode_at`, block replay calls it with the memoized decode, and
+    /// its register-only ops are the same [`Machine::exec_fast`] that
+    /// fast runs call — cycles, stats, traces, profiles and fault
+    /// behavior are therefore identical across tiers by construction.
     #[inline]
     fn exec_insn(&mut self, pc: u64, insn: Insn) -> Result<(), Fault> {
         // Snapshot TSC and counters so the step's deltas can be charged
@@ -598,18 +564,18 @@ impl Machine {
         let mut new_pc = next;
 
         match insn {
-            Insn::MovRR { dst, src } => {
-                let v = self.cpu.get(src);
+            _ if DecodedBlock::is_fast(&insn) => {
+                let c = self.exec_fast(insn);
+                self.charge(c);
+                self.fusable_at = DecodedBlock::fuse_latch(&insn, next);
+            }
+            Insn::AluRR { op, dst, src } => {
+                let v = self.alu(op, self.cpu.get(dst), self.cpu.get(src), pc)?;
                 self.cpu.set(dst, v);
-                self.charge(self.cost.alu);
             }
-            Insn::MovRI { dst, imm } => {
-                self.cpu.set(dst, imm as u64);
-                self.charge(self.cost.alu);
-            }
-            Insn::Lea { dst, addr } => {
-                self.cpu.set(dst, addr);
-                self.charge(self.cost.lea);
+            Insn::AluRI { op, dst, imm } => {
+                let v = self.alu(op, self.cpu.get(dst), imm as u64, pc)?;
+                self.cpu.set(dst, v);
             }
             Insn::Load {
                 dst,
@@ -652,29 +618,6 @@ impl Machine {
                 self.mem.write_int(addr, v, width.bytes())?;
                 self.stats.stores += 1;
                 self.charge(self.cost.store);
-            }
-            Insn::AluRR { op, dst, src } => {
-                let v = self.alu(op, self.cpu.get(dst), self.cpu.get(src), pc)?;
-                self.cpu.set(dst, v);
-            }
-            Insn::AluRI { op, dst, imm } => {
-                let v = self.alu(op, self.cpu.get(dst), imm as u64, pc)?;
-                self.cpu.set(dst, v);
-            }
-            Insn::CmpRR { a, b } => {
-                self.cpu.cmp = (self.cpu.get(a), self.cpu.get(b));
-                self.charge(self.cost.cmp);
-                self.fusable_at = Some(next);
-            }
-            Insn::CmpRI { a, imm } => {
-                self.cpu.cmp = (self.cpu.get(a), imm as u64);
-                self.charge(self.cost.cmp);
-                self.fusable_at = Some(next);
-            }
-            Insn::Setcc { cc, dst } => {
-                let (a, b) = self.cpu.cmp;
-                self.cpu.set(dst, cc.eval(a, b) as u64);
-                self.charge(self.cost.alu);
             }
             Insn::Jmp { rel } => {
                 new_pc = next.wrapping_add(rel as i64 as u64);
@@ -805,6 +748,12 @@ impl Machine {
             }
             Insn::Mfence => self.charge(self.cost.fence),
             Insn::Trap => unreachable!("trap faults before dispatch"),
+            Insn::MovRR { .. }
+            | Insn::MovRI { .. }
+            | Insn::Lea { .. }
+            | Insn::CmpRR { .. }
+            | Insn::CmpRI { .. }
+            | Insn::Setcc { .. } => unreachable!("fast ops dispatch to exec_fast"),
             Insn::Nop { .. } => {
                 self.stats.nops += 1;
                 self.charge(self.cost.nop);
@@ -836,8 +785,7 @@ impl Machine {
                 Ok(()) => (1, Ok(())),
                 Err(f) => (0, Err(f)),
             },
-            ExecTier::Block | ExecTier::Superblock => self.step_blocks(budget),
-            ExecTier::Native => self.step_native(budget),
+            ExecTier::Block | ExecTier::Superblock | ExecTier::Native => self.step_blocks(budget),
         }
     }
 
@@ -846,12 +794,39 @@ impl Machine {
     /// [`RET_SENTINEL`] mid-run. (With zero retired, the sentinel falls
     /// through to recording, whose fetch faults exactly as a tierless
     /// fetch from the sentinel would.)
+    ///
+    /// On the native tier each block entry first looks for a lowered
+    /// region (see [`crate::native`]) and runs it while it stays valid.
+    /// With a tracer or profiler attached, or in sticky-icache (SMP)
+    /// mode, regions are never entered — per-op observation and
+    /// shootdown-precise invalidation belong to the block engine.
     fn step_blocks(&mut self, budget: u64) -> (u64, Result<(), Fault>) {
+        let native = self.tier == ExecTier::Native
+            && self.trace.is_none()
+            && self.profiler.is_none()
+            && !self.sticky_icache
+            && !self.natives.is_empty();
         let mut retired = 0u64;
         while retired < budget && !self.cpu.halted {
             let pc = self.cpu.pc;
             if retired > 0 && pc == RET_SENTINEL {
                 break;
+            }
+            if let Some(nf) = native.then(|| self.natives.get(pc).cloned()).flatten() {
+                if nf.pages.valid(&self.mem) {
+                    let (n, r) = self.run_native(&nf, budget - retired);
+                    retired += n;
+                    if r.is_err() {
+                        return (retired, r);
+                    }
+                    if n > 0 {
+                        continue;
+                    }
+                    // Not enough budget for a whole native block: one
+                    // block-engine iteration instead.
+                } else {
+                    self.natives.invalidate_region(nf.entry);
+                }
             }
             let (n, r) = self.step_block_once(budget - retired);
             retired += n;
@@ -873,7 +848,10 @@ impl Machine {
             .map(|b| (b, true))
             .or_else(|| self.blocks.get(pc).cloned().map(|b| (b, false)));
         match cached {
-            Some((b, _)) if !self.block_valid(&b) => {
+            // Sticky mode serves blocks unchecked: the private icache
+            // ignores version counters and only the explicit shootdown
+            // primitives evict (see `invalidate_decode_range`).
+            Some((b, _)) if !self.sticky_icache && !b.pages.valid(&self.mem) => {
                 self.blocks.evict(pc);
                 self.record_block(pc, budget, false)
             }
@@ -900,56 +878,11 @@ impl Machine {
         }
     }
 
-    /// The native-tier loop (see [`crate::native`]): run lowered regions
-    /// where registered and valid, fall back to the block engine
-    /// everywhere else. With a tracer or profiler attached, or in
-    /// sticky-icache (SMP) mode, the native fast path is bypassed
-    /// entirely — per-op observation and shootdown-precise invalidation
-    /// belong to the block engine.
-    fn step_native(&mut self, budget: u64) -> (u64, Result<(), Fault>) {
-        let plain = self.trace.is_none() && self.profiler.is_none();
-        if !plain || self.sticky_icache || self.natives.is_empty() {
-            return self.step_blocks(budget);
-        }
-        let mut retired = 0u64;
-        while retired < budget && !self.cpu.halted {
-            let pc = self.cpu.pc;
-            if retired > 0 && pc == RET_SENTINEL {
-                break;
-            }
-            let mut ran_native = false;
-            if let Some(nf) = self.natives.get(pc).cloned() {
-                if self.native_valid(&nf) {
-                    let (n, r) = self.run_native(&nf, budget - retired);
-                    retired += n;
-                    if r.is_err() {
-                        return (retired, r);
-                    }
-                    ran_native = n > 0;
-                } else {
-                    self.natives.invalidate_region(nf.entry);
-                }
-            }
-            if ran_native {
-                continue;
-            }
-            // No region here (or not enough budget for a whole native
-            // block): one block-engine iteration, then try again.
-            let (n, r) = self.step_block_once(budget - retired);
-            retired += n;
-            if r.is_err() {
-                return (retired, r);
-            }
-            if n == 0 {
-                break;
-            }
-        }
-        (retired, Ok(()))
-    }
-
     /// Executes lowered blocks of `nf` while control stays inside the
     /// region and the budget covers whole blocks. Returns instructions
-    /// retired plus the first fault, if any.
+    /// retired plus the first fault, if any. Kept out of line so edits
+    /// to the block loop around it cannot reshape the native loop.
+    #[inline(never)]
     fn run_native(&mut self, nf: &NativeFn, budget: u64) -> (u64, Result<(), Fault>) {
         let mut retired = 0u64;
         let mut runs = 0u64;
@@ -961,7 +894,7 @@ impl Machine {
             if b.insns as u64 > budget - retired {
                 break;
             }
-            if retired > 0 && !self.native_valid(nf) {
+            if retired > 0 && !nf.pages.valid(&self.mem) {
                 break;
             }
             runs += 1;
@@ -993,8 +926,8 @@ impl Machine {
         (retired, result)
     }
 
-    /// One micro-op of a native fast segment. Semantics mirror the
-    /// corresponding [`Machine::exec_fast`] arms exactly; cycle charges
+    /// One micro-op of a native fast segment. ALU values come from
+    /// [`AluOp::apply`], as in [`Machine::exec_fast`]; cycle charges
     /// are pre-classified in the segment's [`crate::native::CostCounts`].
     /// `chains` is the owning segment's [`MicroOp::ChainRI`] step table.
     #[inline]
@@ -1007,17 +940,10 @@ impl Machine {
             MicroOp::MovRR { dst, src } => self.cpu.regs[ix(dst)] = self.cpu.regs[ix(src)],
             MicroOp::MovRI { dst, imm } => self.cpu.regs[ix(dst)] = imm,
             MicroOp::AluRR { op, dst, src } => {
-                let (v, _) = alu_fast(
-                    op,
-                    self.cpu.regs[ix(dst)],
-                    self.cpu.regs[ix(src)],
-                    &self.cost,
-                );
-                self.cpu.regs[ix(dst)] = v;
+                self.cpu.regs[ix(dst)] = op.apply(self.cpu.regs[ix(dst)], self.cpu.regs[ix(src)]);
             }
             MicroOp::AluRI { op, dst, imm } => {
-                let (v, _) = alu_fast(op, self.cpu.regs[ix(dst)], imm, &self.cost);
-                self.cpu.regs[ix(dst)] = v;
+                self.cpu.regs[ix(dst)] = op.apply(self.cpu.regs[ix(dst)], imm);
             }
             MicroOp::Alu2RI {
                 op1,
@@ -1027,10 +953,8 @@ impl Machine {
                 dst2,
                 imm2,
             } => {
-                let (v, _) = alu_fast(op1, self.cpu.regs[ix(dst1)], imm1, &self.cost);
-                self.cpu.regs[ix(dst1)] = v;
-                let (v, _) = alu_fast(op2, self.cpu.regs[ix(dst2)], imm2, &self.cost);
-                self.cpu.regs[ix(dst2)] = v;
+                self.cpu.regs[ix(dst1)] = op1.apply(self.cpu.regs[ix(dst1)], imm1);
+                self.cpu.regs[ix(dst2)] = op2.apply(self.cpu.regs[ix(dst2)], imm2);
             }
             MicroOp::CmpRR { a, b } => self.cpu.cmp = (self.cpu.regs[ix(a)], self.cpu.regs[ix(b)]),
             MicroOp::CmpRI { a, imm } => self.cpu.cmp = (self.cpu.regs[ix(a)], imm),
@@ -1041,33 +965,24 @@ impl Machine {
             MicroOp::ChainRI { dst, chain } => {
                 // The chained value lives in a host register for the
                 // whole run — no register-file round trip between steps.
+                // Unrolled by four: rolled, the per-step dispatch ran
+                // about a fifth slower whenever the linker left the loop
+                // head off a 32-byte boundary, which varies by build.
                 let d = ix(dst);
                 let mut v = self.cpu.regs[d];
-                for &(op, imm) in chains[chain as usize].iter() {
-                    v = crate::native::alu_value(op, v, imm);
+                let mut quads = chains[chain as usize].chunks_exact(4);
+                for q in &mut quads {
+                    v = q[0].0.apply(v, q[0].1);
+                    v = q[1].0.apply(v, q[1].1);
+                    v = q[2].0.apply(v, q[2].1);
+                    v = q[3].0.apply(v, q[3].1);
+                }
+                for &(op, imm) in quads.remainder() {
+                    v = op.apply(v, imm);
                 }
                 self.cpu.regs[d] = v;
             }
         }
-    }
-
-    /// `true` if the lowered region `nf` may still run: every page it
-    /// was lowered from keeps its `code_version`, with the same O(1)
-    /// flush-epoch fast path the block caches use.
-    fn native_valid(&self, nf: &NativeFn) -> bool {
-        let epoch = self.mem.flush_epoch();
-        if nf.epoch.get() == epoch {
-            return true;
-        }
-        if nf
-            .pages
-            .iter()
-            .all(|&(page, ver)| self.mem.code_version(page * PAGE_SIZE) == ver)
-        {
-            nf.epoch.set(epoch);
-            return true;
-        }
-        false
     }
 
     /// Lowers and registers the function region at `entry` for the
@@ -1077,7 +992,7 @@ impl Machine {
     /// post-commit sync for every installed variant.
     pub fn ensure_native(&mut self, entry: u64) -> bool {
         if let Some(nf) = self.natives.get(entry).cloned() {
-            if self.native_valid(&nf) {
+            if nf.pages.valid(&self.mem) {
                 return true;
             }
             self.natives.invalidate_region(nf.entry);
@@ -1143,14 +1058,13 @@ impl Machine {
             if run > 0 {
                 let mut cycles = 0u64;
                 for &(_, op) in &b.ops[i..i + run] {
-                    self.exec_fast(op, &mut cycles);
+                    cycles += self.exec_fast(op);
                 }
                 self.cpu.tsc += cycles;
                 self.stats.instructions += run as u64;
                 let (last_pc, last) = b.ops[i + run - 1];
                 let next = last_pc + last.len() as u64;
-                self.fusable_at =
-                    matches!(last, Insn::CmpRR { .. } | Insn::CmpRI { .. }).then_some(next);
+                self.fusable_at = DecodedBlock::fuse_latch(&last, next);
                 self.cpu.pc = next;
                 i += run;
             } else {
@@ -1163,49 +1077,48 @@ impl Machine {
         (i as u64, Ok(()))
     }
 
-    /// One op of a fast run (see [`Machine::replay_block`]): the
-    /// register-only [`DecodedBlock::is_fast`] subset with its cycle
-    /// charge accumulated into `cycles` instead of `tsc`. Semantics match
-    /// the corresponding [`Machine::exec_insn`] arms exactly; the
-    /// differential test suite holds the two in lockstep.
-    #[inline]
-    fn exec_fast(&mut self, insn: Insn, cycles: &mut u64) {
+    /// Executes one register-only [`DecodedBlock::is_fast`] op and
+    /// returns its cycle charge without touching `tsc`. This is the one
+    /// definition of those ops: [`Machine::exec_insn`] dispatches to it
+    /// and fast-run replay ([`Machine::replay_block`]) calls it directly.
+    /// Forced inline: with two callers it is otherwise outlined, and a
+    /// call per op slows fast-run replay by about a quarter.
+    #[inline(always)]
+    fn exec_fast(&mut self, insn: Insn) -> u64 {
         match insn {
             Insn::MovRR { dst, src } => {
-                let v = self.cpu.get(src);
-                self.cpu.set(dst, v);
-                *cycles += self.cost.alu;
+                self.cpu.set(dst, self.cpu.get(src));
+                self.cost.alu
             }
             Insn::MovRI { dst, imm } => {
                 self.cpu.set(dst, imm as u64);
-                *cycles += self.cost.alu;
+                self.cost.alu
             }
             Insn::Lea { dst, addr } => {
                 self.cpu.set(dst, addr);
-                *cycles += self.cost.lea;
+                self.cost.lea
             }
             Insn::AluRR { op, dst, src } => {
-                let (v, c) = alu_fast(op, self.cpu.get(dst), self.cpu.get(src), &self.cost);
-                self.cpu.set(dst, v);
-                *cycles += c;
+                self.cpu
+                    .set(dst, op.apply(self.cpu.get(dst), self.cpu.get(src)));
+                self.cost.alu_op(op)
             }
             Insn::AluRI { op, dst, imm } => {
-                let (v, c) = alu_fast(op, self.cpu.get(dst), imm as u64, &self.cost);
-                self.cpu.set(dst, v);
-                *cycles += c;
+                self.cpu.set(dst, op.apply(self.cpu.get(dst), imm as u64));
+                self.cost.alu_op(op)
             }
             Insn::CmpRR { a, b } => {
                 self.cpu.cmp = (self.cpu.get(a), self.cpu.get(b));
-                *cycles += self.cost.cmp;
+                self.cost.cmp
             }
             Insn::CmpRI { a, imm } => {
                 self.cpu.cmp = (self.cpu.get(a), imm as u64);
-                *cycles += self.cost.cmp;
+                self.cost.cmp
             }
             Insn::Setcc { cc, dst } => {
                 let (a, b) = self.cpu.cmp;
                 self.cpu.set(dst, cc.eval(a, b) as u64);
-                *cycles += self.cost.alu;
+                self.cost.alu
             }
             _ => unreachable!("non-fast op inside a fast run"),
         }
@@ -1230,7 +1143,7 @@ impl Machine {
             MAX_BLOCK_INSTS
         };
         let mut ops: Vec<(u64, Insn)> = Vec::new();
-        let mut pages: Vec<(u64, u64)> = Vec::new();
+        let mut pages = PageGens::new(&self.mem);
         let mut fuses = 0usize;
         let mut retired = 0u64;
         let mut result = Ok(());
@@ -1243,7 +1156,7 @@ impl Machine {
                     break;
                 }
             };
-            self.record_pages(&mut pages, pc, insn);
+            pages.record(&self.mem, pc, insn.len());
             ops.push((pc, insn));
             if let Err(f) = self.exec_insn(pc, insn) {
                 result = Err(f);
@@ -1283,49 +1196,10 @@ impl Machine {
                 ops,
                 pages,
                 superblock,
-                epoch: Cell::new(self.mem.flush_epoch()),
             });
             self.blocks.insert(entry, block);
         }
         (retired, result)
-    }
-
-    /// Records the `(page, code_version)` of every page the encoding of
-    /// `insn` at `pc` touches into `pages` (deduplicated) — a straddling
-    /// instruction contributes both its pages, so flushing either one
-    /// invalidates the block.
-    fn record_pages(&self, pages: &mut Vec<(u64, u64)>, pc: u64, insn: Insn) {
-        let first = pc / PAGE_SIZE;
-        let last = (pc + insn.len() as u64 - 1) / PAGE_SIZE;
-        for page in first..=last {
-            if !pages.iter().any(|&(p, _)| p == page) {
-                pages.push((page, self.mem.code_version(page * PAGE_SIZE)));
-            }
-        }
-    }
-
-    /// `true` if `b` may be replayed. Sticky mode: always — the private
-    /// icache ignores version counters and only the explicit shootdown
-    /// primitives evict (see [`Machine::invalidate_decode_range`]).
-    /// Otherwise every recorded page generation must still match, with an
-    /// O(1) [`Memory::flush_epoch`] fast path for the common
-    /// nothing-flushed-since case.
-    fn block_valid(&self, b: &DecodedBlock) -> bool {
-        if self.sticky_icache {
-            return true;
-        }
-        let epoch = self.mem.flush_epoch();
-        if b.epoch.get() == epoch {
-            return true;
-        }
-        if b.pages
-            .iter()
-            .all(|&(page, ver)| self.mem.code_version(page * PAGE_SIZE) == ver)
-        {
-            b.epoch.set(epoch);
-            return true;
-        }
-        false
     }
 
     /// Calls the function at `addr` with up to six `args`, runs it to
@@ -1377,27 +1251,6 @@ impl Machine {
             r?;
         }
         Ok(self.cpu.get(Reg::R0))
-    }
-}
-
-/// Value and cycle charge of a non-dividing ALU op — the fast-run twin
-/// of [`Machine::alu`], restricted to the ops [`DecodedBlock::is_fast`]
-/// admits (the div/rem family can fault and never enters a fast run).
-#[inline]
-fn alu_fast(op: AluOp, a: u64, b: u64, cost: &CostModel) -> (u64, u64) {
-    match op {
-        AluOp::Add => (a.wrapping_add(b), cost.alu),
-        AluOp::Sub => (a.wrapping_sub(b), cost.alu),
-        AluOp::Mul => (a.wrapping_mul(b), cost.mul),
-        AluOp::And => (a & b, cost.alu),
-        AluOp::Or => (a | b, cost.alu),
-        AluOp::Xor => (a ^ b, cost.alu),
-        AluOp::Shl => (a.wrapping_shl(b as u32), cost.alu),
-        AluOp::Shrs => ((a as i64).wrapping_shr(b as u32) as u64, cost.alu),
-        AluOp::Shru => (a.wrapping_shr(b as u32), cost.alu),
-        AluOp::Divs | AluOp::Divu | AluOp::Rems | AluOp::Remu => {
-            unreachable!("div ops never enter a fast run")
-        }
     }
 }
 

@@ -1,6 +1,8 @@
 //! Paged guest memory with R/W/X protection and icache versioning.
 
 use crate::fault::{FaultOp, FaultPlan};
+use crate::machine::Fault;
+use mvasm::Insn;
 use mvobj::{Executable, Prot};
 use std::collections::HashMap;
 use std::fmt;
@@ -363,6 +365,17 @@ impl Memory {
             }
         }
         Ok(n)
+    }
+
+    /// Fetches and decodes the instruction at `pc` — the one
+    /// fetch-then-decode path shared by the interpreter's decode cache,
+    /// native lowering and variational execution.
+    pub fn fetch_insn(&self, pc: u64) -> Result<Insn, Fault> {
+        let mut buf = [0u8; 16];
+        let n = self.fetch(pc, &mut buf)?;
+        mvasm::decode(&buf[..n])
+            .map(|(insn, _)| insn)
+            .map_err(|err| Fault::Decode { addr: pc, err })
     }
 
     /// Reads a little-endian unsigned integer of `width` bytes.

@@ -32,11 +32,10 @@
 //! the set of lowered regions in lockstep with the functions' installed
 //! variants.
 
-use crate::block::FxBuildHasher;
-use crate::mem::{Memory, PAGE_SIZE};
+use crate::block::{FxBuildHasher, PageGens};
+use crate::mem::Memory;
 use crate::DecodedBlock;
 use mvasm::{AluOp, Cond, Insn};
-use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
@@ -246,12 +245,9 @@ pub struct NativeFn {
     pub blocks: Vec<NativeBlock>,
     /// Block entry `pc` → index into [`NativeFn::blocks`].
     pub by_pc: HashMap<u64, usize, FxBuildHasher>,
-    /// `(page_number, code_version)` for every page any lowered
-    /// instruction's encoding touches.
-    pub pages: Vec<(u64, u64)>,
-    /// [`Memory::flush_epoch`] at the last successful validation (the
-    /// same O(1) fast path the block caches use).
-    pub epoch: Cell<u64>,
+    /// The generation of every page any lowered instruction's encoding
+    /// touches — the same validity record the block caches use.
+    pub pages: PageGens,
 }
 
 /// Shared handle to a lowered region.
@@ -312,13 +308,7 @@ impl NativeRegistry {
     /// (a superset of the instruction-start rule): over-eviction only
     /// costs a re-lowering, never correctness.
     pub fn invalidate_overlapping(&mut self, start: u64, end: u64) {
-        if start >= end {
-            return;
-        }
-        let first = start / PAGE_SIZE;
-        let last = (end - 1) / PAGE_SIZE;
-        self.map
-            .retain(|_, nf| !nf.pages.iter().any(|&(p, _)| p >= first && p <= last));
+        self.map.retain(|_, nf| !nf.pages.overlaps(start, end));
     }
 
     /// Drops every region.
@@ -330,26 +320,6 @@ impl NativeRegistry {
     pub fn entries(&self) -> Vec<u64> {
         let set: HashSet<u64> = self.map.values().map(|nf| nf.entry).collect();
         set.into_iter().collect()
-    }
-}
-
-/// Value of a non-dividing ALU op (the fold-time twin of the machine's
-/// `alu_fast`, value only — also the chain executor's per-step routine).
-#[inline]
-pub(crate) fn alu_value(op: AluOp, a: u64, b: u64) -> u64 {
-    match op {
-        AluOp::Add => a.wrapping_add(b),
-        AluOp::Sub => a.wrapping_sub(b),
-        AluOp::Mul => a.wrapping_mul(b),
-        AluOp::And => a & b,
-        AluOp::Or => a | b,
-        AluOp::Xor => a ^ b,
-        AluOp::Shl => a.wrapping_shl(b as u32),
-        AluOp::Shrs => (a as i64).wrapping_shr(b as u32) as u64,
-        AluOp::Shru => a.wrapping_shr(b as u32),
-        AluOp::Divs | AluOp::Divu | AluOp::Rems | AluOp::Remu => {
-            unreachable!("div ops never enter a fast segment")
-        }
     }
 }
 
@@ -431,7 +401,7 @@ fn fuse(mut micro: Vec<MicroOp>) -> (Vec<MicroOp>, Vec<AluChain>) {
                 ) if dst == d2 => {
                     *out.last_mut().unwrap() = MicroOp::MovRI {
                         dst,
-                        imm: alu_value(op, imm, i2),
+                        imm: op.apply(imm, i2),
                     };
                     changed = true;
                 }
@@ -552,8 +522,7 @@ fn build_block(entry: u64, ops: &[(u64, Insn)]) -> NativeBlock {
                 insns: (j - i) as u32,
                 counts,
                 next_pc,
-                fuse_next: matches!(last, Insn::CmpRR { .. } | Insn::CmpRI { .. })
-                    .then_some(next_pc),
+                fuse_next: DecodedBlock::fuse_latch(&last, next_pc),
             }));
             i = j;
         } else {
@@ -568,16 +537,6 @@ fn build_block(entry: u64, ops: &[(u64, Insn)]) -> NativeBlock {
     }
 }
 
-fn record_pages(pages: &mut Vec<(u64, u64)>, mem: &Memory, pc: u64, len: u64) {
-    let first = pc / PAGE_SIZE;
-    let last = (pc + len - 1) / PAGE_SIZE;
-    for page in first..=last {
-        if !pages.iter().any(|&(p, _)| p == page) {
-            pages.push((page, mem.code_version(page * PAGE_SIZE)));
-        }
-    }
-}
-
 /// Statically lowers the function region reachable from `entry`:
 /// breadth-first over direct control flow, fetching and decoding
 /// through `mem` without executing anything. Returns `None` when not
@@ -586,7 +545,7 @@ fn record_pages(pages: &mut Vec<(u64, u64)>, mem: &Memory, pc: u64, len: u64) {
 pub fn lower(mem: &Memory, entry: u64) -> Option<NativeFn> {
     let mut blocks: Vec<NativeBlock> = Vec::new();
     let mut by_pc: HashMap<u64, usize, FxBuildHasher> = HashMap::default();
-    let mut pages: Vec<(u64, u64)> = Vec::new();
+    let mut pages = PageGens::new(mem);
     let mut queue: VecDeque<u64> = VecDeque::new();
     let mut enqueued: HashSet<u64> = HashSet::new();
     queue.push_back(entry);
@@ -603,16 +562,12 @@ pub fn lower(mem: &Memory, entry: u64) -> Option<NativeFn> {
                 succs.push(cur); // fallthrough continuation block
                 break;
             }
-            let mut buf = [0u8; 16];
-            let Ok(n) = mem.fetch(cur, &mut buf) else {
+            let Ok(insn) = mem.fetch_insn(cur) else {
                 break;
             };
-            let Ok((insn, len)) = mvasm::decode(&buf[..n]) else {
-                break;
-            };
-            record_pages(&mut pages, mem, cur, len as u64);
+            pages.record(mem, cur, insn.len());
             ops.push((cur, insn));
-            let next = cur + len as u64;
+            let next = cur + insn.len() as u64;
             match insn {
                 Insn::Jmp { rel } => {
                     succs.push(next.wrapping_add(rel as i64 as u64));
@@ -656,7 +611,6 @@ pub fn lower(mem: &Memory, entry: u64) -> Option<NativeFn> {
         blocks,
         by_pc,
         pages,
-        epoch: Cell::new(mem.flush_epoch()),
     })
 }
 
@@ -754,7 +708,7 @@ mod tests {
         let x = 0x1234u64;
         let v = chains[chain as usize]
             .iter()
-            .fold(x, |v, &(op, imm)| alu_value(op, v, imm));
+            .fold(x, |v, &(op, imm)| op.apply(v, imm));
         assert_eq!(v, ((x + 1) ^ 0x5A5A) & 0xffff);
     }
 
@@ -783,6 +737,9 @@ mod tests {
     #[test]
     fn registry_register_unregister_and_overlap() {
         let mut reg = NativeRegistry::default();
+        let mem = Memory::new();
+        let mut pages = PageGens::new(&mem);
+        pages.record(&mem, 0x1000, 1);
         let nf = Rc::new(NativeFn {
             entry: 0x1000,
             blocks: vec![
@@ -798,8 +755,7 @@ mod tests {
                 },
             ],
             by_pc: HashMap::default(),
-            pages: vec![(1, 0)],
-            epoch: Cell::new(0),
+            pages,
         });
         reg.register(nf);
         assert!(reg.get(0x1000).is_some());

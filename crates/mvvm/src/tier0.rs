@@ -114,9 +114,8 @@ impl BlockCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::DecodedBlock;
+    use crate::block::{DecodedBlock, PageGens};
     use mvasm::Insn;
-    use std::cell::Cell;
     use std::rc::Rc;
 
     fn block(entry: u64, ops: &[u64]) -> BlockRef {
@@ -125,9 +124,8 @@ mod tests {
             entry,
             fast_runs: DecodedBlock::fast_runs_of(&ops),
             ops,
-            pages: vec![(entry / crate::mem::PAGE_SIZE, 0)],
+            pages: PageGens::default(),
             superblock: false,
-            epoch: Cell::new(0),
         })
     }
 

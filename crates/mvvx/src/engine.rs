@@ -299,25 +299,6 @@ fn merge_val(a: &Val, b: &Val, s: usize, da: &[usize], db: &[usize]) -> Option<V
     Some(Val::per_value(s, table))
 }
 
-fn alu_f(op: AluOp, a: u64, b: u64) -> u64 {
-    match op {
-        AluOp::Add => a.wrapping_add(b),
-        AluOp::Sub => a.wrapping_sub(b),
-        AluOp::Mul => a.wrapping_mul(b),
-        // Division by zero is screened out before this is called.
-        AluOp::Divs => (a as i64).wrapping_div(b as i64) as u64,
-        AluOp::Divu => a / b,
-        AluOp::Rems => (a as i64).wrapping_rem(b as i64) as u64,
-        AluOp::Remu => a % b,
-        AluOp::And => a & b,
-        AluOp::Or => a | b,
-        AluOp::Xor => a ^ b,
-        AluOp::Shl => a.wrapping_shl(b as u32),
-        AluOp::Shrs => ((a as i64).wrapping_shr(b as u32)) as u64,
-        AluOp::Shru => a.wrapping_shr(b as u32),
-    }
-}
-
 impl<'a> Vexec<'a> {
     /// Creates an engine over a base memory image and a configuration
     /// space, with the platform deciding hypercall semantics.
@@ -664,14 +645,7 @@ impl<'a> Vexec<'a> {
         if let Some(i) = self.decode_cache.get(&pc) {
             return Ok(*i);
         }
-        let mut buf = [0u8; 16];
-        let n = self
-            .mem
-            .fetch(pc, &mut buf)
-            .map_err(Fault::from)
-            .map_err(Abort::Fault)?;
-        let (insn, _) = mvasm::decode(&buf[..n])
-            .map_err(|err| Abort::Fault(Fault::Decode { addr: pc, err }))?;
+        let insn = self.mem.fetch_insn(pc).map_err(Abort::Fault)?;
         self.decode_cache.insert(pc, insn);
         Ok(insn)
     }
@@ -747,7 +721,7 @@ impl<'a> Vexec<'a> {
     }
 
     fn alu(&self, op: AluOp, a: &Val, b: &Val, at: u64) -> Result<Val, Abort> {
-        if matches!(op, AluOp::Divs | AluOp::Divu | AluOp::Rems | AluOp::Remu) {
+        if op.divides() {
             match b {
                 Val::Concrete(0) => return Err(Abort::Fault(Fault::DivByZero { addr: at })),
                 Val::PerValue { sw, vals } if vals.iter().any(|&(_, v)| v == 0) => {
@@ -759,7 +733,9 @@ impl<'a> Vexec<'a> {
                 _ => {}
             }
         }
-        Ok(Val::zip(a, b, |x, y| alu_f(op, x, y))?)
+        Ok(Val::zip(a, b, |x, y| {
+            op.eval(x, y).expect("zero divisors are screened above")
+        })?)
     }
 
     // ---- the interpreter --------------------------------------------

@@ -2,6 +2,13 @@
 //! MVC programs (locals, assignments, nested ifs, bounded loops) are
 //! compiled, linked and executed on the machine, and the result is
 //! compared against a direct Rust interpretation of the same AST.
+//!
+//! Expressions reach every MV64 ALU op and every condition code: all
+//! binary operators, with divisors forced odd (so never zero) and a
+//! `u64` operand that makes MVC pick the unsigned division, remainder,
+//! right shift and comparisons. Compiling with and without the
+//! optimizer checks both the constant folder and the VM against the
+//! oracle's wrapping semantics.
 
 use multiverse::mvc::Options;
 use multiverse::Program;
@@ -10,17 +17,79 @@ use std::fmt::Write as _;
 
 const N_VARS: usize = 4;
 
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    Add,
+    Sub,
+    Mul,
+    And,
+    Or,
+    Xor,
+    Shl,
+    Shr,
+    /// `l / (r | 1)`: the divisor is odd, so never zero.
+    Div,
+    /// `l % (r | 1)`.
+    Rem,
+    Lt,
+    Le,
+    Gt,
+    Ge,
+    Eq,
+    Ne,
+}
+
+const OPS: [Op; 16] = [
+    Op::Add,
+    Op::Sub,
+    Op::Mul,
+    Op::And,
+    Op::Or,
+    Op::Xor,
+    Op::Shl,
+    Op::Shr,
+    Op::Div,
+    Op::Rem,
+    Op::Lt,
+    Op::Le,
+    Op::Gt,
+    Op::Ge,
+    Op::Eq,
+    Op::Ne,
+];
+
+impl Op {
+    fn symbol(self) -> &'static str {
+        match self {
+            Op::Add => "+",
+            Op::Sub => "-",
+            Op::Mul => "*",
+            Op::And => "&",
+            Op::Or => "|",
+            Op::Xor => "^",
+            Op::Shl => "<<",
+            Op::Shr => ">>",
+            Op::Div => "/",
+            Op::Rem => "%",
+            Op::Lt => "<",
+            Op::Le => "<=",
+            Op::Gt => ">",
+            Op::Ge => ">=",
+            Op::Eq => "==",
+            Op::Ne => "!=",
+        }
+    }
+}
+
 #[derive(Clone, Debug)]
 enum SExpr {
     Const(i8),
     Var(u8),
     Param,
-    Add(Box<SExpr>, Box<SExpr>),
-    Sub(Box<SExpr>, Box<SExpr>),
-    Mul(Box<SExpr>, Box<SExpr>),
-    And(Box<SExpr>, Box<SExpr>),
-    Xor(Box<SExpr>, Box<SExpr>),
-    Lt(Box<SExpr>, Box<SExpr>),
+    /// The parameter held in a `u64` local: any operator with an
+    /// unsigned operand takes the unsigned MV64 op.
+    UParam,
+    Bin(Op, Box<SExpr>, Box<SExpr>),
 }
 
 #[derive(Clone, Debug)]
@@ -37,16 +106,11 @@ fn arb_expr() -> impl Strategy<Value = SExpr> {
         any::<i8>().prop_map(SExpr::Const),
         (0u8..N_VARS as u8).prop_map(SExpr::Var),
         Just(SExpr::Param),
+        Just(SExpr::UParam),
     ];
     leaf.prop_recursive(3, 16, 2, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(l, r)| SExpr::Add(Box::new(l), Box::new(r))),
-            (inner.clone(), inner.clone()).prop_map(|(l, r)| SExpr::Sub(Box::new(l), Box::new(r))),
-            (inner.clone(), inner.clone()).prop_map(|(l, r)| SExpr::Mul(Box::new(l), Box::new(r))),
-            (inner.clone(), inner.clone()).prop_map(|(l, r)| SExpr::And(Box::new(l), Box::new(r))),
-            (inner.clone(), inner.clone()).prop_map(|(l, r)| SExpr::Xor(Box::new(l), Box::new(r))),
-            (inner.clone(), inner.clone()).prop_map(|(l, r)| SExpr::Lt(Box::new(l), Box::new(r))),
-        ]
+        (0..OPS.len(), inner.clone(), inner)
+            .prop_map(|(i, l, r)| SExpr::Bin(OPS[i], Box::new(l), Box::new(r)))
     })
 }
 
@@ -75,24 +139,22 @@ fn emit_expr(e: &SExpr, out: &mut String) {
         SExpr::Var(v) => {
             let _ = write!(out, "v{v}");
         }
-        SExpr::Param => {
-            let _ = write!(out, "x");
+        SExpr::Param => out.push('x'),
+        SExpr::UParam => out.push('u'),
+        SExpr::Bin(op, l, r) => {
+            out.push('(');
+            emit_expr(l, out);
+            let _ = write!(out, " {} ", op.symbol());
+            if matches!(op, Op::Div | Op::Rem) {
+                out.push('(');
+                emit_expr(r, out);
+                out.push_str(" | 1)");
+            } else {
+                emit_expr(r, out);
+            }
+            out.push(')');
         }
-        SExpr::Add(l, r) => bin(out, l, "+", r),
-        SExpr::Sub(l, r) => bin(out, l, "-", r),
-        SExpr::Mul(l, r) => bin(out, l, "*", r),
-        SExpr::And(l, r) => bin(out, l, "&", r),
-        SExpr::Xor(l, r) => bin(out, l, "^", r),
-        SExpr::Lt(l, r) => bin(out, l, "<", r),
     }
-}
-
-fn bin(out: &mut String, l: &SExpr, op: &str, r: &SExpr) {
-    out.push('(');
-    emit_expr(l, out);
-    let _ = write!(out, " {op} ");
-    emit_expr(r, out);
-    out.push(')');
 }
 
 fn emit_stmts(stmts: &[SStmt], out: &mut String, loop_counter: &mut u32) {
@@ -124,7 +186,7 @@ fn emit_stmts(stmts: &[SStmt], out: &mut String, loop_counter: &mut u32) {
 }
 
 fn emit_program(stmts: &[SStmt]) -> String {
-    let mut body = String::new();
+    let mut body = String::from("u64 u = x;\n");
     for v in 0..N_VARS {
         let _ = writeln!(body, "i64 v{v} = {};", v as i64);
     }
@@ -136,26 +198,54 @@ fn emit_program(stmts: &[SStmt]) -> String {
 
 // ---- Rust oracle ----------------------------------------------------------
 
-fn eval_expr(e: &SExpr, vars: &[i64; N_VARS], x: i64) -> i64 {
-    match e {
-        SExpr::Const(c) => *c as i64,
-        SExpr::Var(v) => vars[*v as usize],
-        SExpr::Param => x,
-        SExpr::Add(l, r) => eval_expr(l, vars, x).wrapping_add(eval_expr(r, vars, x)),
-        SExpr::Sub(l, r) => eval_expr(l, vars, x).wrapping_sub(eval_expr(r, vars, x)),
-        SExpr::Mul(l, r) => eval_expr(l, vars, x).wrapping_mul(eval_expr(r, vars, x)),
-        SExpr::And(l, r) => eval_expr(l, vars, x) & eval_expr(r, vars, x),
-        SExpr::Xor(l, r) => eval_expr(l, vars, x) ^ eval_expr(r, vars, x),
-        SExpr::Lt(l, r) => (eval_expr(l, vars, x) < eval_expr(r, vars, x)) as i64,
-    }
+/// Value and unsignedness of `e`, following MVC's typing: an operator
+/// with a `u64` operand computes unsigned and yields `u64`; comparisons
+/// yield a (signed) `bool`. Arithmetic wraps and shift counts are taken
+/// mod 64, as on MV64.
+fn eval_expr(e: &SExpr, vars: &[i64; N_VARS], x: i64) -> (i64, bool) {
+    let (l, r, op) = match e {
+        SExpr::Const(c) => return (*c as i64, false),
+        SExpr::Var(v) => return (vars[*v as usize], false),
+        SExpr::Param => return (x, false),
+        SExpr::UParam => return (x, true),
+        SExpr::Bin(op, l, r) => (l, r, *op),
+    };
+    let (a, ua) = eval_expr(l, vars, x);
+    let (b, ub) = eval_expr(r, vars, x);
+    let unsigned = ua || ub;
+    let (ua, ub, odd) = (a as u64, b as u64, b | 1);
+    let ord = if unsigned { ua.cmp(&ub) } else { a.cmp(&b) };
+    let v = match op {
+        Op::Add => a.wrapping_add(b),
+        Op::Sub => a.wrapping_sub(b),
+        Op::Mul => a.wrapping_mul(b),
+        Op::And => a & b,
+        Op::Or => a | b,
+        Op::Xor => a ^ b,
+        Op::Shl => a.wrapping_shl(b as u32),
+        Op::Shr if unsigned => ua.wrapping_shr(b as u32) as i64,
+        Op::Shr => a.wrapping_shr(b as u32),
+        Op::Div if unsigned => (ua / odd as u64) as i64,
+        Op::Div => a.wrapping_div(odd),
+        Op::Rem if unsigned => (ua % odd as u64) as i64,
+        Op::Rem => a.wrapping_rem(odd),
+        Op::Lt => ord.is_lt() as i64,
+        Op::Le => ord.is_le() as i64,
+        Op::Gt => ord.is_gt() as i64,
+        Op::Ge => ord.is_ge() as i64,
+        Op::Eq => (a == b) as i64,
+        Op::Ne => (a != b) as i64,
+    };
+    let compare = matches!(op, Op::Lt | Op::Le | Op::Gt | Op::Ge | Op::Eq | Op::Ne);
+    (v, unsigned && !compare)
 }
 
 fn eval_stmts(stmts: &[SStmt], vars: &mut [i64; N_VARS], x: i64) {
     for s in stmts {
         match s {
-            SStmt::Assign(v, e) => vars[*v as usize] = eval_expr(e, vars, x),
+            SStmt::Assign(v, e) => vars[*v as usize] = eval_expr(e, vars, x).0,
             SStmt::If(c, t, f) => {
-                if eval_expr(c, vars, x) != 0 {
+                if eval_expr(c, vars, x).0 != 0 {
                     eval_stmts(t, vars, x);
                 } else {
                     eval_stmts(f, vars, x);
