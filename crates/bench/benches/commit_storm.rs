@@ -27,10 +27,15 @@ fn bench(c: &mut Criterion) {
         );
         assert!(r.workers_exact, "{}: a worker lost iterations", r.strategy);
     }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_commit_storm.json");
-    std::fs::write(path, mv_bench::commit_storm_json(&rows))
-        .expect("write BENCH_commit_storm.json");
-    println!("wrote {path}\n");
+    let json = mv_bench::bench_json(
+        "commit_storm",
+        "guest cycles",
+        rows.iter().map(mv_bench::CommitStormRow::json),
+    );
+    println!(
+        "wrote {}\n",
+        mv_bench::write_bench_file("commit_storm", &json)
+    );
 
     let mut g = c.benchmark_group("commit_storm");
     for strategy in [CommitStrategy::StopMachine, CommitStrategy::Breakpoint] {

@@ -23,9 +23,12 @@ fn bench(c: &mut Criterion) {
     for r in &rows {
         assert!(r.consistent, "{} @ {} vCPUs", r.strategy, r.vcpus);
     }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_smp.json");
-    std::fs::write(path, mv_bench::smp_commit_json(&rows)).expect("write BENCH_smp.json");
-    println!("wrote {path}\n");
+    let json = mv_bench::bench_json(
+        "smp_commit",
+        "guest cycles",
+        rows.iter().map(mv_bench::SmpCommitRow::json),
+    );
+    println!("wrote {}\n", mv_bench::write_bench_file("smp", &json));
 
     // Host wall time of one quiesced flip against live workers. The
     // workers get a huge iteration budget and the world is rebooted if

@@ -22,13 +22,15 @@ fn bench(c: &mut Criterion) {
     for r in &rows {
         assert!(r.identical, "{}: diverged from tierless", r.tier);
     }
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_vm_throughput.json"
+    let json = mv_bench::bench_json(
+        "vm_throughput",
+        "guest instructions / host second",
+        rows.iter().map(mv_bench::VmThroughputRow::json),
     );
-    std::fs::write(path, mv_bench::tier_throughput_json("vm_throughput", &rows))
-        .expect("write BENCH_vm_throughput.json");
-    println!("wrote {path}\n");
+    println!(
+        "wrote {}\n",
+        mv_bench::write_bench_file("vm_throughput", &json)
+    );
 
     let exe = mv_bench::vm_throughput_exe(4_000);
     let mut g = c.benchmark_group("vm_throughput");

@@ -12,16 +12,28 @@
 //! | [`grep_data`] | §6.2.3 — grep end-to-end |
 //! | [`cpython_data`] | §6.2.1 — cPython allocation path |
 //! | [`patch_stats_data`] | §6.1/§5 — call sites, patch time, size model |
+//! | [`fast_path_data`] | E7 — first commit vs. re-commit (delta planning, page batching) |
+//! | [`commit_latency_percentiles`] | E7 — per-phase commit latency from the trace ring |
+//! | [`tracing_overhead`] | E7 — cost of the trace ring on the commit path |
+//! | [`metrics_overhead`] | E7 — cost of the metrics registry on the commit path |
 //! | [`btb_data`] | footnote 1 / E10 — warm vs. cold predictors |
 //! | [`inline_ablation_data`] | §7.1 / E11 — inlining and patch strategy |
+//! | [`compile_cost_data`] | §7.1 / E14 — staged-pipeline compile cost |
 //! | [`smp_commit_data`] | E15 — quiesced commit under SMP contention |
 //! | [`commit_storm_data`] | mvd control plane — coalesced flip storms |
+//! | [`vm_throughput_data`] | tiered execution — guest-instruction throughput per tier |
+//! | [`native_tier_data`] | native tier vs. superblock on a hot register-only loop |
+//! | [`vexec_data`] | E16 — variational execution vs. enumerate-and-rerun |
+//!
+//! Every bench that records a `BENCH_*.json` file renders it with
+//! [`bench_json`] and writes it with [`write_bench_file`].
 //!
 //! All numbers are deterministic VM cycles from the `mvvm` cost model;
 //! the Criterion benches additionally measure host-side throughput (and,
 //! for the native layer, real dispatch latencies).
 
 use multiverse::bench::Series;
+use multiverse::mvmetrics::json::{self, Obj};
 use multiverse::mvrt::{CommitStrategy, PatchStrategy};
 use multiverse::mvvm::{ExecTier, MachineMode, Platform};
 use multiverse::{mvasm, mvobj, Program};
@@ -31,6 +43,25 @@ use mv_workloads::{commit_storm, cpython, grep, musl, pvops, smp_contention, spi
 /// interpreted substrate — averages are exact either way because the
 /// machine is deterministic).
 pub const ITERS: u64 = 20_000;
+
+/// Renders the document every `BENCH_*.json` file holds —
+/// `{"bench", "unit", "rows"}` — with one row object per line.
+pub fn bench_json(bench: &str, unit: &str, rows: impl IntoIterator<Item = Obj>) -> String {
+    let rows = rows.into_iter().map(|r| format!("\n  {}", r.finish()));
+    let mut doc = Obj::new();
+    doc.str("bench", bench)
+        .str("unit", unit)
+        .raw("rows", json::array(rows));
+    doc.finish() + "\n"
+}
+
+/// Writes `json` to `BENCH_<name>.json` at the workspace root, where the
+/// perf trajectory is committed, and returns the path written.
+pub fn write_bench_file(name: &str, json: &str) -> String {
+    let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    path
+}
 
 /// Fig. 1: `spin_irq_lock` average cycles for bindings A/B/C, in UP and
 /// SMP machine state.
@@ -230,12 +261,10 @@ pub fn patch_stats_data(n_sites: usize) -> PatchStatsReport {
     }
 }
 
-/// One mode-column of [`fast_path_data`]: the patching-cost profile of a
-/// first commit and an immediate re-commit under one apply discipline.
+/// [`fast_path_data`]: the patching-cost profile of a first commit and
+/// an immediate re-commit.
 #[derive(Clone, Copy, Debug)]
 pub struct FastPathRow {
-    /// `"batched"` or `"per-site"`.
-    pub mode: &'static str,
     /// Stats delta of the first (cold) commit.
     pub first: multiverse::mvrt::PatchStats,
     /// Host wall time of the first commit.
@@ -249,38 +278,31 @@ pub struct FastPathRow {
     pub call_sites: u64,
 }
 
-/// E7's new columns: batched vs per-site apply and first-commit vs
-/// re-commit, on the `n_sites` workload. The interesting claims:
-/// batched `mprotects`/`icache_flushes` drop from O(sites) to O(pages),
-/// and the re-commit row performs zero journal entries and zero byte
-/// writes in either mode.
-pub fn fast_path_data(n_sites: usize) -> Vec<FastPathRow> {
+/// E7's fast-path columns: first commit vs re-commit on the `n_sites`
+/// workload. The interesting claims: the first commit's `mprotects` and
+/// `icache_flushes` are O(pages), not O(sites), and the re-commit
+/// performs zero journal entries and zero byte writes.
+pub fn fast_path_data(n_sites: usize) -> FastPathRow {
     let src = many_callsites_src(n_sites);
     let program = Program::build(&[("sites.c", &src)]).expect("build");
-    let mut rows = Vec::new();
-    for (mode, batch) in [("batched", true), ("per-site", false)] {
-        let mut w = program.boot();
-        w.set("feature", 1).unwrap();
-        w.rt.as_mut().expect("runtime").batch_pages = batch;
-        let before = w.rt.as_ref().unwrap().stats;
-        let t0 = std::time::Instant::now();
-        w.commit().expect("commit");
-        let first_time = t0.elapsed();
-        let mid = w.rt.as_ref().unwrap().stats;
-        let t0 = std::time::Instant::now();
-        w.commit().expect("re-commit");
-        let recommit_time = t0.elapsed();
-        let rt = w.rt.as_ref().unwrap();
-        rows.push(FastPathRow {
-            mode,
-            first: mid.since(&before),
-            first_time,
-            recommit: rt.stats.since(&mid),
-            recommit_time,
-            call_sites: rt.num_callsites() as u64,
-        });
+    let mut w = program.boot();
+    w.set("feature", 1).unwrap();
+    let before = w.rt.as_ref().expect("runtime").stats;
+    let t0 = std::time::Instant::now();
+    w.commit().expect("commit");
+    let first_time = t0.elapsed();
+    let mid = w.rt.as_ref().unwrap().stats;
+    let t0 = std::time::Instant::now();
+    w.commit().expect("re-commit");
+    let recommit_time = t0.elapsed();
+    let rt = w.rt.as_ref().unwrap();
+    FastPathRow {
+        first: mid.since(&before),
+        first_time,
+        recommit: rt.stats.since(&mid),
+        recommit_time,
+        call_sites: rt.num_callsites() as u64,
     }
-    rows
 }
 
 /// One row of [`commit_latency_percentiles`]: the latency distribution
@@ -765,32 +787,20 @@ pub fn smp_commit_series(rows: &[SmpCommitRow]) -> Vec<Series> {
     out
 }
 
-/// Serializes [`smp_commit_data`] rows as the `BENCH_smp.json` document
-/// CI records for the perf trajectory.
-pub fn smp_commit_json(rows: &[SmpCommitRow]) -> String {
-    use std::fmt::Write;
-    let mut s = String::from(
-        "{\n  \"bench\": \"smp_commit\",\n  \"unit\": \"guest cycles\",\n  \"rows\": [\n",
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {{\"strategy\": \"{}\", \"vcpus\": {}, \"commit_latency\": {:.1}, \
-             \"stall_cycles\": {:.1}, \"rounds\": {:.1}, \"trap_hits\": {:.2}, \
-             \"steady_cycles\": {:.2}, \"consistent\": {}}}{}",
-            r.strategy,
-            r.vcpus,
-            r.commit_latency,
-            r.stall_cycles,
-            r.rounds,
-            r.trap_hits,
-            r.steady_cycles,
-            r.consistent,
-            if i + 1 == rows.len() { "" } else { "," }
-        );
+impl SmpCommitRow {
+    /// This row as a [`bench_json`] row (`BENCH_smp.json`).
+    pub fn json(&self) -> Obj {
+        let mut o = Obj::new();
+        o.str("strategy", self.strategy.name())
+            .u64("vcpus", self.vcpus as u64)
+            .f64("commit_latency", self.commit_latency)
+            .f64("stall_cycles", self.stall_cycles)
+            .f64("rounds", self.rounds)
+            .f64("trap_hits", self.trap_hits)
+            .f64("steady_cycles", self.steady_cycles)
+            .bool("consistent", self.consistent);
+        o
     }
-    s.push_str("  ]\n}\n");
-    s
 }
 
 /// One strategy row of [`commit_storm_data`]: the mvd commit daemon vs.
@@ -855,34 +865,22 @@ pub fn commit_storm_data(
     rows
 }
 
-/// Serializes [`commit_storm_data`] rows as the `BENCH_commit_storm.json`
-/// document CI records for the perf trajectory.
-pub fn commit_storm_json(rows: &[CommitStormRow]) -> String {
-    use std::fmt::Write;
-    let mut s = String::from(
-        "{\n  \"bench\": \"commit_storm\",\n  \"unit\": \"guest cycles\",\n  \"rows\": [\n",
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {{\"strategy\": \"{}\", \"vcpus\": {}, \"requests\": {}, \"commits\": {}, \
-             \"coalesced\": {}, \"commit_ratio\": {:.1}, \"speedup\": {:.1}, \
-             \"p50_cycles\": {:.1}, \"p95_cycles\": {:.1}, \"workers_exact\": {}}}{}",
-            r.strategy,
-            r.vcpus,
-            r.requests,
-            r.commits,
-            r.coalesced,
-            r.commit_ratio,
-            r.speedup,
-            r.p50_cycles,
-            r.p95_cycles,
-            r.workers_exact,
-            if i + 1 == rows.len() { "" } else { "," }
-        );
+impl CommitStormRow {
+    /// This row as a [`bench_json`] row (`BENCH_commit_storm.json`).
+    pub fn json(&self) -> Obj {
+        let mut o = Obj::new();
+        o.str("strategy", self.strategy.name())
+            .u64("vcpus", self.vcpus as u64)
+            .u64("requests", self.requests)
+            .u64("commits", self.commits)
+            .u64("coalesced", self.coalesced)
+            .f64("commit_ratio", self.commit_ratio)
+            .f64("speedup", self.speedup)
+            .f64("p50_cycles", self.p50_cycles)
+            .f64("p95_cycles", self.p95_cycles)
+            .bool("workers_exact", self.workers_exact);
+        o
     }
-    s.push_str("  ]\n}\n");
-    s
 }
 
 /// One tier row of [`vm_throughput_data`]: host-side interpreter
@@ -1107,31 +1105,19 @@ pub fn vm_throughput_series(rows: &[VmThroughputRow]) -> Vec<Series> {
     vec![mips, speedup]
 }
 
-/// Serializes tier-throughput rows ([`vm_throughput_data`],
-/// [`native_tier_data`]) as the `BENCH_<bench>.json` document CI
-/// records for the perf trajectory.
-pub fn tier_throughput_json(bench: &str, rows: &[VmThroughputRow]) -> String {
-    use std::fmt::Write;
-    let mut s = format!(
-        "{{\n  \"bench\": \"{bench}\",\n  \"unit\": \"guest instructions / host second\",\n  \
-         \"rows\": [\n",
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {{\"tier\": \"{}\", \"instructions\": {}, \"nanos\": {}, \
-             \"insns_per_sec\": {:.0}, \"speedup\": {:.2}, \"identical\": {}}}{}",
-            r.tier,
-            r.instructions,
-            r.nanos,
-            r.insns_per_sec,
-            r.speedup,
-            r.identical,
-            if i + 1 == rows.len() { "" } else { "," }
-        );
+impl VmThroughputRow {
+    /// This row as a [`bench_json`] row (`BENCH_vm_throughput.json`,
+    /// `BENCH_native.json`).
+    pub fn json(&self) -> Obj {
+        let mut o = Obj::new();
+        o.str("tier", &self.tier.to_string())
+            .u64("instructions", self.instructions)
+            .u64("nanos", self.nanos)
+            .f64("insns_per_sec", self.insns_per_sec)
+            .f64("speedup", self.speedup)
+            .bool("identical", self.identical);
+        o
     }
-    s.push_str("  ]\n}\n");
-    s
 }
 
 /// One row of [`vexec_data`]: the E14 grid configuration run through a
@@ -1240,33 +1226,21 @@ pub fn render_vexec_table(rows: &[VexecRow]) -> String {
     s
 }
 
-/// Serializes [`vexec_data`] rows as the `BENCH_vexec.json` document CI
-/// records for the perf trajectory.
-pub fn vexec_json(rows: &[VexecRow]) -> String {
-    use std::fmt::Write;
-    let mut s = String::from(
-        "{\n  \"bench\": \"vexec\",\n  \"unit\": \"guest instructions\",\n  \"rows\": [\n",
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {{\"config\": \"{}\", \"leaves\": {}, \"shared_steps\": {}, \
-             \"enum_insns\": {}, \"speedup\": {:.2}, \"splits\": {}, \"joins\": {}, \
-             \"max_live\": {}, \"equivalent\": {}}}{}",
-            r.config,
-            r.leaves,
-            r.shared_steps,
-            r.enum_insns,
-            r.speedup,
-            r.splits,
-            r.joins,
-            r.max_live,
-            r.equivalent,
-            if i + 1 == rows.len() { "" } else { "," }
-        );
+impl VexecRow {
+    /// This row as a [`bench_json`] row (`BENCH_vexec.json`).
+    pub fn json(&self) -> Obj {
+        let mut o = Obj::new();
+        o.str("config", &self.config)
+            .u64("leaves", self.leaves as u64)
+            .u64("shared_steps", self.shared_steps)
+            .u64("enum_insns", self.enum_insns)
+            .f64("speedup", self.speedup)
+            .u64("splits", self.splits)
+            .u64("joins", self.joins)
+            .u64("max_live", self.max_live as u64)
+            .bool("equivalent", self.equivalent);
+        o
     }
-    s.push_str("  ]\n}\n");
-    s
 }
 
 #[cfg(test)]
@@ -1302,36 +1276,32 @@ mod tests {
     }
 
     /// CI's quick patch-cost gate (see `.github/workflows/ci.yml`): the
-    /// batched commit does O(pages) protection changes, and the
-    /// immediate re-commit is a pure fast path that skips every site.
+    /// commit does O(pages) protection changes, and the immediate
+    /// re-commit is a pure fast path that skips every site.
     #[test]
     fn patch_cost_quick() {
-        let rows = fast_path_data(256);
-        let batched = rows[0];
-        let per_site = rows[1];
-        assert_eq!(batched.mode, "batched");
+        let row = fast_path_data(256);
+        let first = row.first;
 
-        // Batched apply: at most one RW + one RX per touched page.
-        assert!(batched.first.pages_touched >= 1);
-        assert!(
-            batched.first.mprotects <= 2 * batched.first.pages_touched,
+        // Page-batched apply: exactly one RW + one RX and one flush per
+        // touched page, and fewer pages than patched sites.
+        assert!(first.pages_touched >= 1);
+        assert_eq!(
+            first.mprotects,
+            2 * first.pages_touched,
             "{} mprotects for {} pages",
-            batched.first.mprotects,
-            batched.first.pages_touched
+            first.mprotects,
+            first.pages_touched
         );
-        assert!(batched.first.icache_flushes <= batched.first.pages_touched);
-        // …and strictly cheaper than the per-site discipline.
-        assert!(batched.first.mprotects < per_site.first.mprotects);
-        assert!(batched.first.icache_flushes < per_site.first.icache_flushes);
+        assert_eq!(first.icache_flushes, first.pages_touched);
+        assert!(first.pages_touched < first.sites_patched);
 
         // Immediate re-commit: delta planning skips every site and
-        // writes nothing, in both modes.
-        for row in &rows {
-            assert_eq!(row.recommit.sites_skipped, row.call_sites, "{}", row.mode);
-            assert_eq!(row.recommit.journal_entries, 0, "{}", row.mode);
-            assert_eq!(row.recommit.bytes_written, 0, "{}", row.mode);
-            assert_eq!(row.recommit.mprotects, 0, "{}", row.mode);
-        }
+        // writes nothing.
+        assert_eq!(row.recommit.sites_skipped, row.call_sites);
+        assert_eq!(row.recommit.journal_entries, 0);
+        assert_eq!(row.recommit.bytes_written, 0);
+        assert_eq!(row.recommit.mprotects, 0);
     }
 
     /// CI's quick metrics gate (see `.github/workflows/ci.yml`): with an
@@ -1469,10 +1439,13 @@ mod tests {
             stop[1].stall_cycles > stop[0].stall_cycles,
             "stop-machine stall grows with core count"
         );
-        let json = smp_commit_json(&rows);
-        assert!(json.contains("\"bench\": \"smp_commit\""));
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_smp.json");
-        std::fs::write(path, &json).expect("write BENCH_smp.json");
+        let json = bench_json(
+            "smp_commit",
+            "guest cycles",
+            rows.iter().map(SmpCommitRow::json),
+        );
+        assert!(json.contains("\"bench\":\"smp_commit\""));
+        write_bench_file("smp", &json);
     }
 
     /// CI's commit-storm gate (see `.github/workflows/ci.yml`): the mvd
@@ -1506,10 +1479,10 @@ mod tests {
             "stop-machine throughput speedup {:.1}x below the 10x gate",
             stop.speedup
         );
-        let json = commit_storm_json(&rows);
-        assert!(json.contains("\"bench\": \"commit_storm\""));
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_commit_storm.json");
-        std::fs::write(path, &json).expect("write BENCH_commit_storm.json");
+        let rows = rows.iter().map(CommitStormRow::json);
+        let json = bench_json("commit_storm", "guest cycles", rows);
+        assert!(json.contains("\"bench\":\"commit_storm\""));
+        write_bench_file("commit_storm", &json);
     }
 
     /// CI's tiered-engine gate (see `.github/workflows/ci.yml`): every
@@ -1539,17 +1512,17 @@ mod tests {
         }
         assert_eq!(rows[0].tier, ExecTier::Tierless);
         assert_eq!(rows[0].speedup, 1.0);
-        let json = tier_throughput_json("vm_throughput", &rows);
-        assert!(json.contains("\"bench\": \"vm_throughput\""));
+        let json = bench_json(
+            "vm_throughput",
+            "guest instructions / host second",
+            rows.iter().map(VmThroughputRow::json),
+        );
+        assert!(json.contains("\"bench\":\"vm_throughput\""));
         if !cfg!(debug_assertions) {
             // Record the trajectory before gating, so a failed gate
             // still leaves the measured rows behind for diagnosis.
             // Debug runs measure the shrunken workload and write nothing.
-            let path = concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../BENCH_vm_throughput.json"
-            );
-            std::fs::write(path, &json).expect("write BENCH_vm_throughput.json");
+            write_bench_file("vm_throughput", &json);
             assert!(
                 rows[1].speedup > 1.0,
                 "tier-0 must beat tierless: {:.2}x",
@@ -1588,14 +1561,17 @@ mod tests {
             assert!(r.insns_per_sec > 0.0);
         }
         assert_eq!(rows[2].tier, ExecTier::Native);
-        let json = tier_throughput_json("native_tier", &rows);
-        assert!(json.contains("\"bench\": \"native_tier\""));
+        let json = bench_json(
+            "native_tier",
+            "guest instructions / host second",
+            rows.iter().map(VmThroughputRow::json),
+        );
+        assert!(json.contains("\"bench\":\"native_tier\""));
         if !cfg!(debug_assertions) {
             // Record the trajectory before gating, so a failed gate
             // still leaves the measured rows behind for diagnosis.
             // Debug runs measure the shrunken workload and write nothing.
-            let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_native.json");
-            std::fs::write(path, &json).expect("write BENCH_native.json");
+            write_bench_file("native", &json);
             let over_superblock = rows[1].nanos as f64 / rows[2].nanos as f64;
             assert!(
                 over_superblock >= 2.0,
@@ -1627,10 +1603,13 @@ mod tests {
         }
         // Record the trajectory before gating, so a failed gate still
         // leaves the measured rows behind for diagnosis.
-        let json = vexec_json(&rows);
-        assert!(json.contains("\"bench\": \"vexec\""));
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_vexec.json");
-        std::fs::write(path, &json).expect("write BENCH_vexec.json");
+        let json = bench_json(
+            "vexec",
+            "guest instructions",
+            rows.iter().map(VexecRow::json),
+        );
+        assert!(json.contains("\"bench\":\"vexec\""));
+        write_bench_file("vexec", &json);
         let widest = rows.iter().max_by_key(|r| r.leaves).unwrap();
         assert_eq!(widest.leaves, 81, "3^4 is the widest E14 domain");
         assert!(

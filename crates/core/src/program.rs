@@ -3,8 +3,8 @@
 use mvc::Options;
 use mvobj::Executable;
 use mvrt::{
-    CommitDaemon, CommitReport, CommitStrategy, Lane, MvdOp, QuiesceOp, QuiesceReport, RequestId,
-    RtError, Runtime,
+    CommitDaemon, CommitReport, CommitStrategy, Lane, MvdOp, QuiesceReport, RequestId, RtError,
+    Runtime, TxnOp,
 };
 use mvvm::{CostModel, Fault, Machine, MachineConfig, SmpMachine, Stats};
 use std::fmt;
@@ -443,7 +443,7 @@ impl SmpWorld {
             .rt
             .as_mut()
             .ok_or(BuildError::Rt(RtError::UnknownVariable(addr)))?;
-        Ok(rt.run_quiesced(&mut self.smp, QuiesceOp::CommitRefs(addr), strategy)?)
+        Ok(rt.run_quiesced(&mut self.smp, TxnOp::CommitRefs(addr), strategy)?)
     }
 
     /// Machine-wide event-counter roll-up across every vCPU.

@@ -2,25 +2,24 @@
 //! machinery and the machine.
 //!
 //! The ISA-level contract (encodings, widths, displacement reach) lives
-//! in [`mvasm::abi::Backend`]; this module layers the *runtime*-level
-//! decisions on top as [`RtBackend`]: which ABI the patcher speaks,
-//! which page protections bracket a text write, and what extra work a
-//! successful commit must do to keep an execution tier coherent with
-//! the new function bindings.
+//! in [`mvasm::abi::Backend`]; the runtime patches under MV64 and with
+//! the RW-window / RX-restore discipline whatever backend is installed.
+//! This module adds, as [`RtBackend`], the one decision that does vary:
+//! what extra work a successful commit must do to keep an execution
+//! tier coherent with the new function bindings.
 //!
 //! Two implementations ship:
 //!
-//! * [`Mv64RtBackend`] — the reference backend. MV64 encodings, the
-//!   classic transient-RW / restore-RX patch discipline, no post-commit
-//!   work. This is what every runtime uses unless told otherwise.
-//! * [`HostTierBackend`] — the native host-closure tier. Identical
-//!   encodings and patch discipline (committed images are byte-for-byte
-//!   those of [`Mv64RtBackend`]), but after every successful commit it
-//!   reconciles the machine's [native region registry] against the
-//!   current function bindings: the *live* body of every multiversed
-//!   function (committed variant or generic fallback) is lowered to a
-//!   pre-resolved micro-op region and executed by the VM's native tier,
-//!   and regions for bodies that are no longer live are dropped.
+//! * [`Mv64RtBackend`] — the reference backend: no post-commit work.
+//!   This is what every runtime uses unless told otherwise.
+//! * [`HostTierBackend`] — the native host-closure tier. Committed
+//!   images are byte-for-byte those of [`Mv64RtBackend`], but after
+//!   every successful commit it reconciles the machine's [native region
+//!   registry] against the current function bindings: the *live* body
+//!   of every multiversed function (committed variant or generic
+//!   fallback) is lowered to a pre-resolved micro-op region and executed
+//!   by the VM's native tier, and regions for bodies that are no longer
+//!   live are dropped.
 //!
 //! [native region registry]: mvvm::Machine::ensure_native
 //!
@@ -29,31 +28,17 @@
 //! differential test suite holds them to that.
 
 use crate::runtime::{FnBinding, Runtime};
-use mvobj::Prot;
 use mvvm::{ExecTier, Machine};
 use std::sync::Arc;
 
 /// Runtime-level backend policy. Object-safe; the runtime stores one as
-/// `Arc<dyn RtBackend>` and consults it on every patch and commit.
+/// `Arc<dyn RtBackend>` and consults it after every commit.
 ///
 /// `Send + Sync` is required: the commit daemon moves whole runtimes
 /// across threads.
 pub trait RtBackend: Send + Sync {
     /// Stable backend name, as spelled in CLI flags and reports.
     fn name(&self) -> &'static str;
-
-    /// The ISA contract this backend patches under.
-    fn abi(&self) -> &'static dyn mvasm::Backend;
-
-    /// Protection of the transient window a text write opens.
-    fn window_prot(&self) -> Prot {
-        Prot::RW
-    }
-
-    /// Protection text pages are restored to after a write.
-    fn restore_prot(&self) -> Prot {
-        Prot::RX
-    }
 
     /// Execution tier this backend wants the machine on, if it cares.
     /// Boot facades apply it when the backend is installed; the sync
@@ -71,8 +56,7 @@ pub trait RtBackend: Send + Sync {
     }
 }
 
-/// The reference backend: MV64 encodings, default patch discipline,
-/// no post-commit work.
+/// The reference backend: no post-commit work.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Mv64RtBackend;
 
@@ -80,17 +64,12 @@ impl RtBackend for Mv64RtBackend {
     fn name(&self) -> &'static str {
         "mv64"
     }
-
-    fn abi(&self) -> &'static dyn mvasm::Backend {
-        mvasm::MV64
-    }
 }
 
 /// The native host-closure tier backend.
 ///
-/// Encodings and patch discipline are exactly [`Mv64RtBackend`]'s, so
-/// committed images are byte-identical; the difference is the
-/// [`RtBackend::sync`] hook, which keeps the machine's native-tier
+/// Committed images are byte-identical to [`Mv64RtBackend`]'s; the
+/// difference is the [`RtBackend::sync`] hook, which keeps the machine's native-tier
 /// region registry congruent with the function bindings: one lowered
 /// region per multiversed function, rooted at the committed variant's
 /// entry (or the generic entry on fallback), stale roots dropped.
@@ -100,10 +79,6 @@ pub struct HostTierBackend;
 impl RtBackend for HostTierBackend {
     fn name(&self) -> &'static str {
         "native"
-    }
-
-    fn abi(&self) -> &'static dyn mvasm::Backend {
-        mvasm::MV64
     }
 
     fn preferred_tier(&self) -> Option<ExecTier> {
@@ -163,15 +138,6 @@ mod tests {
         }
         assert_eq!(parse("host").unwrap().name(), "native");
         assert!(parse("nope").is_none());
-    }
-
-    #[test]
-    fn default_protections_follow_wxorx() {
-        let b = Mv64RtBackend;
-        assert_eq!(b.window_prot(), Prot::RW);
-        assert_eq!(b.restore_prot(), Prot::RX);
-        assert_eq!(b.abi().name(), "mv64");
-        assert_eq!(HostTierBackend.abi().name(), "mv64");
     }
 
     #[test]

@@ -107,14 +107,14 @@ pub enum RtError {
     /// code version did not advance), so stale decoded instructions would
     /// keep executing. Treated as a transient patching fault.
     IcacheStale {
-        /// Address of the written range whose flush was lost.
+        /// Base of the written page whose flush was lost.
         addr: u64,
     },
     /// Restoring a journal entry during rollback failed; the text segment
     /// may be torn. Carried inside an [`RtError::Commit`] with
     /// [`CommitPhase::Rollback`].
     RollbackFailed {
-        /// Address of the journal entry whose restore failed.
+        /// Address (journal entry or page) whose restore step failed.
         addr: u64,
         /// Why the restore failed.
         source: Box<RtError>,

@@ -45,6 +45,9 @@
 //! | `multiverse_commit_func(&fn)` | [`Runtime::commit_func`] |
 //! | `multiverse_revert_func(&fn)` | [`Runtime::revert_func`] |
 //!
+//! Each operation is also a [`TxnOp`] value, which
+//! [`Runtime::run_quiesced`] runs against a live SMP machine.
+//!
 //! Function-pointer configuration switches (the §4 extension used by the
 //! PV-Ops case study) are handled by the same call-site patcher; see
 //! [`fnptr`].
@@ -69,10 +72,10 @@ pub use mvd::{
     CommitDaemon, Completion, Lane, MvdConfig, MvdMetrics, MvdOp, MvdOutcome, MvdStats,
     QuarantineEntry, RequestId,
 };
-pub use quiesce::{CommitStrategy, QuiesceOp, QuiesceReport};
+pub use quiesce::{CommitStrategy, QuiesceReport};
 pub use runtime::{CommitReport, FnBinding, PatchStrategy, Runtime};
 pub use stats::{PatchStats, PatchTiming};
-pub use txn::{FnHealth, RetryPolicy, SiteHealth, ValidationReport};
+pub use txn::{FnHealth, RetryPolicy, SiteHealth, TxnOp, ValidationReport};
 
 // Re-exported so downstream code can consume traces (sinks, span
 // reconstruction) and metrics (registry, exporters, residency)

@@ -54,9 +54,9 @@
 //! *why* a flip never landed.
 
 use crate::error::RtError;
-use crate::quiesce::{CommitStrategy, QuiesceOp, QuiesceReport};
+use crate::quiesce::{CommitStrategy, QuiesceReport};
 use crate::runtime::Runtime;
-use crate::txn::RetryPolicy;
+use crate::txn::{RetryPolicy, TxnOp};
 use mvmetrics::residency::SwitchHistory;
 use mvmetrics::{Counter, Gauge, Registry};
 use mvtrace::EventKind;
@@ -801,9 +801,9 @@ impl CommitDaemon {
         let result = match op {
             MvdOp::Flip { switch, value } => rt
                 .write_switch(&mut smp.machine, switch, value)
-                .and_then(|()| rt.run_quiesced(smp, QuiesceOp::CommitRefs(switch), strategy)),
-            MvdOp::CommitAll => rt.run_quiesced(smp, QuiesceOp::Commit, strategy),
-            MvdOp::RevertAll => rt.run_quiesced(smp, QuiesceOp::Revert, strategy),
+                .and_then(|()| rt.run_quiesced(smp, TxnOp::CommitRefs(switch), strategy)),
+            MvdOp::CommitAll => rt.run_quiesced(smp, TxnOp::CommitAll, strategy),
+            MvdOp::RevertAll => rt.run_quiesced(smp, TxnOp::RevertAll, strategy),
         };
         rt.retry = saved;
         result

@@ -18,33 +18,19 @@ use mvobj::Prot;
 use mvvm::{Machine, PAGE_SIZE};
 
 /// Writes `bytes` into the text segment at `addr` under a transient-RW
-/// window and flushes the icache for the range.
+/// window, restores RX and flushes the icache for the range.
 pub fn patch_bytes(
     m: &mut Machine,
     addr: u64,
     bytes: &[u8],
     stats: &mut PatchStats,
 ) -> Result<(), RtError> {
-    patch_bytes_with(m, addr, bytes, stats, Prot::RW, Prot::RX)
-}
-
-/// [`patch_bytes`] with explicit window/restore protections — the knob a
-/// runtime backend turns when its patch discipline differs from the
-/// default transient-RW / restore-RX pair.
-pub fn patch_bytes_with(
-    m: &mut Machine,
-    addr: u64,
-    bytes: &[u8],
-    stats: &mut PatchStats,
-    window: Prot,
-    restore: Prot,
-) -> Result<(), RtError> {
     let len = bytes.len() as u64;
-    m.mem.mprotect(addr, len, window)?;
+    m.mem.mprotect(addr, len, Prot::RW)?;
     stats.mprotects += 1;
     m.mem.write(addr, bytes)?;
     stats.bytes_written += len;
-    m.mem.mprotect(addr, len, restore)?;
+    m.mem.mprotect(addr, len, Prot::RX)?;
     stats.mprotects += 1;
     m.mem.flush_icache(addr, len);
     stats.icache_flushes += 1;
@@ -74,32 +60,6 @@ pub fn insn_at(m: &Machine, abi: &dyn Backend, addr: u64) -> Result<Insn, RtErro
         what: format!("undecodable bytes: {e}"),
     })?;
     Ok(insn)
-}
-
-/// Verifies that `site` currently holds a `call rel32` to `expected`.
-pub fn verify_call(
-    m: &Machine,
-    abi: &dyn Backend,
-    site: u64,
-    expected: u64,
-) -> Result<(), RtError> {
-    match insn_at(m, abi, site)? {
-        Insn::CallRel { rel } => {
-            let t = abi.call_target(site, rel);
-            if t == expected {
-                Ok(())
-            } else {
-                Err(RtError::SiteVerifyFailed {
-                    site,
-                    what: format!("call targets {t:#x}, expected {expected:#x}"),
-                })
-            }
-        }
-        other => Err(RtError::SiteVerifyFailed {
-            site,
-            what: format!("found `{other}`, expected a call"),
-        }),
-    }
 }
 
 /// Page base addresses covered by the `len` bytes at `addr`.
@@ -149,28 +109,6 @@ mod tests {
         assert_eq!(stats.mprotects, 2);
         assert_eq!(stats.icache_flushes, 1);
         assert_eq!(stats.bytes_written, 1);
-    }
-
-    #[test]
-    fn verify_call_accepts_and_rejects() {
-        let mut code = MV64.encode_call(0, 100).unwrap(); // placeholder, rewritten below
-        code.extend(mvasm::encode(&Insn::Ret));
-        let (mut m, text) = machine_with_text(&code);
-        // Point the call at text+5 (the ret) so verification can succeed.
-        let mut stats = PatchStats::default();
-        patch_bytes(
-            &mut m,
-            text,
-            &MV64.encode_call(text, text + 5).unwrap(),
-            &mut stats,
-        )
-        .unwrap();
-        verify_call(&m, MV64, text, text + 5).unwrap();
-        let err = verify_call(&m, MV64, text, text + 100).unwrap_err();
-        assert!(matches!(err, RtError::SiteVerifyFailed { .. }));
-        // Not-a-call also fails verification.
-        patch_bytes(&mut m, text, &MV64.nop_fill(5), &mut stats).unwrap();
-        assert!(verify_call(&m, MV64, text, text + 5).is_err());
     }
 
     #[test]
@@ -234,16 +172,6 @@ mod tests {
         let v1 = (m.mem.code_version(site), m.mem.code_version(site + 4));
         assert!(v1.0 > v0.0 && v1.1 > v0.1, "{v0:?} -> {v1:?}");
         assert_eq!(stats.mprotects, 2, "one RW and one RX call for the range");
-    }
-
-    #[test]
-    fn patch_bytes_with_honors_custom_protections() {
-        let code = vec![0u8; 8];
-        let (mut m, text) = machine_with_text(&code);
-        let mut stats = PatchStats::default();
-        // Restore to RWX: the page stays writable after the patch.
-        patch_bytes_with(&mut m, text, &[0x90], &mut stats, Prot::RW, Prot::RWX).unwrap();
-        assert!(m.mem.write(text, &[0x90]).is_ok(), "restore prot ignored");
     }
 
     #[test]

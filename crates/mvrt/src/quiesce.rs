@@ -52,6 +52,8 @@
 use crate::error::RtError;
 use crate::runtime::{CommitReport, PatchStrategy, Runtime};
 use crate::txn::TxnOp;
+use mvasm::MV64;
+use mvobj::Prot;
 use mvtrace::EventKind;
 use mvvm::{FaultOp, Machine, MemError, SmpMachine, VcpuState};
 
@@ -90,38 +92,6 @@ impl CommitStrategy {
 impl std::fmt::Display for CommitStrategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// The public Table 1 operation a quiesced transaction runs — the
-/// SMP-facing mirror of the crate-private `TxnOp`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QuiesceOp {
-    /// `multiverse_commit()`.
-    Commit,
-    /// `multiverse_revert()`.
-    Revert,
-    /// `multiverse_commit_refs(&var)` for the switch at this address.
-    CommitRefs(u64),
-    /// `multiverse_revert_refs(&var)`.
-    RevertRefs(u64),
-    /// `multiverse_commit_func(&fn)` for the generic entry at this
-    /// address.
-    CommitFunc(u64),
-    /// `multiverse_revert_func(&fn)`.
-    RevertFunc(u64),
-}
-
-impl QuiesceOp {
-    fn to_txn(self) -> TxnOp {
-        match self {
-            QuiesceOp::Commit => TxnOp::CommitAll,
-            QuiesceOp::Revert => TxnOp::RevertAll,
-            QuiesceOp::CommitRefs(a) => TxnOp::CommitRefs(a),
-            QuiesceOp::RevertRefs(a) => TxnOp::RevertRefs(a),
-            QuiesceOp::CommitFunc(a) => TxnOp::CommitFunc(a),
-            QuiesceOp::RevertFunc(a) => TxnOp::RevertFunc(a),
-        }
     }
 }
 
@@ -186,7 +156,7 @@ fn danger_regions(rt: &Runtime, op: TxnOp) -> Result<Vec<(u64, u64)>, RtError> {
         let g = f.desc.generic;
         // The completeness entry jump overwrites the first call-site's
         // worth of generic bytes in every strategy.
-        regions.push((g, g + rt.abi().call_site_len() as u64));
+        regions.push((g, g + MV64.call_site_len() as u64));
         if matches!(rt.strategy, PatchStrategy::CallSites) {
             if let Some(idxs) = rt.sites_of.get(&g) {
                 for &si in idxs {
@@ -234,14 +204,13 @@ fn vcpu_unsafe(smp: &SmpMachine, i: usize, regions: &[(u64, u64)]) -> bool {
 /// Writes `byte` over `addr` through the ordinary mprotect → write →
 /// mprotect → flush dance (fault-injectable like any other patch).
 fn poke_byte(rt: &mut Runtime, m: &mut Machine, addr: u64, byte: u8) -> Result<(), RtError> {
-    let (window, restore) = (rt.backend.window_prot(), rt.backend.restore_prot());
-    let r = crate::patch::patch_bytes_with(m, addr, &[byte], &mut rt.stats, window, restore);
+    let r = crate::patch::patch_bytes(m, addr, &[byte], &mut rt.stats);
     if r.is_err() {
         // A fault inside the dance can strand the page RW — W^X broken
         // under vCPUs that are still executing it. Relock best-effort,
         // outside the stats so probe-counted fault schedules of a clean
         // commit stay aligned with the failing run.
-        let _ = m.mem.mprotect(addr, 1, restore);
+        let _ = m.mem.mprotect(addr, 1, Prot::RX);
     }
     r
 }
@@ -293,7 +262,7 @@ impl Runtime {
         smp: &mut SmpMachine,
         strategy: CommitStrategy,
     ) -> Result<QuiesceReport, RtError> {
-        self.run_quiesced(smp, QuiesceOp::Commit, strategy)
+        self.run_quiesced(smp, TxnOp::CommitAll, strategy)
     }
 
     /// `multiverse_revert()` against a running [`SmpMachine`], quiesced
@@ -303,7 +272,7 @@ impl Runtime {
         smp: &mut SmpMachine,
         strategy: CommitStrategy,
     ) -> Result<QuiesceReport, RtError> {
-        self.run_quiesced(smp, QuiesceOp::Revert, strategy)
+        self.run_quiesced(smp, TxnOp::RevertAll, strategy)
     }
 
     /// Runs one Table 1 operation as a quiesced transaction on an SMP
@@ -318,12 +287,12 @@ impl Runtime {
     pub fn run_quiesced(
         &mut self,
         smp: &mut SmpMachine,
-        op: QuiesceOp,
+        op: TxnOp,
         strategy: CommitStrategy,
     ) -> Result<QuiesceReport, RtError> {
         match strategy {
-            CommitStrategy::StopMachine => self.quiesce_stop_machine(smp, op.to_txn()),
-            CommitStrategy::Breakpoint => self.quiesce_breakpoint(smp, op.to_txn()),
+            CommitStrategy::StopMachine => self.quiesce_stop_machine(smp, op),
+            CommitStrategy::Breakpoint => self.quiesce_breakpoint(smp, op),
         }
     }
 
@@ -439,7 +408,7 @@ impl Runtime {
 
         // Plant a trap byte over the first byte of every region,
         // journaled locally so a mid-plant fault can unwind.
-        let trap = self.abi().trap_byte();
+        let trap = MV64.trap_byte();
         let mut planted: Vec<(u64, u8)> = Vec::new();
         for &(start, _) in &regions {
             let mut orig = [0u8; 1];

@@ -10,10 +10,10 @@
 use crate::backend::{Mv64RtBackend, RtBackend};
 use crate::error::RtError;
 use crate::journal::Journal;
-use crate::patch::{insn_at, verify_call, PageBatch};
+use crate::patch::{insn_at, PageBatch};
 use crate::stats::{PatchStats, PatchTiming};
 use crate::txn::{RetryPolicy, TxnOp};
-use mvasm::Insn;
+use mvasm::{Insn, MV64};
 use mvobj::descriptor::{
     parse_callsites, parse_functions, parse_variables, CallsiteDesc, FnDesc, VarDesc, NOT_INLINABLE,
 };
@@ -65,8 +65,6 @@ pub(crate) struct SiteState {
     /// Total patchable length: 5 for a `call rel32` site, 9 for a
     /// `call *[mem]` (function-pointer) site.
     pub(crate) len: usize,
-    /// `true` if the original instruction was an indirect memory call.
-    pub(crate) indirect: bool,
     pub(crate) original: Vec<u8>,
     pub(crate) binding: SiteBinding,
 }
@@ -112,11 +110,9 @@ pub struct Runtime {
     pub(crate) sites: Vec<SiteState>,
     /// callee address (generic entry or fn-pointer variable) → site indices.
     pub(crate) sites_of: HashMap<u64, Vec<usize>>,
-    /// The undo log of the apply phase currently in flight, if any.
-    pub(crate) txn: Option<Journal>,
-    /// Retired journal kept around so the next apply phase reuses its
-    /// allocation instead of growing a fresh one.
-    pub(crate) spare_journal: Journal,
+    /// The undo log of the current (or last) apply phase, cleared when
+    /// an apply phase begins so each one reuses the allocation.
+    pub(crate) undo: Journal,
     /// Cumulative patching statistics.
     pub stats: PatchStats,
     /// Host wall-clock time spent patching, cumulative. Includes failed
@@ -126,21 +122,9 @@ pub struct Runtime {
     pub strategy: PatchStrategy,
     /// Whether short bodies may be inlined into call sites (default on).
     pub inline_enabled: bool,
-    /// Whether the apply phase keeps the undo log (default on). Off =
-    /// operations are still planned and validated, but applied without
-    /// the journal: a mid-apply fault surfaces raw and leaves the image
-    /// torn. Exists for the journal-overhead ablation in the patch-cost
-    /// benchmark.
-    pub journal: bool,
-    /// Whether journaled apply phases batch text writes per page
-    /// (default on): one RW window per touched page per transaction,
-    /// all writes inside, then one RX relock and one icache flush per
-    /// page — O(pages) protection changes instead of O(sites). Only the
-    /// journaled path batches; with [`Runtime::journal`] off the legacy
-    /// per-site discipline is used regardless.
-    pub batch_pages: bool,
-    /// RW windows of the page-batched apply phase in flight, if any.
-    pub(crate) batch: Option<PageBatch>,
+    /// RW windows of the current (or last) apply phase: one per touched
+    /// text page, relocked and flushed once when the phase ends.
+    pub(crate) batch: PageBatch,
     /// Bounded retry for transient apply-phase faults (default: off).
     pub retry: RetryPolicy,
     /// Structured-event ring, installed by [`Runtime::enable_tracing`]
@@ -154,8 +138,8 @@ pub struct Runtime {
     /// (default: off — commits then pay one branch per operation and
     /// nothing else).
     pub metrics: Option<crate::metrics::RtMetrics>,
-    /// The runtime backend: ABI encodings, patch protections and the
-    /// post-commit sync hook (default: [`Mv64RtBackend`]).
+    /// The runtime backend, whose post-commit sync hook runs after every
+    /// successful operation (default: [`Mv64RtBackend`]).
     pub(crate) backend: Arc<dyn RtBackend>,
 }
 
@@ -186,15 +170,13 @@ impl Runtime {
             .map(|(i, f)| (f.generic, i))
             .collect();
 
-        let backend: Arc<dyn RtBackend> = Arc::new(Mv64RtBackend);
-        let abi = backend.abi();
         let mut sites = Vec::with_capacity(site_descs.len());
         let mut sites_of: HashMap<u64, Vec<usize>> = HashMap::new();
         for desc in site_descs {
-            let insn = insn_at(m, abi, desc.site)?;
-            let (len, indirect) = match insn {
+            let insn = insn_at(m, MV64, desc.site)?;
+            let len = match insn {
                 Insn::CallRel { rel } => {
-                    let t = abi.call_target(desc.site, rel);
+                    let t = MV64.call_target(desc.site, rel);
                     if t != desc.callee {
                         return Err(RtError::SiteVerifyFailed {
                             site: desc.site,
@@ -204,7 +186,7 @@ impl Runtime {
                             ),
                         });
                     }
-                    (abi.call_site_len(), false)
+                    MV64.call_site_len()
                 }
                 Insn::CallMem { addr } => {
                     if addr != desc.callee {
@@ -216,7 +198,7 @@ impl Runtime {
                             ),
                         });
                     }
-                    (insn.len(), true)
+                    insn.len()
                 }
                 other => {
                     return Err(RtError::SiteVerifyFailed {
@@ -230,7 +212,6 @@ impl Runtime {
             sites.push(SiteState {
                 desc,
                 len,
-                indirect,
                 original,
                 binding: SiteBinding::Original,
             });
@@ -250,28 +231,18 @@ impl Runtime {
             fn_by_addr,
             sites,
             sites_of,
-            txn: None,
-            spare_journal: Journal::new(),
+            undo: Journal::new(),
             stats: PatchStats::default(),
             patch_time: Duration::ZERO,
             strategy: PatchStrategy::default(),
             inline_enabled: true,
-            journal: true,
-            batch_pages: true,
-            batch: None,
+            batch: PageBatch::default(),
             retry: RetryPolicy::default(),
             tracer: None,
             last_timing: PatchTiming::default(),
             metrics: None,
-            backend,
+            backend: Arc::new(Mv64RtBackend),
         })
-    }
-
-    /// The ISA contract of the installed backend — every encoding and
-    /// width decision in the runtime funnels through here.
-    #[inline]
-    pub(crate) fn abi(&self) -> &'static dyn mvasm::Backend {
-        self.backend.abi()
     }
 
     /// Installs a runtime backend (see [`crate::backend`]). Takes
@@ -446,36 +417,21 @@ impl Runtime {
         target: u64,
         inline: Option<(u64, u32)>,
     ) -> Result<(), RtError> {
-        let (site, len, binding) = {
-            let s = &self.sites[si];
-            (s.desc.site, s.len, s.binding)
-        };
-        // §4: check the site still points at the expected target before
-        // touching it. Inside a transaction the validate phase has
-        // already byte-checked every site, so the apply pass skips the
-        // re-decode.
-        let abi = self.abi();
-        if self.txn.is_none() {
-            match binding {
-                SiteBinding::Call(t) => verify_call(m, abi, site, t)?,
-                SiteBinding::Original if !self.sites[si].indirect => {
-                    verify_call(m, abi, site, self.sites[si].desc.callee)?
-                }
-                _ => {}
-            }
-        }
+        // §4's "check the site still points at the expected target" is
+        // the validate phase's byte check of every site; apply trusts it.
+        let (site, len) = (self.sites[si].desc.site, self.sites[si].len);
         let (bytes, new_binding) = match inline {
             Some((body_addr, inline_len)) if (inline_len as usize) <= len => {
                 let body = m.mem.read_vec(body_addr, inline_len as usize)?;
                 self.stats.sites_inlined += 1;
                 (
-                    abi.inline_image(&body, len)?,
+                    MV64.inline_image(&body, len)?,
                     SiteBinding::Inlined(body_addr),
                 )
             }
             _ => {
-                let mut b = abi.encode_call(site, target)?;
-                b.extend(abi.nop_fill(len - abi.call_site_len()));
+                let mut b = MV64.encode_call(site, target)?;
+                b.extend(MV64.nop_fill(len - MV64.call_site_len()));
                 (b, SiteBinding::Call(target))
             }
         };
@@ -508,20 +464,11 @@ impl Runtime {
         fi: usize,
         vi: usize,
     ) -> Result<usize, RtError> {
-        let (generic, generic_size, v_addr, v_inline) = {
+        let (generic, v_addr, v_inline) = {
             let f = &self.fns[fi];
             let v = &f.desc.variants[vi];
-            (f.desc.generic, f.desc.generic_size, v.addr, v.inline_len)
+            (f.desc.generic, v.addr, v.inline_len)
         };
-        // Completeness patching needs room for the entry jump; checked
-        // up front so the error surfaces before any call site is touched
-        // even on the unjournaled path.
-        if generic_size < self.abi().call_site_len() as u32 {
-            return Err(RtError::GenericTooSmall {
-                function: generic,
-                size: generic_size,
-            });
-        }
         // Patch all recorded call sites of the generic function (the
         // EntryOnly strategy leaves them aimed at the generic entry, where
         // the jump redirects them).
@@ -538,23 +485,13 @@ impl Runtime {
             self.patch_site_to(m, *si, v_addr, inline)?;
         }
         // Completeness: overwrite the generic entry with `jmp variant`,
-        // saving the prologue the first time. The jump is encoded before
-        // the prologue save so an out-of-range variant cannot strand
-        // bookkeeping on the unjournaled path.
-        let jmp = self.abi().encode_jmp(generic, v_addr)?;
-        let first_install = self.fns[fi].saved_prologue.is_none();
-        if first_install {
-            let saved = m.mem.read_vec(generic, self.abi().call_site_len())?;
+        // saving the prologue the first time.
+        let jmp = MV64.encode_jmp(generic, v_addr)?;
+        if self.fns[fi].saved_prologue.is_none() {
+            let saved = m.mem.read_vec(generic, MV64.call_site_len())?;
             self.fns[fi].saved_prologue = Some(saved);
         }
-        if let Err(e) = self.write_text(m, generic, &jmp) {
-            // Keep the in-memory state consistent with the image even on
-            // the unjournaled path: nothing was written over the entry.
-            if first_install {
-                self.fns[fi].saved_prologue = None;
-            }
-            return Err(e);
-        }
+        self.write_text(m, generic, &jmp)?;
         self.stats.entry_jumps += 1;
         self.fns[fi].binding = FnBinding::Variant(v_addr);
         self.stats.committed_variants += 1;

@@ -16,7 +16,8 @@ pub struct PatchStats {
     pub prologues_restored: u64,
     /// Total bytes written into the text segment.
     pub bytes_written: u64,
-    /// `mprotect` invocations (two per patched range: unlock + relock).
+    /// `mprotect` invocations (an unlock and a relock per touched page,
+    /// or per trap-byte poke).
     pub mprotects: u64,
     /// Instruction-cache flushes.
     pub icache_flushes: u64,
@@ -25,13 +26,13 @@ pub struct PatchStats {
     /// Functions that fell back to the generic body because no variant's
     /// guards admitted the current configuration (Fig. 3 d).
     pub generic_fallbacks: u64,
-    /// Distinct text pages whose RW window a page-batched apply opened
-    /// (each page also gets exactly one icache flush on close).
+    /// Distinct text pages whose RW window an apply phase opened (each
+    /// page also gets exactly one icache flush on close).
     pub pages_touched: u64,
     /// Call sites delta planning skipped because they were already in
     /// the selected state (the commit fast path).
     pub sites_skipped: u64,
-    /// Undo-log entries recorded by journaled apply phases.
+    /// Undo-log entries recorded by apply phases.
     pub journal_entries: u64,
     /// Bytes covered by journal entries.
     pub journal_bytes: u64,

@@ -1,7 +1,7 @@
 //! The two-phase transactional executor behind every commit/revert.
 //!
-//! Each public [`Runtime`] operation is compiled into a list of
-//! [`Action`]s (*plan*), every action is checked read-only against the
+//! Each public [`Runtime`] operation ([`TxnOp`]) is compiled into a list
+//! of `Action`s (*plan*), every action is checked read-only against the
 //! current image (*validate*), and only then are the writes performed
 //! under the [`crate::journal::Journal`] undo log (*apply*). A validate
 //! failure writes nothing; an apply failure rolls the journal back and
@@ -20,7 +20,9 @@ use crate::journal::Span;
 use crate::patch::{pages_of, PageBatch};
 use crate::runtime::{CommitReport, FnBinding, PatchStrategy, Runtime, SiteBinding};
 use crate::stats::PatchTiming;
+use mvasm::MV64;
 use mvobj::descriptor::NOT_INLINABLE;
+use mvobj::Prot;
 use mvtrace::{EventKind, Phase as TracePhase};
 use mvvm::{Machine, MemError, PAGE_SIZE};
 use std::sync::Arc;
@@ -135,18 +137,21 @@ impl RetryPolicy {
     }
 }
 
-/// The operation a public API call maps to.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum TxnOp {
+/// A Table 1 operation, as one transaction runs it — unicore through
+/// the [`Runtime`] methods, or quiesced through
+/// [`Runtime::run_quiesced`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TxnOp {
     /// `multiverse_commit()`.
     CommitAll,
     /// `multiverse_revert()`.
     RevertAll,
-    /// `multiverse_commit_refs(&var)`.
+    /// `multiverse_commit_refs(&var)` for the switch at this address.
     CommitRefs(u64),
     /// `multiverse_revert_refs(&var)`.
     RevertRefs(u64),
-    /// `multiverse_commit_func(&fn)`.
+    /// `multiverse_commit_func(&fn)` for the generic entry at this
+    /// address.
     CommitFunc(u64),
     /// `multiverse_revert_func(&fn)`.
     RevertFunc(u64),
@@ -286,72 +291,48 @@ impl ValidationReport {
 }
 
 impl Runtime {
-    /// All text writes of the runtime funnel through here. Inside a
-    /// transaction the write is journaled *before* it is attempted and
-    /// the icache flush is verified afterwards (a lost flush means stale
-    /// code keeps executing — surfaced as [`RtError::IcacheStale`]).
-    /// Outside a transaction (legacy path) it is a plain patch.
-    ///
-    /// With an open [`PageBatch`] the per-write mprotect/flush dance is
-    /// replaced by lazy RW windows: the first write landing on a page
-    /// unlocks it once, subsequent writes go straight in, and
-    /// [`Runtime::close_batch`] relocks and flushes every touched page
-    /// exactly once at the end of the apply phase — O(pages) protection
-    /// changes and flushes instead of O(sites).
+    /// All text writes of the runtime funnel through here, inside the
+    /// apply phase of a transaction. The write is journaled *before* it
+    /// is attempted. The first write landing on a page unlocks it once,
+    /// later writes go straight in, and [`Runtime::close_batch`] relocks
+    /// and flushes every touched page exactly once at the end of the
+    /// apply phase — O(pages) protection changes and flushes instead of
+    /// O(sites).
     pub(crate) fn write_text(
         &mut self,
         m: &mut Machine,
         addr: u64,
         bytes: &[u8],
     ) -> Result<(), RtError> {
-        let (window, restore) = (self.backend.window_prot(), self.backend.restore_prot());
-        if self.txn.is_none() {
-            crate::patch::patch_bytes_with(m, addr, bytes, &mut self.stats, window, restore)?;
-            return Ok(());
-        }
         let mut old = [0u8; crate::journal::MAX_SPAN];
         let old = &mut old[..bytes.len()];
         m.mem.read(addr, old)?;
-        let txn = self.txn.as_mut().expect("transaction active");
-        txn.record(addr, old, bytes);
+        self.undo.record(addr, old, bytes);
         self.stats.journal_entries += 1;
         self.stats.journal_bytes += bytes.len() as u64;
-        if let Some(batch) = self.batch.as_mut() {
-            for page in pages_of(addr, bytes.len()) {
-                if !batch.open.contains(&page) {
-                    m.mem.mprotect(page, PAGE_SIZE, window)?;
-                    self.stats.mprotects += 1;
-                    batch.open.push(page);
-                }
+        for page in pages_of(addr, bytes.len()) {
+            if !self.batch.open.contains(&page) {
+                m.mem.mprotect(page, PAGE_SIZE, Prot::RW)?;
+                self.stats.mprotects += 1;
+                self.batch.open.push(page);
             }
-            m.mem.write(addr, bytes)?;
-            self.stats.bytes_written += bytes.len() as u64;
-            batch.writes += 1;
-            return Ok(());
         }
-        let epoch_before = m.mem.flush_epoch();
-        crate::patch::patch_bytes_with(m, addr, bytes, &mut self.stats, window, restore)?;
-        if m.mem.flush_epoch() == epoch_before {
-            return Err(RtError::IcacheStale { addr });
-        }
+        m.mem.write(addr, bytes)?;
+        self.stats.bytes_written += bytes.len() as u64;
+        self.batch.writes += 1;
         Ok(())
     }
 
     /// Relocks and flushes every page the batch unlocked — once per
     /// page — then accounts the batch. Flush effectiveness is verified
-    /// per page through the flush epoch, like the per-site path does per
-    /// write. On error the batch is left in place so the caller can hand
-    /// its open windows to the batched rollback.
+    /// per page through the flush epoch (a lost flush means stale code
+    /// keeps executing — surfaced as [`RtError::IcacheStale`]). On error
+    /// the batch is left in place so the rollback relocks its open
+    /// windows.
     fn close_batch(&mut self, m: &mut Machine) -> Result<(), RtError> {
-        let Some(batch) = self.batch.as_ref() else {
-            return Ok(());
-        };
-        let pages = batch.open.clone();
-        let writes = batch.writes;
-        let restore = self.backend.restore_prot();
-        for &page in &pages {
+        for &page in &self.batch.open {
             let epoch_before = m.mem.flush_epoch();
-            m.mem.mprotect(page, PAGE_SIZE, restore)?;
+            m.mem.mprotect(page, PAGE_SIZE, Prot::RX)?;
             self.stats.mprotects += 1;
             m.mem.flush_icache(page, PAGE_SIZE);
             self.stats.icache_flushes += 1;
@@ -359,12 +340,10 @@ impl Runtime {
                 return Err(RtError::IcacheStale { addr: page });
             }
         }
-        self.stats.pages_touched += pages.len() as u64;
-        if !pages.is_empty() {
-            self.emit(|| EventKind::PageBatch {
-                pages: pages.len() as u64,
-                writes,
-            });
+        let (pages, writes) = (self.batch.open.len() as u64, self.batch.writes);
+        self.stats.pages_touched += pages;
+        if pages > 0 {
+            self.emit(|| EventKind::PageBatch { pages, writes });
         }
         Ok(())
     }
@@ -557,10 +536,10 @@ impl Runtime {
         if f.saved_prologue.is_none() {
             return false;
         }
-        let Ok(jmp) = self.abi().encode_jmp(f.desc.generic, v.addr) else {
+        let Ok(jmp) = MV64.encode_jmp(f.desc.generic, v.addr) else {
             return false;
         };
-        match m.mem.read_vec(f.desc.generic, self.abi().call_site_len()) {
+        match m.mem.read_vec(f.desc.generic, MV64.call_site_len()) {
             Ok(cur) if cur == jmp => {}
             _ => return false,
         }
@@ -670,9 +649,8 @@ impl Runtime {
             SiteBinding::Original => current == &s.original[..],
             // Rewritten: must hold exactly the call we encoded.
             SiteBinding::Call(target) => {
-                let abi = self.abi();
-                let mut expected = abi.encode_call(s.desc.site, target)?;
-                expected.extend(abi.nop_fill(s.len - abi.call_site_len()));
+                let mut expected = MV64.encode_call(s.desc.site, target)?;
+                expected.extend(MV64.nop_fill(s.len - MV64.call_site_len()));
                 current == &expected[..]
             }
             // Inlined bodies are arbitrary bytes; readability (above) is
@@ -707,9 +685,8 @@ impl Runtime {
     fn validate_install(&self, m: &Machine, fi: usize, vi: usize) -> Result<(), RtError> {
         let f = &self.fns[fi];
         let v = &f.desc.variants[vi];
-        let abi = self.abi();
         // Completeness patching needs room for the entry jump.
-        if f.desc.generic_size < abi.call_site_len() as u32 {
+        if f.desc.generic_size < MV64.call_site_len() as u32 {
             return Err(RtError::GenericTooSmall {
                 function: f.desc.generic,
                 size: f.desc.generic_size,
@@ -717,9 +694,9 @@ impl Runtime {
         }
         // Entry prologue must be readable, executable text, and the
         // variant must be within rel32 reach of the entry jump.
-        m.mem.read_vec(f.desc.generic, abi.call_site_len())?;
+        m.mem.read_vec(f.desc.generic, MV64.call_site_len())?;
         self.check_exec(m, f.desc.generic)?;
-        abi.encode_jmp(f.desc.generic, v.addr)?;
+        MV64.encode_jmp(f.desc.generic, v.addr)?;
         // The variant body must be readable if it may be inlined.
         let may_inline = self.inline_enabled && v.inline_len != NOT_INLINABLE;
         if may_inline {
@@ -732,7 +709,7 @@ impl Runtime {
                     // Sites that will be rewritten (not inlined) must be
                     // within rel32 reach of the variant.
                     if !(may_inline && (v.inline_len as usize) <= self.sites[si].len) {
-                        abi.encode_call(self.sites[si].desc.site, v.addr)?;
+                        MV64.encode_call(self.sites[si].desc.site, v.addr)?;
                     }
                 }
             }
@@ -752,7 +729,7 @@ impl Runtime {
             }
         }
         if f.saved_prologue.is_some() {
-            m.mem.read_vec(f.desc.generic, self.abi().call_site_len())?;
+            m.mem.read_vec(f.desc.generic, MV64.call_site_len())?;
             self.check_exec(m, f.desc.generic)?;
         }
         Ok(())
@@ -775,7 +752,7 @@ impl Runtime {
             for &si in idxs {
                 self.check_site_patchable(m, si)?;
                 if inline_len.is_none_or(|il| (il as usize) > self.sites[si].len) {
-                    self.abi().encode_call(self.sites[si].desc.site, target)?;
+                    MV64.encode_call(self.sites[si].desc.site, target)?;
                 }
             }
         }
@@ -831,61 +808,47 @@ impl Runtime {
         actions: &[Action],
     ) -> Result<CommitReport, RtError> {
         let snapshot = self.snapshot_state();
-        let mut journal = std::mem::take(&mut self.spare_journal);
-        journal.clear();
-        self.txn = Some(journal);
-        if self.batch_pages {
-            self.batch = Some(PageBatch::default());
-        }
+        self.undo.clear();
+        self.batch = PageBatch::default();
         let mut report = CommitReport::default();
         let mut failure = self.execute_actions(m, actions, &mut report).err();
         if failure.is_none() {
             failure = self.close_batch(m).err().map(|e| (None, e));
         }
-        let journal = self.txn.take().expect("transaction active");
-        let batch = self.batch.take();
-        let outcome = match failure {
-            None => Ok(report),
-            Some((function, cause)) => {
-                // Classify the root cause for the trace before it is
-                // boxed away inside the Commit wrapper.
-                let (fault_addr, fault_what) = match cause.root_cause() {
-                    RtError::Mem(MemError {
-                        addr, mapped: true, ..
-                    }) => (*addr, "protection-fault"),
-                    RtError::IcacheStale { addr } => (*addr, "icache-stale"),
-                    _ => (0, "error"),
-                };
-                self.emit(|| EventKind::FaultObserved {
-                    addr: fault_addr,
-                    what: fault_what,
-                });
-                let entries = journal.len() as u64;
-                let rolled = match &batch {
-                    Some(b) => journal.rollback_batched(m, &b.open, &mut self.stats),
-                    None => journal.rollback(m, &mut self.stats),
-                };
-                match rolled {
-                    Ok(()) => {
-                        self.restore_state(snapshot);
-                        self.stats.rollbacks += 1;
-                        self.emit(|| EventKind::Rollback { entries });
-                        Err(RtError::Commit {
-                            phase: CommitPhase::Apply,
-                            function,
-                            source: Box::new(cause),
-                        })
-                    }
-                    Err(rb) => Err(RtError::Commit {
-                        phase: CommitPhase::Rollback,
-                        function,
-                        source: Box::new(rb),
-                    }),
-                }
-            }
+        let Some((function, cause)) = failure else {
+            return Ok(report);
         };
-        self.spare_journal = journal;
-        outcome
+        // Classify the root cause for the trace before it is boxed away
+        // inside the Commit wrapper.
+        let (fault_addr, fault_what) = match cause.root_cause() {
+            RtError::Mem(MemError {
+                addr, mapped: true, ..
+            }) => (*addr, "protection-fault"),
+            RtError::IcacheStale { addr } => (*addr, "icache-stale"),
+            _ => (0, "error"),
+        };
+        self.emit(|| EventKind::FaultObserved {
+            addr: fault_addr,
+            what: fault_what,
+        });
+        let entries = self.undo.len() as u64;
+        match self.undo.rollback(m, &self.batch.open, &mut self.stats) {
+            Ok(()) => {
+                self.restore_state(snapshot);
+                self.stats.rollbacks += 1;
+                self.emit(|| EventKind::Rollback { entries });
+                Err(RtError::Commit {
+                    phase: CommitPhase::Apply,
+                    function,
+                    source: Box::new(cause),
+                })
+            }
+            Err(rb) => Err(RtError::Commit {
+                phase: CommitPhase::Rollback,
+                function,
+                source: Box::new(rb),
+            }),
+        }
     }
 
     /// Runs the planned actions, attributing any failure to the function
@@ -932,11 +895,7 @@ impl Runtime {
     }
 
     /// The transaction driver: plan → validate → apply, retried under
-    /// [`Runtime::retry`] for transient faults. With
-    /// [`Runtime::journal`] off the plan is still validated, but applied
-    /// without the undo log — a mid-apply fault surfaces raw and tears
-    /// the image. That mode exists for the journal-overhead ablation in
-    /// the patch-cost benchmark.
+    /// [`Runtime::retry`] for transient faults.
     pub(crate) fn run_txn(&mut self, m: &mut Machine, op: TxnOp) -> Result<CommitReport, RtError> {
         self.last_timing = PatchTiming::default();
         self.emit(|| EventKind::CommitBegin { op: op.name() });
@@ -946,9 +905,6 @@ impl Runtime {
             // rollback restored the pre-commit image.
             let result = self.attempt_txn(m, op);
             match result {
-                // Only journaled apply failures are transient (the image
-                // was rolled back); unjournaled errors surface raw and
-                // never classify as retryable.
                 Err(e) if attempt < self.retry.max_retries && e.is_transient() => {
                     attempt += 1;
                     self.stats.retries += 1;
@@ -1012,15 +968,7 @@ impl Runtime {
             phase: TracePhase::Apply,
         });
         let t = Instant::now();
-        let applied = if self.journal {
-            self.apply_actions(m, &plan.actions)
-        } else {
-            let mut report = CommitReport::default();
-            match self.execute_actions(m, &plan.actions, &mut report) {
-                Ok(()) => Ok(report),
-                Err((_, e)) => Err(e),
-            }
-        };
+        let applied = self.apply_actions(m, &plan.actions);
         self.last_timing.apply += t.elapsed();
         self.emit(|| EventKind::PhaseEnd {
             phase: TracePhase::Apply,

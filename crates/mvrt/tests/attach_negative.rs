@@ -120,6 +120,11 @@ fn empty_descriptor_sections_attach_cleanly() {
 /// commit performs several text writes (call site + entry jump per
 /// function), giving injected faults mid-commit positions to hit.
 fn mv_fixture() -> (Machine, Executable, Runtime) {
+    mv_fixture_with_generic_size(None)
+}
+
+/// [`mv_fixture`] with the descriptor's `generic_size` overridden.
+fn mv_fixture_with_generic_size(generic_size: Option<u32>) -> (Machine, Executable, Runtime) {
     let mut o = Object::new("t");
     o.define_bss("A", 4);
     let mut a = Assembler::new();
@@ -168,7 +173,7 @@ fn mv_fixture() -> (Machine, Executable, Runtime) {
         &mut o,
         &FnDescSym {
             symbol: "mv".into(),
-            generic_size: g_size,
+            generic_size: generic_size.unwrap_or(g_size),
             generic_inline_len: NOT_INLINABLE,
             name_sym: None,
             variants: vec![
@@ -394,15 +399,23 @@ fn selection_error_during_planning_is_labelled_plan() {
 }
 
 #[test]
-fn unjournaled_commit_reports_the_raw_error() {
-    // The legacy path (journal off) must keep its old failure shape: the
-    // raw error, no Commit wrapper — and no rollback.
-    let (mut m, _exe, mut rt) = mv_fixture();
-    rt.journal = false;
-    m.inject_fault(FaultPlan::fail_nth_write(1));
+fn generic_too_small_for_the_entry_jump_fails_validation() {
+    // A descriptor claiming a generic body shorter than a call site
+    // leaves no room for the completeness entry jump. Validation must
+    // refuse the install before anything is written.
+    let (mut m, exe, mut rt) = mv_fixture_with_generic_size(Some(4));
+    let pristine = text_snapshot(&m, &exe);
     let err = rt.commit(&mut m).unwrap_err();
-    assert!(err.commit_phase().is_none(), "{err:?}");
-    assert!(matches!(err, RtError::Mem(_)), "{err:?}");
-    assert_eq!(rt.stats.rollbacks, 0);
+    assert_eq!(err.commit_phase(), Some(CommitPhase::Validate), "{err:?}");
+    assert!(
+        matches!(
+            err.root_cause(),
+            RtError::GenericTooSmall { function, size: 4 }
+                if *function == exe.symbol("mv").unwrap()
+        ),
+        "{err:?}"
+    );
     assert_eq!(rt.stats.journal_entries, 0);
+    assert_eq!(rt.stats.bytes_written, 0);
+    assert_eq!(text_snapshot(&m, &exe), pristine);
 }

@@ -19,7 +19,7 @@
 //! * [`span`] — reconstruction of the flat event stream into a span
 //!   tree: commits → attempts → phases → point events, including
 //!   faulted-then-retried shapes;
-//! * [`sink`] — the [`TraceSink`](sink::TraceSink) export trait with
+//! * [`sink`] — the [`TraceSink`] export trait with
 //!   JSONL, Chrome `trace_event` (chrome://tracing / Perfetto) and
 //!   human-readable text implementations.
 //!

@@ -1,7 +1,7 @@
 //! The variational interpreter.
 //!
 //! One [`Vexec`] pass executes a call under *every* switch assignment at
-//! once. Machine state lives in per-configuration contexts ([`Ctx`]),
+//! once. Machine state lives in per-configuration contexts (`Ctx`),
 //! each keyed by a [`LeafSet`] of the configurations it stands for; a
 //! context's registers, compare operands, output bytes and memory
 //! overlay are [`Val`]s — concrete, or tabulated over one switch.

@@ -20,7 +20,7 @@
 //! Correctness oracle: every worker's return value equals its iteration
 //! count, no matter how many text rewrites happened mid-flight.
 
-use multiverse::mvrt::{CommitDaemon, CommitStrategy, Lane, MvdConfig, MvdOp, MvdStats, QuiesceOp};
+use multiverse::mvrt::{CommitDaemon, CommitStrategy, Lane, MvdConfig, MvdOp, MvdStats, TxnOp};
 use multiverse::{BuildError, Program, SmpWorld};
 
 /// Three independently-switched functions plus a worker loop that calls
@@ -236,7 +236,7 @@ pub fn naive_serial(
             let t0 = w.smp.max_cycles();
             let rt = w.rt.as_mut().expect("runtime");
             rt.write_switch(&mut w.smp.machine, addrs[si], value)?;
-            rt.run_quiesced(&mut w.smp, QuiesceOp::CommitRefs(addrs[si]), strategy)?;
+            rt.run_quiesced(&mut w.smp, TxnOp::CommitRefs(addrs[si]), strategy)?;
             let dt = w.smp.max_cycles() - t0;
             commit_cycles += dt;
             latencies.push(dt);

@@ -16,7 +16,7 @@
 //!   window) and the worker stall cycles, per strategy and core count,
 //!   reported in EXPERIMENTS.md E15.
 
-use multiverse::mvrt::{CommitStrategy, QuiesceOp};
+use multiverse::mvrt::{CommitStrategy, TxnOp};
 use multiverse::{BuildError, Program, SmpWorld};
 
 /// The contention kernel: a spinlock pair guarded by `config_smp` and a
@@ -174,7 +174,7 @@ pub fn commit_refs_once(
 ) -> Result<multiverse::mvrt::QuiesceReport, BuildError> {
     let addr = w.sym("config_smp")?;
     let rt = w.rt.as_mut().expect("multiverse build has a runtime");
-    Ok(rt.run_quiesced(&mut w.smp, QuiesceOp::CommitRefs(addr), strategy)?)
+    Ok(rt.run_quiesced(&mut w.smp, TxnOp::CommitRefs(addr), strategy)?)
 }
 
 #[cfg(test)]

@@ -17,8 +17,8 @@
 //!   back) with a byte-identical image.
 
 use multiverse::mvrt::{
-    CommitDaemon, CommitPhase, CommitStrategy, Lane, MvdConfig, MvdOp, MvdOutcome, QuiesceOp,
-    RetryPolicy, RtError,
+    CommitDaemon, CommitPhase, CommitStrategy, Lane, MvdConfig, MvdOp, MvdOutcome, RetryPolicy,
+    RtError, TxnOp,
 };
 use multiverse::mvvm::{FaultOp, FaultPlan, MemError};
 use multiverse::{Program, SmpWorld};
@@ -133,15 +133,15 @@ fn replay(p: &Program, committed: &[MvdOp], strategy: CommitStrategy) -> Vec<u8>
         match op {
             MvdOp::Flip { switch, value } => {
                 rt.write_switch(&mut w.smp.machine, switch, value).unwrap();
-                rt.run_quiesced(&mut w.smp, QuiesceOp::CommitRefs(switch), strategy)
+                rt.run_quiesced(&mut w.smp, TxnOp::CommitRefs(switch), strategy)
                     .unwrap();
             }
             MvdOp::CommitAll => {
-                rt.run_quiesced(&mut w.smp, QuiesceOp::Commit, strategy)
+                rt.run_quiesced(&mut w.smp, TxnOp::CommitAll, strategy)
                     .unwrap();
             }
             MvdOp::RevertAll => {
-                rt.run_quiesced(&mut w.smp, QuiesceOp::Revert, strategy)
+                rt.run_quiesced(&mut w.smp, TxnOp::RevertAll, strategy)
                     .unwrap();
             }
         }

@@ -7,7 +7,7 @@
 //! quiesced commit must produce an image byte-identical to the same
 //! plan committed on an idle single-vCPU world.
 
-use multiverse::mvrt::CommitStrategy;
+use multiverse::mvrt::{CommitStrategy, TxnOp};
 use multiverse::mvvm::{FaultOp, FaultPlan};
 use multiverse::{Program, SmpWorld};
 use mv_workloads::smp_contention;
@@ -84,6 +84,63 @@ fn quiesced_image_matches_single_vcpu_commit() {
                 "{strategy} seed {seed}: an increment was lost"
             );
         }
+    }
+}
+
+/// Every Table 1 operation, run through `run_quiesced` against live
+/// workers under both protocols, must leave the same text as the same
+/// operation on an idle single-vCPU twin, and the workers must stay
+/// exact.
+#[test]
+fn every_quiesced_op_matches_its_single_vcpu_twin() {
+    let p = smp_contention::build().unwrap();
+    let lock = p.exe().symbol("lock").unwrap();
+    let switch = p.exe().symbol("config_smp").unwrap();
+    let ops = [
+        TxnOp::CommitFunc(lock),
+        TxnOp::CommitRefs(switch),
+        TxnOp::RevertFunc(lock),
+        TxnOp::RevertRefs(switch),
+        TxnOp::CommitAll,
+        TxnOp::RevertAll,
+    ];
+    let (taddr, tsize) = p.exe().section(multiverse::mvobj::SEC_TEXT);
+    for strategy in STRATEGIES {
+        let mut w = boot_workers(&p, SEEDS[1]);
+        let mut twin = p.boot();
+        twin.set("config_smp", 1).unwrap();
+        for op in ops {
+            assert!(w.smp.any_live(), "{strategy} {op:?}: workers already done");
+            let before = text_of(&p, &w);
+            let rt = w.rt.as_mut().unwrap();
+            rt.run_quiesced(&mut w.smp, op, strategy)
+                .unwrap_or_else(|e| panic!("{strategy} {op:?}: {e}"));
+
+            let (trt, m) = (twin.rt.as_mut().unwrap(), &mut twin.machine);
+            match op {
+                TxnOp::CommitAll => trt.commit(m),
+                TxnOp::RevertAll => trt.revert(m),
+                TxnOp::CommitRefs(a) => trt.commit_refs(m, a),
+                TxnOp::RevertRefs(a) => trt.revert_refs(m, a),
+                TxnOp::CommitFunc(a) => trt.commit_func(m, a),
+                TxnOp::RevertFunc(a) => trt.revert_func(m, a),
+            }
+            .unwrap();
+            let expected = m.mem.read_vec(taddr, tsize as usize).unwrap();
+            assert_ne!(before, expected, "{strategy} {op:?} must rewrite text");
+            assert_eq!(
+                text_of(&p, &w),
+                expected,
+                "{strategy} {op:?}: quiesced image diverged from the single-vCPU twin"
+            );
+            w.smp.step_round();
+        }
+        w.run(MAX_ROUNDS).unwrap();
+        assert_eq!(
+            w.get("counter").unwrap(),
+            (VCPUS as i64) * (ITERS as i64),
+            "{strategy}: an increment was lost"
+        );
     }
 }
 
