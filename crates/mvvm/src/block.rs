@@ -33,7 +33,6 @@
 use crate::mem::{Memory, PAGE_SIZE};
 use mvasm::Insn;
 use std::cell::Cell;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 /// Which execution engine the machine runs.
@@ -225,38 +224,6 @@ impl PageGens {
     }
 }
 
-/// A paranoia-free multiply-xor hasher for `u64` keys (the Fx shape),
-/// std-only. Block caches sit on the hot path of every block entry;
-/// SipHash's per-lookup cost is exactly the overhead the tiered engine
-/// exists to amortize away.
-#[derive(Default)]
-pub struct FxHasher {
-    hash: u64,
-}
-
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(buf));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ n).wrapping_mul(FX_SEED);
-    }
-
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-/// `BuildHasher` for [`FxHasher`]-keyed maps.
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
-
 /// Monotone counters of one block cache (see
 /// [`crate::tier0::BlockCache`]): hits, misses (= recordings),
 /// evictions (stale or shot down) and superblock promotions. Mirrored
@@ -370,17 +337,5 @@ mod tests {
         assert!(gens.valid(&mem));
         mem.flush_icache(0x2000, 1); // the straddled tail page
         assert!(!gens.valid(&mem));
-    }
-
-    #[test]
-    fn fx_hasher_distributes_u64_keys() {
-        use std::hash::Hash;
-        let mut seen = std::collections::HashSet::new();
-        for k in 0u64..1000 {
-            let mut h = FxHasher::default();
-            k.hash(&mut h);
-            seen.insert(h.finish());
-        }
-        assert_eq!(seen.len(), 1000, "no collisions on small sequential keys");
     }
 }

@@ -32,6 +32,7 @@ pub mod block;
 pub mod cost;
 pub mod cpu;
 pub mod fault;
+pub mod fx;
 pub mod machine;
 pub mod mem;
 pub mod metrics;

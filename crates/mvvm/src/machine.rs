@@ -13,6 +13,7 @@ use crate::block::{
 };
 use crate::cost::CostModel;
 use crate::cpu::Cpu;
+use crate::fx::FxHashMap;
 use crate::mem::{extend, MemError, Memory, PAGE_SIZE};
 use crate::native::{MicroOp, NativeFn, NativeRegistry, NativeStats, Seg};
 use crate::pred::Predictors;
@@ -20,7 +21,6 @@ use crate::stats::Stats;
 use crate::tier0::{BlockCache, HOT_THRESHOLD};
 use mvasm::{AluOp, DecodeError, Insn, Reg};
 use mvobj::Executable;
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -168,7 +168,7 @@ pub struct Machine {
     pub stats: Stats,
     config: MachineConfig,
     out: Vec<u8>,
-    decode_cache: HashMap<u64, CachedDecode>,
+    decode_cache: FxHashMap<u64, CachedDecode>,
     /// Which execution engine runs (shared by all vCPUs of an SMP
     /// machine — the tier is machine state, not per-CPU state).
     tier: ExecTier,
@@ -211,7 +211,7 @@ pub struct CpuContext {
     /// Private event counters; roll up machine-wide with `AddAssign`.
     pub stats: Stats,
     /// Private decoded-instruction cache (the icache model).
-    pub decode_cache: HashMap<u64, CachedDecode>,
+    pub decode_cache: FxHashMap<u64, CachedDecode>,
     /// Private decoded-block cache (the tiered engine's icache model).
     pub blocks: BlockCache,
     /// Pending cmp→jcc macro-fusion point.
@@ -236,7 +236,7 @@ impl Machine {
             stats: Stats::default(),
             config,
             out: Vec::new(),
-            decode_cache: HashMap::new(),
+            decode_cache: FxHashMap::default(),
             tier: ExecTier::Tierless,
             blocks: BlockCache::default(),
             natives: NativeRegistry::default(),

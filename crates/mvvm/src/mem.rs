@@ -1,11 +1,12 @@
 //! Paged guest memory with R/W/X protection and icache versioning.
 
 use crate::fault::{FaultOp, FaultPlan};
+use crate::fx::FxHashMap;
 use crate::machine::Fault;
 use mvasm::Insn;
 use mvobj::{Executable, Prot};
-use std::collections::HashMap;
 use std::fmt;
+use std::ops::Deref;
 
 /// Page size of the guest address space. Matches the linker's default so
 /// each section's protection can be changed independently.
@@ -80,7 +81,7 @@ impl Page {
 /// The guest physical/virtual memory (flat, demand-populated pages).
 #[derive(Default)]
 pub struct Memory {
-    pages: HashMap<u64, Page>,
+    pages: FxHashMap<u64, Page>,
     fault: Option<FaultPlan>,
     /// Bumped by every icache flush that takes effect (see
     /// [`Memory::flush_epoch`]).
@@ -97,14 +98,42 @@ impl Memory {
         addr / PAGE_SIZE
     }
 
+    /// Offset of `addr` in its page, when `[addr, addr+len)` is
+    /// non-empty and lies inside that one page (such a range never
+    /// wraps).
+    fn in_one_page(addr: u64, len: usize) -> Option<usize> {
+        let po = (addr % PAGE_SIZE) as usize;
+        (len > 0 && po + len <= PAGE_SIZE as usize).then_some(po)
+    }
+
+    /// `page` if it is mapped and `allowed` admits its protection, else
+    /// the fault `access` takes at `addr`.
+    fn permit<P: Deref<Target = Page>>(
+        page: Option<P>,
+        addr: u64,
+        access: Access,
+        allowed: impl Fn(Prot) -> bool,
+    ) -> Result<P, MemError> {
+        match page {
+            Some(page) if allowed(page.prot) => Ok(page),
+            page => Err(MemError {
+                addr,
+                access,
+                mapped: page.is_some(),
+            }),
+        }
+    }
+
     /// Maps `len` bytes at `addr` with protection `prot`, zero-filled.
     /// Extends/overwrites protection of already-mapped pages in the range.
+    /// A range running past the end of the address space is mapped up
+    /// to the end.
     pub fn map(&mut self, addr: u64, len: u64, prot: Prot) {
         if len == 0 {
             return;
         }
         let first = Self::page_no(addr);
-        let last = Self::page_no(addr + len - 1);
+        let last = Self::page_no(addr.saturating_add(len - 1));
         for p in first..=last {
             let page = self.pages.entry(p).or_insert_with(|| Page::new(prot));
             page.prot = prot;
@@ -150,7 +179,7 @@ impl Memory {
             return false;
         }
         let first = Self::page_no(addr);
-        let last = Self::page_no(addr + len as u64 - 1);
+        let last = Self::page_no(addr.saturating_add(len as u64 - 1));
         (first..=last).any(|p| self.pages.get(&p).is_some_and(|pg| pg.text))
     }
 
@@ -166,13 +195,21 @@ impl Memory {
     /// — the guest-side `mprotect`.
     ///
     /// Returns the number of pages affected. Unmapped pages in the range
-    /// fault.
+    /// fault, and so does a range running past the end of the address
+    /// space (as unmapped, at `addr`).
     pub fn mprotect(&mut self, addr: u64, len: u64, prot: Prot) -> Result<u64, MemError> {
         if len == 0 {
             return Ok(0);
         }
+        let Some(end) = addr.checked_add(len - 1) else {
+            return Err(MemError {
+                addr,
+                access: Access::Write,
+                mapped: false,
+            });
+        };
         let first = Self::page_no(addr);
-        let last = Self::page_no(addr + len - 1);
+        let last = Self::page_no(end);
         for p in first..=last {
             if !self.pages.contains_key(&p) {
                 return Err(MemError {
@@ -218,7 +255,7 @@ impl Memory {
         }
         self.flush_epoch += 1;
         let first = Self::page_no(addr);
-        let last = Self::page_no(addr + len - 1);
+        let last = Self::page_no(addr.saturating_add(len - 1));
         for p in first..=last {
             if let Some(page) = self.pages.get_mut(&p) {
                 page.code_version += 1;
@@ -241,36 +278,31 @@ impl Memory {
             .map_or(0, |p| p.code_version)
     }
 
+    /// Checks every page of `[addr, addr+len)` before anything is
+    /// copied, so a faulting multi-page access has no effect. A range
+    /// running past the end of the address space faults as unmapped at
+    /// `addr`.
     fn access(
         &self,
         addr: u64,
         len: usize,
         access: Access,
-        check: impl Fn(Prot) -> bool,
+        allowed: impl Fn(Prot) -> bool,
     ) -> Result<(), MemError> {
         if len == 0 {
             return Ok(());
         }
+        let Some(end) = addr.checked_add(len as u64 - 1) else {
+            return Err(MemError {
+                addr,
+                access,
+                mapped: false,
+            });
+        };
         let first = Self::page_no(addr);
-        let last = Self::page_no(addr + len as u64 - 1);
-        for p in first..=last {
-            match self.pages.get(&p) {
-                None => {
-                    return Err(MemError {
-                        addr: if p == first { addr } else { p * PAGE_SIZE },
-                        access,
-                        mapped: false,
-                    })
-                }
-                Some(page) if !check(page.prot) => {
-                    return Err(MemError {
-                        addr: if p == first { addr } else { p * PAGE_SIZE },
-                        access,
-                        mapped: true,
-                    })
-                }
-                Some(_) => {}
-            }
+        for p in first..=Self::page_no(end) {
+            let at = if p == first { addr } else { p * PAGE_SIZE };
+            Self::permit(self.pages.get(&p), at, access, &allowed)?;
         }
         Ok(())
     }
@@ -301,6 +333,12 @@ impl Memory {
 
     /// Reads `buf.len()` bytes at `addr` (data access).
     pub fn read(&self, addr: u64, buf: &mut [u8]) -> Result<(), MemError> {
+        if let Some(po) = Self::in_one_page(addr, buf.len()) {
+            let page = self.pages.get(&Self::page_no(addr));
+            let page = Self::permit(page, addr, Access::Read, |p| p.read)?;
+            buf.copy_from_slice(&page.bytes[po..po + buf.len()]);
+            return Ok(());
+        }
         self.access(addr, buf.len(), Access::Read, |p| p.read)?;
         self.copy_out(addr, buf);
         Ok(())
@@ -320,26 +358,45 @@ impl Memory {
     /// middle of a patching sequence. Only writes touching a text page
     /// consume the plan's counter; guest data stores are never affected.
     pub fn write(&mut self, addr: u64, data: &[u8]) -> Result<(), MemError> {
+        // An injected fault looks like a protection fault.
+        let injected = MemError {
+            addr,
+            access: Access::Write,
+            mapped: true,
+        };
+        if let Some(po) = Self::in_one_page(addr, data.len()) {
+            let page = self.pages.get_mut(&Self::page_no(addr));
+            let page = Self::permit(page, addr, Access::Write, |p| p.write)?;
+            if page.text
+                && self
+                    .fault
+                    .as_mut()
+                    .is_some_and(|plan| plan.trips(FaultOp::TextWrite, addr))
+            {
+                return Err(injected);
+            }
+            page.bytes[po..po + data.len()].copy_from_slice(data);
+            return Ok(());
+        }
         self.access(addr, data.len(), Access::Write, |p| p.write)?;
         if self.touches_text(addr, data.len()) && self.trip_fault(FaultOp::TextWrite, addr) {
-            return Err(MemError {
-                addr,
-                access: Access::Write,
-                mapped: true,
-            });
+            return Err(injected);
         }
         self.copy_in(addr, data);
         Ok(())
     }
 
-    /// Writes ignoring protection — loader use only.
+    /// Writes ignoring protection — loader use only. Bytes past the end
+    /// of the address space are dropped, as [`Memory::map`] drops them.
     pub fn write_unchecked(&mut self, addr: u64, data: &[u8]) {
         // Ensure pages exist (loader may write into fresh mappings only).
         if data.is_empty() {
             return;
         }
+        let end = addr.saturating_add(data.len() as u64 - 1);
+        let data = &data[..=(end - addr) as usize];
         let first = Self::page_no(addr);
-        let last = Self::page_no(addr + data.len() as u64 - 1);
+        let last = Self::page_no(end);
         for p in first..=last {
             self.pages.entry(p).or_insert_with(|| Page::new(Prot::RW));
         }
@@ -348,17 +405,21 @@ impl Memory {
 
     /// Fetches up to `len` bytes for execution at `addr`.
     pub fn fetch(&self, addr: u64, buf: &mut [u8]) -> Result<usize, MemError> {
-        self.access(addr, 1, Access::Exec, |p| p.exec)?;
+        let page = self.pages.get(&Self::page_no(addr));
+        let page = Self::permit(page, addr, Access::Exec, |p| p.exec)?;
         // Fetch as many bytes as are executable and mapped; decode decides
         // whether that is enough.
-        let mut n = 0usize;
+        let po = (addr % PAGE_SIZE) as usize;
+        let mut n = buf.len().min(PAGE_SIZE as usize - po);
+        buf[..n].copy_from_slice(&page.bytes[po..po + n]);
         while n < buf.len() {
-            let a = addr + n as u64;
+            let Some(a) = addr.checked_add(n as u64) else {
+                break;
+            };
             match self.pages.get(&Self::page_no(a)) {
                 Some(p) if p.prot.exec => {
-                    let po = (a % PAGE_SIZE) as usize;
-                    let take = (buf.len() - n).min(PAGE_SIZE as usize - po);
-                    buf[n..n + take].copy_from_slice(&p.bytes[po..po + take]);
+                    let take = (buf.len() - n).min(PAGE_SIZE as usize);
+                    buf[n..n + take].copy_from_slice(&p.bytes[..take]);
                     n += take;
                 }
                 _ => break,
@@ -465,6 +526,31 @@ mod tests {
         assert!(m.write(addr, &[7, 7, 7, 7]).is_err());
         // Nothing was partially written.
         assert_eq!(m.read_vec(addr, 2).unwrap(), before);
+    }
+
+    #[test]
+    fn wrapping_ranges_fault_unmapped() {
+        let mut m = Memory::new();
+        let top = u64::MAX - 3;
+        let unmapped = |access| MemError {
+            addr: top,
+            access,
+            mapped: false,
+        };
+        assert_eq!(m.read_uint(top, 8), Err(unmapped(Access::Read)));
+        assert_eq!(m.write_int(top, 7, 8), Err(unmapped(Access::Write)));
+        assert_eq!(m.mprotect(top, 8, Prot::RW), Err(unmapped(Access::Write)));
+        // Mapping the last page does not map what lies past it.
+        m.map(top, 8, Prot::RW);
+        m.write_unchecked(top, &[1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(m.read_uint(top, 4), Ok(0x0403_0201));
+        assert_eq!(m.read_uint(top, 8), Err(unmapped(Access::Read)));
+        assert_eq!(m.write_int(top, 7, 8), Err(unmapped(Access::Write)));
+        m.mprotect(top, 4, Prot::RX).unwrap();
+        m.flush_icache(top, 8);
+        assert_eq!(m.code_version(top), 1);
+        let mut buf = [0u8; 16];
+        assert_eq!(m.fetch(top, &mut buf), Ok(4), "fetch stops at the end");
     }
 
     #[test]

@@ -32,11 +32,12 @@
 //! the set of lowered regions in lockstep with the functions' installed
 //! variants.
 
-use crate::block::{FxBuildHasher, PageGens};
+use crate::block::PageGens;
+use crate::fx::FxHashMap;
 use crate::mem::Memory;
 use crate::DecodedBlock;
 use mvasm::{AluOp, Cond, Insn};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::rc::Rc;
 
 /// Blocks a lowered region may hold before lowering stops following
@@ -244,7 +245,7 @@ pub struct NativeFn {
     /// Lowered blocks; `by_pc` maps block entry addresses to indices.
     pub blocks: Vec<NativeBlock>,
     /// Block entry `pc` → index into [`NativeFn::blocks`].
-    pub by_pc: HashMap<u64, usize, FxBuildHasher>,
+    pub by_pc: FxHashMap<u64, usize>,
     /// The generation of every page any lowered instruction's encoding
     /// touches — the same validity record the block caches use.
     pub pages: PageGens,
@@ -257,7 +258,7 @@ pub type NativeRef = Rc<NativeFn>;
 /// entry address so execution can re-enter a region mid-function.
 #[derive(Default)]
 pub struct NativeRegistry {
-    map: HashMap<u64, NativeRef, FxBuildHasher>,
+    map: FxHashMap<u64, NativeRef>,
     /// Monotone tier counters (survive invalidations and `clear`).
     pub stats: NativeStats,
 }
@@ -544,7 +545,7 @@ fn build_block(entry: u64, ops: &[(u64, Insn)]) -> NativeBlock {
 /// an immediate decode error).
 pub fn lower(mem: &Memory, entry: u64) -> Option<NativeFn> {
     let mut blocks: Vec<NativeBlock> = Vec::new();
-    let mut by_pc: HashMap<u64, usize, FxBuildHasher> = HashMap::default();
+    let mut by_pc: FxHashMap<u64, usize> = FxHashMap::default();
     let mut pages = PageGens::new(mem);
     let mut queue: VecDeque<u64> = VecDeque::new();
     let mut enqueued: HashSet<u64> = HashSet::new();
@@ -754,7 +755,7 @@ mod tests {
                     insns: 0,
                 },
             ],
-            by_pc: HashMap::default(),
+            by_pc: FxHashMap::default(),
             pages,
         });
         reg.register(nf);

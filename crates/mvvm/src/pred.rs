@@ -8,7 +8,7 @@
 //! [`Predictors::flush`] between iterations to model a cold BTB (the E10
 //! ablation).
 
-use std::collections::HashMap;
+use crate::fx::FxHashMap;
 
 /// Depth of the return-stack buffer (16, as on Skylake-class cores).
 pub const RSB_DEPTH: usize = 16;
@@ -18,9 +18,9 @@ pub const RSB_DEPTH: usize = 16;
 pub struct Predictors {
     /// 2-bit saturating counters, keyed by branch address.
     /// 0,1 = predict not-taken; 2,3 = predict taken.
-    cond: HashMap<u64, u8>,
+    cond: FxHashMap<u64, u8>,
     /// Last observed target per indirect call/jump site.
-    btb: HashMap<u64, u64>,
+    btb: FxHashMap<u64, u64>,
     /// Return-stack buffer.
     rsb: Vec<u64>,
 }
@@ -51,9 +51,7 @@ impl Predictors {
     /// Predicts and trains the BTB for the indirect transfer at `pc` with
     /// actual target `target`. Returns `true` on a correct prediction.
     pub fn indirect(&mut self, pc: u64, target: u64) -> bool {
-        let hit = self.btb.get(&pc) == Some(&target);
-        self.btb.insert(pc, target);
-        hit
+        self.btb.insert(pc, target) == Some(target)
     }
 
     /// Records a call's return address on the RSB.

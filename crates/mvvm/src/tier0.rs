@@ -12,8 +12,8 @@
 //! executed, and per-entry hot counters drive tier-1 superblock
 //! promotion (see [`crate::Machine::set_tier`]).
 
-use crate::block::{BlockCacheStats, BlockRef, FxBuildHasher};
-use std::collections::HashMap;
+use crate::block::{BlockCacheStats, BlockRef};
+use crate::fx::FxHashMap;
 
 /// Hits on a tier-0 block entry before it is re-recorded as a fused
 /// superblock (tier-1 only).
@@ -23,9 +23,9 @@ pub const HOT_THRESHOLD: u32 = 8;
 /// path, hot counters and monotone [`BlockCacheStats`].
 #[derive(Default)]
 pub struct BlockCache {
-    map: HashMap<u64, BlockRef, FxBuildHasher>,
+    map: FxHashMap<u64, BlockRef>,
     last: Option<(u64, BlockRef)>,
-    hot: HashMap<u64, u32, FxBuildHasher>,
+    hot: FxHashMap<u64, u32>,
     /// Monotone hit/miss/eviction/promotion counters.
     pub stats: BlockCacheStats,
 }

@@ -3,9 +3,12 @@
 //! as silent misbehaviour — plus the deterministic fault-injection layer
 //! ([`FaultPlan`]) that makes patching-time hazards reproducible.
 
-use mvasm::{Assembler, Insn, Reg};
+use mvasm::{Assembler, Insn, Reg, Width};
 use mvobj::{link, Layout, Object, Prot};
-use mvvm::{CostModel, Fault, FaultOp, FaultPlan, Machine, MachineConfig, SmpMachine};
+use mvvm::mem::Access;
+use mvvm::{
+    CostModel, ExecTier, Fault, FaultOp, FaultPlan, Machine, MachineConfig, MemError, SmpMachine,
+};
 
 fn boot(build: impl FnOnce(&mut Object)) -> (Machine, mvobj::Executable) {
     let mut o = Object::new("t");
@@ -327,5 +330,68 @@ fn ret_with_empty_stack_faults_not_panics() {
     match m.run_entry(&exe) {
         Err(Fault::Mem(e)) => assert!(!e.mapped),
         other => panic!("expected fault, got {other:?}"),
+    }
+}
+
+#[test]
+fn wrapping_access_faults_not_panics() {
+    // A load or store whose bytes run past the end of the address space
+    // is an unmapped access like any other, at every tier.
+    let top = u64::MAX - 3;
+    let ops = [
+        (
+            "load",
+            Access::Read,
+            Insn::Load {
+                dst: Reg::R0,
+                base: Reg::R1,
+                off: 0,
+                width: Width::W64,
+                signed: false,
+            },
+        ),
+        (
+            "store",
+            Access::Write,
+            Insn::Store {
+                src: Reg::R0,
+                base: Reg::R1,
+                off: 0,
+                width: Width::W64,
+            },
+        ),
+    ];
+    for tier in [
+        ExecTier::Tierless,
+        ExecTier::Block,
+        ExecTier::Superblock,
+        ExecTier::Native,
+    ] {
+        for (name, access, insn) in ops {
+            let (mut m, exe) = boot(|o| {
+                let mut a = Assembler::new();
+                a.mov_ri(Reg::R1, top as i64);
+                a.emit(insn);
+                a.ret();
+                o.add_code(name, &a.finish().unwrap());
+                let mut a = Assembler::new();
+                a.emit(Insn::Halt);
+                o.add_code("main", &a.finish().unwrap());
+            });
+            let f = exe.symbol(name).unwrap();
+            m.set_tier(tier);
+            if tier == ExecTier::Native {
+                assert!(m.ensure_native(f));
+            }
+            let expect = MemError {
+                addr: top,
+                access,
+                mapped: false,
+            };
+            match m.call(f, &[]) {
+                Err(Fault::Mem(e)) => assert_eq!(e, expect, "{name} at {tier}"),
+                other => panic!("{name} at {tier}: expected a memory fault, got {other:?}"),
+            }
+        }
     }
 }

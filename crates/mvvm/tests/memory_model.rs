@@ -1,30 +1,44 @@
 //! Model-based property tests of the guest memory: reads, writes,
-//! protection changes and icache flushes are checked against a simple
-//! byte-map reference model.
+//! fetches, protection changes and icache flushes are checked against a
+//! simple byte-map reference model.
 
 use mvobj::Prot;
-use mvvm::{Memory, PAGE_SIZE};
+use mvvm::mem::Access;
+use mvvm::{MemError, Memory, PAGE_SIZE};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
 const BASE: u64 = 0x10000;
-const SPAN: u64 = 4 * PAGE_SIZE;
+/// Mapped pages at `BASE`; the page after them stays unmapped.
+const PAGES: u64 = 4;
+const SPAN: u64 = (PAGES + 1) * PAGE_SIZE;
 
 #[derive(Clone, Debug)]
 enum MemOp {
     Write { off: u64, data: Vec<u8> },
     Read { off: u64, len: usize },
+    Fetch { off: u64, len: usize },
     Protect { page: u64, prot: u8 },
     Flush { page: u64 },
 }
 
+/// Offsets anywhere in the span, or just before a page boundary so
+/// that ranges often straddle two pages.
+fn arb_off() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0..SPAN - 64,
+        (1..PAGES + 1, 1u64..64).prop_map(|(page, back)| page * PAGE_SIZE - back),
+    ]
+}
+
 fn arb_op() -> impl Strategy<Value = MemOp> {
     prop_oneof![
-        (0..SPAN - 64, proptest::collection::vec(any::<u8>(), 1..64))
+        (arb_off(), proptest::collection::vec(any::<u8>(), 1..64))
             .prop_map(|(off, data)| MemOp::Write { off, data }),
-        (0..SPAN - 64, 1usize..64).prop_map(|(off, len)| MemOp::Read { off, len }),
-        (0u64..4, 0u8..3).prop_map(|(page, prot)| MemOp::Protect { page, prot }),
-        (0u64..4).prop_map(|page| MemOp::Flush { page }),
+        (arb_off(), 1usize..64).prop_map(|(off, len)| MemOp::Read { off, len }),
+        (arb_off(), 1usize..64).prop_map(|(off, len)| MemOp::Fetch { off, len }),
+        (0..PAGES, 0u8..4).prop_map(|(page, prot)| MemOp::Protect { page, prot }),
+        (0..PAGES).prop_map(|page| MemOp::Flush { page }),
     ]
 }
 
@@ -32,49 +46,114 @@ fn prot_of(code: u8) -> Prot {
     match code {
         0 => Prot::R,
         1 => Prot::RW,
-        _ => Prot::RX,
+        2 => Prot::RX,
+        _ => Prot {
+            read: false,
+            write: false,
+            exec: false,
+        },
+    }
+}
+
+/// Initial content of the mapped bytes, varied enough that a copy from
+/// the wrong offset shows.
+fn fill(addr: u64) -> u8 {
+    (addr ^ (addr >> 8)) as u8
+}
+
+/// The model's page table: protection per page from `BASE`, `None`
+/// where unmapped.
+struct Model {
+    prot: [Option<Prot>; PAGES as usize + 1],
+    bytes: HashMap<u64, u8>,
+}
+
+impl Model {
+    fn prot(&self, addr: u64) -> Option<Prot> {
+        self.prot[((addr - BASE) / PAGE_SIZE) as usize]
+    }
+
+    fn byte(&self, addr: u64) -> u8 {
+        self.bytes.get(&addr).copied().unwrap_or(fill(addr))
+    }
+
+    /// The first byte of `[addr, addr+len)` whose page denies the access,
+    /// as the fault `Memory` must report: at the access's own address in
+    /// its first page, at the page start in a later one.
+    fn denied(
+        &self,
+        addr: u64,
+        len: usize,
+        access: Access,
+        allowed: fn(Prot) -> bool,
+    ) -> Result<(), MemError> {
+        match (addr..addr + len as u64).find(|&a| !self.prot(a).is_some_and(allowed)) {
+            Some(a) => Err(MemError {
+                addr: a,
+                access,
+                mapped: self.prot(a).is_some(),
+            }),
+            None => Ok(()),
+        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Every successful write is visible to every later read; writes that
-    /// fault leave memory untouched; protection gates writes exactly.
+    /// Every successful write is visible to every later read and fetch;
+    /// writes that fault leave memory untouched; every read, write and
+    /// fetch returns exactly the bytes or the fault the model predicts.
     #[test]
     fn memory_matches_byte_map_model(ops in proptest::collection::vec(arb_op(), 1..80)) {
         let mut mem = Memory::new();
-        mem.map(BASE, SPAN, Prot::RW);
-        let mut model: HashMap<u64, u8> = HashMap::new();
-        let mut prot = [Prot::RW; 4];
+        mem.map(BASE, PAGES * PAGE_SIZE, Prot::RW);
+        let init: Vec<u8> = (BASE..BASE + PAGES * PAGE_SIZE).map(fill).collect();
+        mem.write_unchecked(BASE, &init);
+        let mut model = Model {
+            prot: [Some(Prot::RW), Some(Prot::RW), Some(Prot::RW), Some(Prot::RW), None],
+            bytes: HashMap::new(),
+        };
 
         for op in &ops {
             match op {
                 MemOp::Write { off, data } => {
                     let addr = BASE + off;
-                    let first = off / PAGE_SIZE;
-                    let last = (off + data.len() as u64 - 1) / PAGE_SIZE;
-                    let allowed = (first..=last).all(|p| prot[p as usize].write);
-                    let r = mem.write(addr, data);
-                    prop_assert_eq!(r.is_ok(), allowed, "write gating at {:#x}", addr);
-                    if allowed {
+                    let expect = model.denied(addr, data.len(), Access::Write, |p| p.write);
+                    prop_assert_eq!(mem.write(addr, data), expect, "write at {:#x}", addr);
+                    if expect.is_ok() {
                         for (i, &b) in data.iter().enumerate() {
-                            model.insert(addr + i as u64, b);
+                            model.bytes.insert(addr + i as u64, b);
                         }
                     }
                 }
                 MemOp::Read { off, len } => {
                     let addr = BASE + off;
-                    let got = mem.read_vec(addr, *len).unwrap();
-                    for (i, &b) in got.iter().enumerate() {
-                        let expect = model.get(&(addr + i as u64)).copied().unwrap_or(0);
-                        prop_assert_eq!(b, expect, "byte at {:#x}", addr + i as u64);
-                    }
+                    let expect = model
+                        .denied(addr, *len, Access::Read, |p| p.read)
+                        .map(|()| (addr..addr + *len as u64).map(|a| model.byte(a)).collect());
+                    prop_assert_eq!(mem.read_vec(addr, *len), expect, "read at {:#x}", addr);
+                }
+                MemOp::Fetch { off, len } => {
+                    let addr = BASE + off;
+                    let mut buf = vec![0u8; *len];
+                    let got = mem.fetch(addr, &mut buf).map(|n| buf[..n].to_vec());
+                    // As many leading bytes as are mapped executable; a
+                    // fault only when not even the first one is.
+                    let n = (addr..addr + *len as u64)
+                        .take_while(|&a| model.prot(a).is_some_and(|p| p.exec))
+                        .count();
+                    let expect = if n == 0 {
+                        model.denied(addr, 1, Access::Exec, |p| p.exec).map(|()| vec![])
+                    } else {
+                        Ok((addr..addr + n as u64).map(|a| model.byte(a)).collect())
+                    };
+                    prop_assert_eq!(got, expect, "fetch at {:#x}", addr);
                 }
                 MemOp::Protect { page, prot: p } => {
                     let pr = prot_of(*p);
                     mem.mprotect(BASE + page * PAGE_SIZE, PAGE_SIZE, pr).unwrap();
-                    prot[*page as usize] = pr;
+                    model.prot[*page as usize] = Some(pr);
                 }
                 MemOp::Flush { page } => {
                     let addr = BASE + page * PAGE_SIZE;

@@ -274,6 +274,18 @@ pub struct Vexec<'a> {
     live: u64,
 }
 
+/// The last byte of the `width`-byte access at `addr`. A range running
+/// past the end of the address space faults as unmapped at `addr`, as
+/// in the VM.
+fn last_byte(addr: u64, width: usize, access: Access) -> Result<u64, Abort> {
+    addr.checked_add(width as u64 - 1)
+        .ok_or(Abort::Fault(Fault::Mem(MemError {
+            addr,
+            access,
+            mapped: false,
+        })))
+}
+
 fn want_concrete(v: &Val) -> Result<u64, Abort> {
     match v {
         Val::Concrete(x) => Ok(*x),
@@ -675,6 +687,7 @@ impl<'a> Vexec<'a> {
     }
 
     fn read_mem(&self, ctx: &Ctx, addr: u64, width: usize) -> Result<Val, Abort> {
+        last_byte(addr, width, Access::Read)?;
         let mut acc = Val::Concrete(0);
         for j in 0..width {
             let b = self.read_byte(ctx, addr + j as u64)?;
@@ -685,7 +698,7 @@ impl<'a> Vexec<'a> {
     }
 
     fn write_mem(&self, ctx: &mut Ctx, addr: u64, val: Val, width: usize) -> Result<(), Abort> {
-        let last = addr + width as u64 - 1;
+        let last = last_byte(addr, width, Access::Write)?;
         for probe in [addr, last] {
             match self.mem.prot_of(probe) {
                 Some(p) if p.write => {}
