@@ -267,11 +267,24 @@ pub enum DescError {
     /// Section size is not a multiple of the record size, or a
     /// variable-length record is truncated.
     Malformed,
+    /// A switch descriptor claims a width other than 1, 2, 4 or 8 bytes.
+    BadWidth {
+        /// Address of the switch.
+        addr: u64,
+        /// The claimed width in bytes.
+        width: u32,
+    },
 }
 
 impl std::fmt::Display for DescError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "malformed descriptor section")
+        match self {
+            DescError::Malformed => write!(f, "malformed descriptor section"),
+            DescError::BadWidth { addr, width } => write!(
+                f,
+                "switch at {addr:#x} is {width} bytes wide; switches are 1, 2, 4 or 8"
+            ),
+        }
     }
 }
 
@@ -294,19 +307,23 @@ pub fn parse_variables(bytes: &[u8]) -> Result<Vec<VarDesc>, DescError> {
     if !bytes.len().is_multiple_of(VAR_DESC_SIZE) {
         return Err(DescError::Malformed);
     }
-    Ok(bytes
+    bytes
         .chunks_exact(VAR_DESC_SIZE)
         .map(|rec| {
             let flags = u32le(rec, 12);
-            VarDesc {
-                addr: u64le(rec, 0),
-                width: u32le(rec, 8),
+            let (addr, width) = (u64le(rec, 0), u32le(rec, 8));
+            if !matches!(width, 1 | 2 | 4 | 8) {
+                return Err(DescError::BadWidth { addr, width });
+            }
+            Ok(VarDesc {
+                addr,
+                width,
                 signed: flags & VAR_FLAG_SIGNED != 0,
                 fn_ptr: flags & VAR_FLAG_FN_PTR != 0,
                 name_addr: u64le(rec, 16),
-            }
+            })
         })
-        .collect())
+        .collect()
 }
 
 /// Parses the `multiverse.callsites` section.
@@ -499,6 +516,10 @@ mod tests {
     #[test]
     fn malformed_sections_rejected() {
         assert_eq!(parse_variables(&[0u8; 31]), Err(DescError::Malformed));
+        assert_eq!(
+            parse_variables(&[0u8; 32]),
+            Err(DescError::BadWidth { addr: 0, width: 0 })
+        );
         assert_eq!(parse_callsites(&[0u8; 17]), Err(DescError::Malformed));
         assert!(parse_functions(&[0u8; 47]).is_err());
         // Header claiming one variant but no variant bytes.

@@ -125,6 +125,16 @@ fn mv_fixture() -> (Machine, Executable, Runtime) {
 
 /// [`mv_fixture`] with the descriptor's `generic_size` overridden.
 fn mv_fixture_with_generic_size(generic_size: Option<u32>) -> (Machine, Executable, Runtime) {
+    let exe = link(&[mv_object(generic_size, 4)], &Layout::default()).unwrap();
+    let mut m = Machine::new(CostModel::default(), MachineConfig::default());
+    m.load(&exe);
+    let rt = Runtime::attach(&m, &exe).unwrap();
+    (m, exe, rt)
+}
+
+/// The object behind [`mv_fixture`], with `generic_size` overridden and
+/// switch `A` described as `width` bytes wide.
+fn mv_object(generic_size: Option<u32>, width: u32) -> Object {
     let mut o = Object::new("t");
     o.define_bss("A", 4);
     let mut a = Assembler::new();
@@ -163,7 +173,7 @@ fn mv_fixture_with_generic_size(generic_size: Option<u32>) -> (Machine, Executab
         &mut o,
         &VarDescSym {
             symbol: "A".into(),
-            width: 4,
+            width,
             signed: true,
             fn_ptr: false,
             name_sym: None,
@@ -200,11 +210,20 @@ fn mv_fixture_with_generic_size(generic_size: Option<u32>) -> (Machine, Executab
             ],
         },
     );
-    let exe = link(&[o], &Layout::default()).unwrap();
-    let mut m = Machine::new(CostModel::default(), MachineConfig::default());
-    m.load(&exe);
-    let rt = Runtime::attach(&m, &exe).unwrap();
-    (m, exe, rt)
+    o
+}
+
+#[test]
+fn switch_of_unsupported_width_is_rejected() {
+    // The VM loads and stores 1, 2, 4 or 8 bytes; a commit reading a
+    // switch of any other width must never be reached.
+    for width in [0, 16] {
+        let err = attach(mv_object(None, width)).err();
+        assert!(
+            matches!(err, Some(RtError::Desc(_))),
+            "width {width}: {err:?}"
+        );
+    }
 }
 
 fn text_snapshot(m: &Machine, exe: &Executable) -> Vec<u8> {

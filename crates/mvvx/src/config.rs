@@ -50,6 +50,16 @@ pub enum SpaceError {
         /// Name of the offending switch.
         switch: String,
     },
+    /// A switch cell is not 1, 2, 4 or 8 bytes wide, or wraps past the
+    /// end of the address space.
+    BadCell {
+        /// Name of the offending switch.
+        switch: String,
+        /// Guest address of the cell.
+        addr: u64,
+        /// Claimed width in bytes.
+        width: usize,
+    },
     /// Two switches overlap in memory — per-switch values would alias.
     Overlap {
         /// Names of the overlapping switches.
@@ -68,6 +78,15 @@ impl fmt::Display for SpaceError {
             SpaceError::EmptyDomain { switch } => {
                 write!(f, "switch {switch} has an empty domain")
             }
+            SpaceError::BadCell {
+                switch,
+                addr,
+                width,
+            } => write!(
+                f,
+                "switch {switch} is a {width}-byte cell at {addr:#x}; cells are 1, 2, 4 or 8 \
+                 bytes inside the address space"
+            ),
             SpaceError::Overlap { a, b } => {
                 write!(f, "switches {a} and {b} overlap in memory")
             }
@@ -185,8 +204,9 @@ pub struct ConfigSpace {
 
 impl ConfigSpace {
     /// Builds the space, precomputing per-value leaf masks. Fails if the
-    /// cross product exceeds [`MAX_LEAVES`], if a domain is empty, or if
-    /// two switch cells alias.
+    /// cross product exceeds [`MAX_LEAVES`], if a domain is empty, if a
+    /// switch cell is not a 1, 2, 4 or 8-byte range inside the address
+    /// space, or if two switch cells alias.
     pub fn new(mut switches: Vec<SwitchDomain>) -> Result<ConfigSpace, SpaceError> {
         for sw in &mut switches {
             sw.values.sort_unstable();
@@ -194,6 +214,14 @@ impl ConfigSpace {
             if sw.values.is_empty() {
                 return Err(SpaceError::EmptyDomain {
                     switch: sw.name.clone(),
+                });
+            }
+            if !matches!(sw.width, 1 | 2 | 4 | 8) || sw.addr.checked_add(sw.width as u64).is_none()
+            {
+                return Err(SpaceError::BadCell {
+                    switch: sw.name.clone(),
+                    addr: sw.addr,
+                    width: sw.width,
                 });
             }
         }
@@ -378,6 +406,31 @@ mod tests {
         let err =
             ConfigSpace::new(vec![sw("a", 0x100, &[0, 1]), sw("b", 0x102, &[0, 1])]).unwrap_err();
         assert!(matches!(err, SpaceError::Overlap { .. }));
+    }
+
+    #[test]
+    fn bad_cells_are_rejected() {
+        let cell = |addr, width| SwitchDomain {
+            width,
+            ..sw("a", addr, &[0, 1])
+        };
+        for (addr, width) in [
+            (0x100, 0),
+            (0x100, 3),
+            (0x100, 16),
+            (u64::MAX - 3, 4),
+            (u64::MAX, 1),
+        ] {
+            let err = ConfigSpace::new(vec![cell(addr, width)]).unwrap_err();
+            assert!(
+                matches!(err, SpaceError::BadCell { .. }),
+                "{addr:#x}+{width}: {err:?}"
+            );
+        }
+        // Checked before the overlap test, whose range ends would wrap.
+        let err = ConfigSpace::new(vec![cell(0x100, 4), cell(u64::MAX - 3, 4)]).unwrap_err();
+        assert!(matches!(err, SpaceError::BadCell { .. }), "{err:?}");
+        assert!(ConfigSpace::new(vec![cell(u64::MAX - 8, 8)]).is_ok());
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //! sets differ in exactly one switch and every diverging state component
 //! can be re-expressed as a [`Val::PerValue`] table over that switch.
 //! A failed join is not an error — the contexts simply stay split, which
-//! is sound but forfeits sharing.
+//! is sound but forfeits sharing. Split siblings share the memory bytes
+//! written before their split, so a split and the join after it cost
+//! what the siblings wrote in between, not the size of the overlay.
 //!
 //! **Bail.** `rdtsc` is refused outright ([`VexecError::Unsupported`]):
 //! cycle counts are configuration-dependent in ways the shared pass does
@@ -31,6 +33,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::rc::Rc;
 
 use mvasm::{AluOp, Insn, Reg};
 use mvtrace::{EventKind, TraceRing};
@@ -180,8 +183,50 @@ enum Terminal {
     Halt,
 }
 
-/// One variational context: the state of some subset of configurations.
+/// Memory bytes written over the base image, byte-granular, with the
+/// closed address range they span. A probe outside that range costs no
+/// map lookup: decodes and reads of the base image usually fall outside
+/// both parts of a context's overlay, and then cost less than the one
+/// lookup a single overlay map took.
 #[derive(Clone)]
+struct Delta {
+    bytes: BTreeMap<u64, Val>,
+    /// Every key lies in `lo..=hi`; `lo > hi` while `bytes` is empty.
+    lo: u64,
+    hi: u64,
+}
+
+impl Default for Delta {
+    fn default() -> Delta {
+        Delta {
+            bytes: BTreeMap::new(),
+            lo: u64::MAX,
+            hi: 0,
+        }
+    }
+}
+
+impl Delta {
+    fn get(&self, addr: u64) -> Option<&Val> {
+        if addr < self.lo || addr > self.hi {
+            return None;
+        }
+        self.bytes.get(&addr)
+    }
+
+    fn insert(&mut self, addr: u64, v: Val) {
+        self.lo = self.lo.min(addr);
+        self.hi = self.hi.max(addr);
+        self.bytes.insert(addr, v);
+    }
+
+    /// `true` if some byte in `from..to` was written.
+    fn any_in(&self, from: u64, to: u64) -> bool {
+        from <= self.hi && self.lo < to && self.bytes.range(from..to).next().is_some()
+    }
+}
+
+/// One variational context: the state of some subset of configurations.
 struct Ctx {
     leaves: LeafSet,
     regs: [Val; Reg::COUNT],
@@ -192,26 +237,49 @@ struct Ctx {
     /// scheduler suspends a context when its depth drops below the
     /// horizon of the split that created it — the join point.
     depth: i64,
-    /// Byte-granular memory delta over the shared base image.
-    overlay: BTreeMap<u64, Val>,
+    /// The memory overlay's part shared with the siblings of the
+    /// context's last split: every byte written before that split,
+    /// tabulated over the splitting context's leaves (reads restrict
+    /// them). Never mutated while another context holds it.
+    frozen: Rc<Delta>,
+    /// The bytes this context wrote since its last split; they shadow
+    /// `frozen`.
+    own: Delta,
     out: Vec<Val>,
     terminal: Option<Terminal>,
 }
 
 impl Ctx {
-    /// A copy restricted to `leaves`, with every value table pruned.
-    fn restricted(&self, space: &ConfigSpace, leaves: LeafSet) -> Ctx {
+    /// Folds the context's own bytes into its frozen part, so a split
+    /// hands every child the whole overlay without copying a byte. The
+    /// fold is in place unless another context still shares the part.
+    fn freeze(&mut self) {
+        if self.own.bytes.is_empty() {
+            return;
+        }
+        let own = std::mem::take(&mut self.own);
+        if self.frozen.bytes.is_empty() {
+            self.frozen = Rc::new(own);
+        } else {
+            let frozen = Rc::make_mut(&mut self.frozen);
+            for (addr, v) in own.bytes {
+                frozen.insert(addr, v);
+            }
+        }
+    }
+
+    /// A child over `leaves`, a subset of this (frozen) context's: value
+    /// tables in registers and output are pruned, the overlay is shared.
+    fn child(&self, space: &ConfigSpace, leaves: LeafSet) -> Ctx {
+        debug_assert!(self.own.bytes.is_empty(), "split before freeze");
         Ctx {
             regs: std::array::from_fn(|i| self.regs[i].restrict(space, &leaves)),
             cmp: (
                 self.cmp.0.restrict(space, &leaves),
                 self.cmp.1.restrict(space, &leaves),
             ),
-            overlay: self
-                .overlay
-                .iter()
-                .map(|(a, v)| (*a, v.restrict(space, &leaves)))
-                .collect(),
+            frozen: Rc::clone(&self.frozen),
+            own: Delta::default(),
             out: self
                 .out
                 .iter()
@@ -223,6 +291,13 @@ impl Ctx {
             depth: self.depth,
             terminal: self.terminal,
         }
+    }
+
+    /// Every byte the context wrote, ascending.
+    fn written(&self) -> BTreeMap<u64, &Val> {
+        let mut all: BTreeMap<u64, &Val> = self.frozen.bytes.iter().map(|(a, v)| (*a, v)).collect();
+        all.extend(self.own.bytes.iter().map(|(a, v)| (*a, v)));
+        all
     }
 }
 
@@ -366,7 +441,8 @@ impl<'a> Vexec<'a> {
             if_flag,
             pc: entry,
             depth: 0,
-            overlay: BTreeMap::new(),
+            frozen: Rc::default(),
+            own: Delta::default(),
             out: Vec::new(),
             terminal: None,
         };
@@ -461,11 +537,12 @@ impl<'a> Vexec<'a> {
     /// Splits `ctx` into one child per live value of `sw`, at the same
     /// pc — the aborted instruction re-executes with the switch
     /// concrete.
-    fn materialize(&mut self, ctx: &Ctx, sw: usize) -> Step {
+    fn materialize(&mut self, ctx: &mut Ctx, sw: usize) -> Step {
+        ctx.freeze();
         let digits = self.space.live_digits(&ctx.leaves, sw);
         let children: Vec<Ctx> = digits
             .iter()
-            .map(|&i| ctx.restricted(self.space, self.space.mask(sw, i).intersect(&ctx.leaves)))
+            .map(|&i| ctx.child(self.space, self.space.mask(sw, i).intersect(&ctx.leaves)))
             .collect();
         self.record_split(ctx.pc, sw, children.len());
         Step::Split(children)
@@ -561,22 +638,24 @@ impl<'a> Vexec<'a> {
         for (x, y) in a.out.iter().zip(&b.out) {
             out.push(merge_val(x, y, s, &da, &db)?);
         }
-        let mut overlay = BTreeMap::new();
-        for addr in a.overlay.keys().chain(b.overlay.keys()) {
-            if overlay.contains_key(addr) {
+        // Contexts holding one frozen part see the same byte wherever
+        // neither wrote since it froze, and that byte restricted to each
+        // side merges back into itself; any other pair merges every byte.
+        let shared = Rc::ptr_eq(&a.frozen, &b.frozen);
+        let mut parts = vec![&a.own, &b.own];
+        if !shared {
+            parts.extend([&*a.frozen, &*b.frozen]);
+        }
+        let mut own = Delta::default();
+        for &addr in parts.iter().flat_map(|p| p.bytes.keys()) {
+            if own.bytes.contains_key(&addr) {
                 continue;
             }
             // A byte one side never wrote still has a value there — the
             // symbolic-or-base read the other side would see.
-            let va = match a.overlay.get(addr) {
-                Some(v) => v.clone(),
-                None => self.read_byte(a, *addr).ok()?,
-            };
-            let vb = match b.overlay.get(addr) {
-                Some(v) => v.clone(),
-                None => self.read_byte(b, *addr).ok()?,
-            };
-            overlay.insert(*addr, merge_val(&va, &vb, s, &da, &db)?);
+            let va = self.read_byte(a, addr).ok()?;
+            let vb = self.read_byte(b, addr).ok()?;
+            own.insert(addr, merge_val(&va, &vb, s, &da, &db)?);
         }
         Some(Ctx {
             leaves: a.leaves.union(&b.leaves),
@@ -585,7 +664,12 @@ impl<'a> Vexec<'a> {
             if_flag: a.if_flag,
             pc: a.pc,
             depth: a.depth,
-            overlay,
+            frozen: if shared {
+                Rc::clone(&a.frozen)
+            } else {
+                Rc::default()
+            },
+            own,
             out,
             terminal: None,
         })
@@ -602,6 +686,7 @@ impl<'a> Vexec<'a> {
                 return Err(VexecError::Incomplete { missing: n });
             }
             let sp = self.space;
+            let written = ctx.written();
             for leaf in ctx.leaves.iter() {
                 debug_assert!(!coverage.contains(leaf), "terminal contexts overlap");
                 coverage.insert(leaf);
@@ -615,8 +700,7 @@ impl<'a> Vexec<'a> {
                     if_flag: ctx.if_flag,
                     halted: ctx.terminal == Some(Terminal::Halt),
                     out: ctx.out.iter().map(|v| v.at(sp, leaf) as u8).collect(),
-                    writes: ctx
-                        .overlay
+                    writes: written
                         .iter()
                         .map(|(a, v)| (*a, v.at(sp, leaf) as u8))
                         .collect(),
@@ -646,12 +730,8 @@ impl<'a> Vexec<'a> {
     // ---- memory -----------------------------------------------------
 
     fn decode(&mut self, ctx: &Ctx, pc: u64) -> Result<Insn, Abort> {
-        if ctx
-            .overlay
-            .range(pc..pc.saturating_add(16))
-            .next()
-            .is_some()
-        {
+        let to = pc.saturating_add(16);
+        if ctx.own.any_in(pc, to) || ctx.frozen.any_in(pc, to) {
             return Err(Abort::Unsupported("self-modifying code"));
         }
         if let Some(i) = self.decode_cache.get(&pc) {
@@ -662,11 +742,15 @@ impl<'a> Vexec<'a> {
         Ok(insn)
     }
 
-    /// One memory byte as the context sees it: its own overlay first,
-    /// then the symbolic view of a switch cell, then the shared base.
+    /// One memory byte as the context sees it: its own bytes first, then
+    /// its frozen ones (restricted to its leaves), then the symbolic view
+    /// of a switch cell, then the shared base.
     fn read_byte(&self, ctx: &Ctx, addr: u64) -> Result<Val, Abort> {
-        if let Some(v) = ctx.overlay.get(&addr) {
+        if let Some(v) = ctx.own.get(addr) {
             return Ok(v.clone());
+        }
+        if let Some(v) = ctx.frozen.get(addr) {
+            return Ok(v.restrict(self.space, &ctx.leaves));
         }
         for (s, sw) in self.space.switches().iter().enumerate() {
             if addr >= sw.addr && addr < sw.addr + sw.width as u64 {
@@ -713,7 +797,7 @@ impl<'a> Vexec<'a> {
         }
         for j in 0..width {
             let shift = 8 * j as u32;
-            ctx.overlay
+            ctx.own
                 .insert(addr + j as u64, val.map(|v| (v >> shift) & 0xFF));
         }
         Ok(())
@@ -922,12 +1006,13 @@ impl<'a> Vexec<'a> {
     /// fall-through pcs with their leaf subsets.
     fn branch_split(
         &mut self,
-        ctx: &Ctx,
+        ctx: &mut Ctx,
         sw: usize,
         outcomes: &[(usize, u64)],
         taken_pc: u64,
         fall_pc: u64,
     ) -> Vec<Ctx> {
+        ctx.freeze();
         let n = self.space.leaf_count();
         let mut taken = LeafSet::empty(n);
         let mut fall = LeafSet::empty(n);
@@ -945,7 +1030,7 @@ impl<'a> Vexec<'a> {
             if set.is_empty() {
                 continue;
             }
-            let mut c = ctx.restricted(self.space, set);
+            let mut c = ctx.child(self.space, set);
             c.pc = pc;
             children.push(c);
         }
@@ -1198,6 +1283,154 @@ mod tests {
         let mut vx = Vexec::new(&mem, &space, Platform::Native);
         let err = vx.run_call(CODE, &[], &regs0(), true).unwrap_err();
         assert!(matches!(err, VexecError::Unsupported { .. }));
+    }
+
+    /// The address one past `code` laid out from [`CODE`].
+    fn end(code: &[Insn]) -> u64 {
+        CODE + code.iter().map(|i| i.len() as u64).sum::<u64>()
+    }
+
+    /// Pads `code` with one-byte NOPs up to `addr`.
+    fn pad_to(code: &mut Vec<Insn>, addr: u64) {
+        while end(code) < addr {
+            code.push(Insn::Nop { len: 1 });
+        }
+    }
+
+    fn store_byte(imm: i64, addr: u64) -> [Insn; 2] {
+        [
+            Insn::MovRI { dst: r(2), imm },
+            Insn::StoreAbs {
+                src: r(2),
+                addr,
+                width: Width::W8,
+            },
+        ]
+    }
+
+    #[test]
+    fn jump_into_stored_bytes_is_refused() {
+        let target = CODE + 0x100;
+        let jmp_to = |code: &[Insn]| Insn::Jmp {
+            rel: (target - (end(code) + 5)) as i32,
+        };
+        // The store and the jump in one context.
+        let mut direct = store_byte(0x90, target).to_vec();
+        direct.push(jmp_to(&direct));
+        // The store before a branch on the switch, the jump in both arms:
+        // the stored byte predates the split that made the jumping child.
+        let mut split = store_byte(0x90, target).to_vec();
+        split.extend([
+            Insn::LoadAbs {
+                dst: r(1),
+                addr: SWITCH,
+                width: Width::W32,
+                signed: true,
+            },
+            Insn::CmpRI { a: r(1), imm: 0 },
+        ]);
+        split.push(Insn::Jcc {
+            cc: Cond::Eq,
+            rel: (target - (end(&split) + 6)) as i32,
+        });
+        split.push(jmp_to(&split));
+        for (code, splits) in [(direct, 0), (split, 1)] {
+            let (mut mem, space) = setup(&code, vec![domain(&[0, 1])]);
+            mem.map(CODE, 4096, Prot::RWX);
+            let mut vx = Vexec::new(&mem, &space, Platform::Native);
+            match vx.run_call(CODE, &[], &regs0(), true) {
+                Err(VexecError::Unsupported { pc, what }) => {
+                    assert_eq!((pc, what), (target, "self-modifying code"));
+                }
+                other => panic!("expected a refusal, got {other:?}"),
+            }
+            assert_eq!(vx.stats.splits, splits);
+        }
+    }
+
+    #[test]
+    fn nested_split_rejoins_inner_siblings_first() {
+        // main calls f; f branches on `a` and each arm stores its own
+        // byte and calls g; g branches on `b` and each arm stores its own
+        // byte. The two splits on `b` re-join as g returns, each pair
+        // sharing what its arm of `a` wrote; the arms of `a` re-join as f
+        // returns, each holding what a different split froze.
+        let (a, b) = (SWITCH, SWITCH + 8);
+        let (f_at, g_at) = (CODE + 0x40, CODE + 0x100);
+        let mut code = vec![
+            Insn::CallRel {
+                rel: (f_at - (CODE + 5)) as i32,
+            },
+            Insn::Ret,
+        ];
+        let branch = |code: &mut Vec<Insn>, cell: u64, arm_len: u64| {
+            code.extend([
+                Insn::LoadAbs {
+                    dst: r(1),
+                    addr: cell,
+                    width: Width::W32,
+                    signed: true,
+                },
+                Insn::CmpRI { a: r(1), imm: 0 },
+                Insn::Jcc {
+                    cc: Cond::Eq,
+                    rel: arm_len as i32,
+                },
+            ]);
+        };
+        pad_to(&mut code, f_at);
+        // Each arm of f: store (21 bytes), call g (5), ret (1).
+        branch(&mut code, a, 27);
+        let mut g_ret = [0u64; 2];
+        for (digit, imm, dst) in [(1, 0x33, SCRATCH + 8), (0, 0x44, SCRATCH + 9)] {
+            code.extend(store_byte(imm, dst));
+            g_ret[digit] = end(&code) + 5;
+            code.push(Insn::CallRel {
+                rel: (g_at - g_ret[digit]) as i32,
+            });
+            code.push(Insn::Ret);
+        }
+        pad_to(&mut code, g_at);
+        // Each arm of g: store (21 bytes), ret (1).
+        branch(&mut code, b, 22);
+        for (imm, dst) in [(0x22, SCRATCH + 1), (0x11, SCRATCH)] {
+            code.extend(store_byte(imm, dst));
+            code.push(Insn::Ret);
+        }
+        let cell = |name: &str, addr| SwitchDomain {
+            name: name.into(),
+            addr,
+            ..domain(&[0, 1])
+        };
+        let (mut mem, space) = setup(&code, vec![cell("a", a), cell("b", b)]);
+        mem.map(SCRATCH, 4096, Prot::RW);
+        let mut vx = Vexec::new(&mem, &space, Platform::Native);
+        let rep = vx.run_call(CODE, &[], &regs0(), true).unwrap();
+        assert_eq!(
+            (rep.stats.splits, rep.stats.joins, rep.stats.max_live),
+            (3, 3, 3)
+        );
+        for leaf in &rep.leaves {
+            let (da, db) = (leaf.leaf % 2, leaf.leaf / 2);
+            let mut want = Vec::new();
+            for (at, v) in [
+                (STACK_TOP - 24, g_ret[da]),
+                (STACK_TOP - 16, CODE + 5),
+                (STACK_TOP - 8, RET_SENTINEL),
+            ] {
+                want.extend((0..8).map(|j| (at + j, (v >> (8 * j)) as u8)));
+            }
+            // A byte one arm stored reads as the base image's zero in the
+            // other arm, which the join records as written.
+            want.extend([
+                (SCRATCH, if db == 0 { 0x11 } else { 0 }),
+                (SCRATCH + 1, if db == 1 { 0x22 } else { 0 }),
+                (SCRATCH + 8, if da == 1 { 0x33 } else { 0 }),
+                (SCRATCH + 9, if da == 0 { 0x44 } else { 0 }),
+            ]);
+            want.sort_unstable();
+            assert_eq!(leaf.writes, want, "leaf {}", leaf.leaf);
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! The proptest at the bottom closes the loop from the other side:
 //! random straight-line-plus-branch programs over random switch domains
 //! must split and re-join to *exactly* |cross product| leaves, each
-//! computing what a Rust oracle predicts.
+//! computing what a Rust oracle predicts and reporting exactly the
+//! global stores it predicts.
 
 use multiverse::mvvm::{CostModel, MachineConfig, Platform};
 use multiverse::mvvx;
@@ -146,7 +147,16 @@ enum S {
     /// `if (a_ == v) { acc = acc + k; }` with `v` reduced into domain.
     IfA(u8, i8),
     IfB(u8, i8),
+    /// `buf[k] = acc;` with `k` reduced to a slot.
+    Store(u8),
+    /// `acc = acc + buf[k];`
+    Load(u8),
+    /// `if (a_ == v) { buf[k] = acc; }`
+    StoreIfA(u8, u8),
 }
+
+/// Slots of the generated kernel's global `i64 buf[]`.
+const SLOTS: usize = 4;
 
 fn arb_stmt() -> impl Strategy<Value = S> {
     prop_oneof![
@@ -156,6 +166,9 @@ fn arb_stmt() -> impl Strategy<Value = S> {
         Just(S::AddSwitchB),
         (any::<u8>(), any::<i8>()).prop_map(|(v, k)| S::IfA(v, k)),
         (any::<u8>(), any::<i8>()).prop_map(|(v, k)| S::IfB(v, k)),
+        any::<u8>().prop_map(S::Store),
+        any::<u8>().prop_map(S::Load),
+        (any::<u8>(), any::<u8>()).prop_map(|(v, k)| S::StoreIfA(v, k)),
     ]
 }
 
@@ -170,6 +183,13 @@ fn render(stmts: &[S], da: usize, db: usize) -> String {
             S::AddSwitchB => "acc = acc + b_;".into(),
             S::IfA(v, k) => format!("if (a_ == {}) {{ acc = acc + {k}; }}", v as usize % da),
             S::IfB(v, k) => format!("if (b_ == {}) {{ acc = acc + {k}; }}", v as usize % db),
+            S::Store(k) => format!("buf[{}] = acc;", k as usize % SLOTS),
+            S::Load(k) => format!("acc = acc + buf[{}];", k as usize % SLOTS),
+            S::StoreIfA(v, k) => format!(
+                "if (a_ == {}) {{ buf[{}] = acc; }}",
+                v as usize % da,
+                k as usize % SLOTS
+            ),
         };
         body.push_str(&line);
         body.push('\n');
@@ -178,6 +198,7 @@ fn render(stmts: &[S], da: usize, db: usize) -> String {
         r#"
         multiverse({}) i32 a_;
         multiverse({}) i32 b_;
+        i64 buf[{SLOTS}];
         multiverse i64 kernel(i64 x) {{
             i64 acc = x;
             {body}
@@ -190,9 +211,19 @@ fn render(stmts: &[S], da: usize, db: usize) -> String {
     )
 }
 
-fn eval(stmts: &[S], da: usize, db: usize, a: i64, b: i64, x: i64) -> i64 {
+/// The kernel's result and the final value of every `buf` slot it
+/// stored (`None`: never stored).
+fn eval(stmts: &[S], da: usize, db: usize, a: i64, b: i64, x: i64) -> (i64, [Option<i64>; SLOTS]) {
     let mut acc = x;
+    let mut buf = [None; SLOTS];
     for s in stmts {
+        match *s {
+            S::Store(k) => buf[k as usize % SLOTS] = Some(acc),
+            S::StoreIfA(v, k) if a == (v as usize % da) as i64 => {
+                buf[k as usize % SLOTS] = Some(acc)
+            }
+            _ => {}
+        }
         acc = match *s {
             S::AddConst(k) => acc.wrapping_add(k as i64),
             S::MulConst(k) => acc.wrapping_mul(k as i64),
@@ -200,18 +231,21 @@ fn eval(stmts: &[S], da: usize, db: usize, a: i64, b: i64, x: i64) -> i64 {
             S::AddSwitchB => acc.wrapping_add(b),
             S::IfA(v, k) if a == (v as usize % da) as i64 => acc.wrapping_add(k as i64),
             S::IfB(v, k) if b == (v as usize % db) as i64 => acc.wrapping_add(k as i64),
+            S::Load(k) => acc.wrapping_add(buf[k as usize % SLOTS].unwrap_or(0)),
             _ => acc,
         };
     }
-    acc
+    (acc, buf)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// Splits and joins must multiply out to *exactly* the cross
-    /// product: every leaf present once, every exit equal to the Rust
-    /// oracle, and the enumeration replay agrees on full state.
+    /// product: every leaf present once, every exit and every stored
+    /// `buf` slot equal to the Rust oracle, no unstored slot reported
+    /// written, and the enumeration replay agrees on every reported
+    /// component.
     #[test]
     fn random_programs_cover_the_exact_cross_product(
         da in 2usize..4,
@@ -237,14 +271,32 @@ proptest! {
         prop_assert_eq!(space.leaf_count(), da * db, "src:\n{}", src);
         let report = w.vexec_in(&space, "kernel", &[x as u64]).unwrap();
         prop_assert_eq!(report.leaves.len(), da * db);
+        let buf = w.sym("buf").unwrap();
         for leaf in &report.leaves {
             let a = leaf.assignment.iter().find(|(n, _)| n == "a_").unwrap().1;
             let b = leaf.assignment.iter().find(|(n, _)| n == "b_").unwrap().1;
-            let oracle = eval(&stmts, da, db, a, b, x) as u64;
+            let (exit, slots) = eval(&stmts, da, db, a, b, x);
             prop_assert_eq!(
-                leaf.exit, oracle,
+                leaf.exit, exit as u64,
                 "leaf {} (a_={}, b_={}) of:\n{}", leaf.leaf, a, b, src
             );
+            for (k, slot) in slots.iter().enumerate() {
+                let at = buf + 8 * k as u64;
+                let seen: Vec<(u64, u8)> = leaf
+                    .writes
+                    .iter()
+                    .filter(|(addr, _)| (at..at + 8).contains(addr))
+                    .copied()
+                    .collect();
+                let want: Vec<(u64, u8)> = slot
+                    .iter()
+                    .flat_map(|v| v.to_le_bytes().into_iter().zip(at..).map(|(b, a)| (a, b)))
+                    .collect();
+                prop_assert_eq!(
+                    seen, want,
+                    "leaf {} (a_={}, b_={}), buf[{}] of:\n{}", leaf.leaf, a, b, k, src
+                );
+            }
         }
         let chk = multiverse::enumerate_check(&p, &space, "kernel", &[x as u64], &report).unwrap();
         prop_assert_eq!(chk.leaves_checked, da * db);
