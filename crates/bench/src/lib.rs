@@ -966,8 +966,8 @@ pub fn vm_throughput_exe(iters: i64) -> mvobj::Executable {
 /// tuple, then the best of `trials` timed warm runs yields the
 /// throughput. The first tier listed is the identity baseline. For
 /// [`ExecTier::Native`] the `native_roots` symbols are lowered into the
-/// machine's region registry up front — the role the `native` runtime
-/// backend's post-commit sync plays when a full runtime is attached.
+/// machine's region registry up front — the role the runtime's
+/// post-commit native sync plays when a full runtime is attached.
 fn measure_tiers(
     exe: &mvobj::Executable,
     tiers: &[ExecTier],

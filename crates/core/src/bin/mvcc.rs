@@ -117,14 +117,11 @@
 //!                        stop-machine (default) or breakpoint
 //!   --tier T             execution engine: tierless (default), block
 //!                        (tier-0 decode cache), superblock (tier-1
-//!                        fused blocks) or native (tier-2 lowered
-//!                        regions) — observationally identical, tiered
-//!                        runs print the block-cache counters
-//!   --backend B          runtime backend: mv64 (default) or native —
-//!                        identical committed images; the native backend
-//!                        additionally lowers live function bodies to
-//!                        pre-resolved regions after every commit and
-//!                        moves the machine to the native tier
+//!                        fused blocks) or native (tier-2 regions,
+//!                        lowered from the live function bodies and
+//!                        re-lowered after every commit) —
+//!                        observationally identical, tiered runs print
+//!                        the block-cache and native-region counters
 //! ```
 
 use multiverse::mvc::Options;
@@ -149,11 +146,6 @@ struct Args {
     smp: usize,
     strategy: mvrt::CommitStrategy,
     tier: multiverse::mvvm::ExecTier,
-    /// `--tier` was given on the command line (as opposed to defaulted),
-    /// which makes a conflicting `--backend` an error instead of a
-    /// silent override.
-    tier_explicit: bool,
-    backend: Option<String>,
     configs: String,
     oracle: bool,
     smoke: bool,
@@ -188,8 +180,6 @@ fn parse_args() -> Result<Args, String> {
         smp: 0,
         strategy: mvrt::CommitStrategy::default(),
         tier: multiverse::mvvm::ExecTier::default(),
-        tier_explicit: false,
-        backend: None,
         configs: "all".to_string(),
         oracle: false,
         smoke: false,
@@ -260,14 +250,6 @@ fn parse_args() -> Result<Args, String> {
                 args.tier = multiverse::mvvm::ExecTier::parse(&s).ok_or(format!(
                     "unknown tier `{s}` (tierless|block|superblock|native)"
                 ))?;
-                args.tier_explicit = true;
-            }
-            "--backend" => {
-                let s = it.next().ok_or("--backend needs a backend name")?;
-                if mvrt::backend::parse(&s).is_none() {
-                    return Err(format!("unknown backend `{s}` (mv64|native)"));
-                }
-                args.backend = Some(s);
             }
             "--configs" => {
                 let s = it.next().ok_or("--configs needs a mode (all|sampled)")?;
@@ -306,23 +288,6 @@ fn parse_args() -> Result<Args, String> {
             }
             f if !f.starts_with('-') => args.files.push(f.to_string()),
             other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    // A backend that forces an execution tier contradicts an explicit
-    // `--tier` asking for a different one. Historically the backend won
-    // silently (set_backend runs after set_tier); fail fast instead and
-    // name both flags.
-    if args.tier_explicit {
-        if let Some(b) = &args.backend {
-            if let Some(pt) = mvrt::backend::parse(b).and_then(|bk| bk.preferred_tier()) {
-                if pt != args.tier {
-                    return Err(format!(
-                        "conflicting flags: `--backend {b}` forces the `{pt}` execution \
-                         tier, but `--tier {}` was also given; drop one of the two flags",
-                        args.tier
-                    ));
-                }
-            }
         }
     }
     if args.files.is_empty()
@@ -501,10 +466,7 @@ fn print_quiesce(q: &mvrt::QuiesceReport) {
 /// `verify --smp` and `serve`.
 fn boot_smp_workers(args: &Args, p: &Program, smp: usize) -> Result<multiverse::SmpWorld, String> {
     let mut w = p.boot_smp(smp);
-    w.smp.set_tier(args.tier);
-    if let Some(b) = &args.backend {
-        w.set_backend(b).map_err(|e| e.to_string())?;
-    }
+    w.set_tier(args.tier);
     for (k, v) in &args.sets {
         w.set(k, *v).map_err(|e| e.to_string())?;
         println!("set {k} = {v}");
@@ -575,7 +537,7 @@ fn print_block_stats(tier: multiverse::mvvm::ExecTier, s: multiverse::mvvm::Bloc
 }
 
 /// Prints the native-region counters after a native-tier run (`--tier
-/// native` or `--backend native`).
+/// native`).
 fn print_native_stats(tier: multiverse::mvvm::ExecTier, n: multiverse::mvvm::NativeStats) {
     if tier != multiverse::mvvm::ExecTier::Native {
         return;
@@ -592,10 +554,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         return cmd_run_smp(args, &p);
     }
     let mut world = p.boot();
-    world.machine.set_tier(args.tier);
-    if let Some(b) = &args.backend {
-        world.set_backend(b).map_err(|e| e.to_string())?;
-    }
+    world.set_tier(args.tier);
     for (k, v) in &args.sets {
         world.set(k, *v).map_err(|e| e.to_string())?;
         println!("set {k} = {v}");

@@ -6,7 +6,7 @@ use mvrt::{
     CommitDaemon, CommitReport, CommitStrategy, Lane, MvdOp, QuiesceReport, RequestId, RtError,
     Runtime, TxnOp,
 };
-use mvvm::{CostModel, Fault, Machine, MachineConfig, SmpMachine, Stats};
+use mvvm::{CostModel, ExecTier, Fault, Machine, MachineConfig, SmpMachine, Stats};
 use std::fmt;
 
 /// Errors from building or driving a program.
@@ -53,6 +53,16 @@ impl From<RtError> for BuildError {
 impl From<mvvm::MemError> for BuildError {
     fn from(e: mvvm::MemError) -> Self {
         BuildError::Fault(Fault::Mem(e))
+    }
+}
+
+/// The tier a backend name selects: `native`/`host` the native tier,
+/// `mv64` none.
+fn backend_tier(name: &str) -> Result<Option<ExecTier>, BuildError> {
+    match name {
+        "native" | "host" => Ok(Some(ExecTier::Native)),
+        "mv64" => Ok(None),
+        _ => Err(BuildError::NoSymbol(format!("backend `{name}`"))),
     }
 }
 
@@ -197,20 +207,23 @@ impl World {
         Ok(self.machine.call(addr, args)?)
     }
 
-    /// Installs a runtime backend by CLI name (`mv64`, `native`): moves
-    /// the machine to the backend's preferred execution tier and runs an
-    /// immediate reconcile so the tier is live before the next call, not
-    /// only after the next commit. Unknown names report an error; without
-    /// an attached runtime only the tier change applies.
-    pub fn set_backend(&mut self, name: &str) -> Result<(), BuildError> {
-        let backend = mvrt::backend::parse(name)
-            .ok_or_else(|| BuildError::NoSymbol(format!("backend `{name}`")))?;
-        if let Some(tier) = backend.preferred_tier() {
-            self.machine.set_tier(tier);
+    /// Selects the execution engine. On [`ExecTier::Native`] an attached
+    /// runtime lowers the live function bodies right away, so the tier
+    /// is live before the next call, not only after the next commit.
+    pub fn set_tier(&mut self, tier: ExecTier) {
+        self.machine.set_tier(tier);
+        if let Some(rt) = &self.rt {
+            rt.sync_native(&mut self.machine);
         }
-        if let Some(rt) = self.rt.as_mut() {
-            rt.set_backend(backend);
-            rt.sync_backend(&mut self.machine);
+    }
+
+    /// Alias of [`World::set_tier`] by backend name, for callers that
+    /// still select the engine that way: `native` (or `host`) selects
+    /// [`ExecTier::Native`], `mv64` changes nothing, and any other name
+    /// is an error.
+    pub fn set_backend(&mut self, name: &str) -> Result<(), BuildError> {
+        if let Some(tier) = backend_tier(name)? {
+            self.set_tier(tier);
         }
         Ok(())
     }
@@ -345,19 +358,23 @@ impl SmpWorld {
         self.smp.vcpus()
     }
 
-    /// Installs a runtime backend by CLI name, like [`World::set_backend`].
-    /// Under SMP the native tier defers to the block engine whenever a
-    /// vCPU's sticky instruction cache is active, so this only changes
-    /// patch policy and post-commit bookkeeping, never SMP semantics.
-    pub fn set_backend(&mut self, name: &str) -> Result<(), BuildError> {
-        let backend = mvrt::backend::parse(name)
-            .ok_or_else(|| BuildError::NoSymbol(format!("backend `{name}`")))?;
-        if let Some(tier) = backend.preferred_tier() {
-            self.smp.machine.set_tier(tier);
+    /// Selects the execution engine for every vCPU, each starting cold
+    /// (see [`SmpMachine::set_tier`]), then lowers the live function
+    /// bodies like [`World::set_tier`]. Under SMP the native tier defers
+    /// to the block engine whenever a vCPU's sticky instruction cache is
+    /// active, so regions never change SMP semantics.
+    pub fn set_tier(&mut self, tier: ExecTier) {
+        self.smp.set_tier(tier);
+        if let Some(rt) = &self.rt {
+            rt.sync_native(&mut self.smp.machine);
         }
-        if let Some(rt) = self.rt.as_mut() {
-            rt.set_backend(backend);
-            rt.sync_backend(&mut self.smp.machine);
+    }
+
+    /// Alias of [`SmpWorld::set_tier`] by backend name, like
+    /// [`World::set_backend`].
+    pub fn set_backend(&mut self, name: &str) -> Result<(), BuildError> {
+        if let Some(tier) = backend_tier(name)? {
+            self.set_tier(tier);
         }
         Ok(())
     }

@@ -1,28 +1,26 @@
-//! The ISA backend contract: every encoding decision the Multiverse §4
-//! patching discipline depends on, behind one trait.
+//! The patch ABI: every encoding decision the Multiverse §4 patching
+//! discipline depends on, in one place.
 //!
 //! Call-site rewriting, the generic-entry completeness jump, NOP fill
 //! and inline-below-call-site images are all *facts about an
 //! instruction set*: how wide a `call rel32` is, how its displacement is
 //! computed, what bytes a NOP sled uses, what byte a planted trap is.
-//! [`Backend`] owns those facts; [`Mv64Backend`] is the reference
-//! implementation, extracted verbatim from the encoders that used to be
-//! scattered across `mvrt::patch` and `mvc::codegen`. Everything above
-//! this module (the runtime's transactions, quiesce protocols and the
-//! compiler's call-site padding) talks to a `&dyn Backend` and never
-//! names `CALL_SITE_LEN` or a raw opcode again.
+//! [`MV64`] owns those facts. Everything above this module (the
+//! runtime's transactions, quiesce protocols and the compiler's
+//! call-site padding) calls it and never names `CALL_SITE_LEN` or a raw
+//! opcode again.
 //!
-//! The trait-level invariants (see DESIGN.md "Backend contract"):
+//! The invariants (see DESIGN.md "Patch ABI contract"):
 //!
-//! * **Call-site width** — [`Backend::call_site_len`] bytes hold a whole
+//! * **Call-site width** — [`Mv64Abi::call_site_len`] bytes hold a whole
 //!   `call rel32`; every recorded call site and every generic function
 //!   entry is at least this wide.
-//! * **Entry-jump atomicity** — [`Backend::encode_jmp`] produces exactly
+//! * **Entry-jump atomicity** — [`Mv64Abi::encode_jmp`] produces exactly
 //!   `call_site_len` bytes, so redirecting a generic entry is one
 //!   contiguous write covered by one journal span.
-//! * **Inline-size rule** — [`Backend::inline_image`] only accepts
+//! * **Inline-size rule** — [`Mv64Abi::inline_image`] only accepts
 //!   bodies that fit the site and pads the rest with
-//!   [`Backend::nop_fill`], so an inlined variant never overwrites
+//!   [`Mv64Abi::nop_fill`], so an inlined variant never overwrites
 //!   neighboring instructions.
 //! * **Reach checking** — displacements are validated against the ±2 GiB
 //!   `rel32` field by [`checked_rel32`] (the one shared implementation)
@@ -30,7 +28,7 @@
 
 use crate::insn::Insn;
 
-/// Errors a backend can report while constructing patch images.
+/// Errors the ABI reports while constructing patch images.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AbiError {
     /// A `rel32` displacement from `site` to `target` does not fit the
@@ -78,56 +76,72 @@ pub fn checked_rel32(next: u64, target: u64) -> Option<i32> {
     i32::try_from(target as i128 - next as i128).ok()
 }
 
-/// Everything ISA-specific the patching layers need. See the module docs
-/// for the invariants each method must uphold.
-///
-/// Backends are stateless encoders, so the trait demands `Send + Sync`:
-/// runtimes store them behind shared handles and the commit daemon moves
-/// whole runtimes across threads.
-pub trait Backend: Send + Sync {
-    /// Backend name (for reports and the `--backend` CLI flag).
-    fn name(&self) -> &'static str;
+/// The MV64 encodings the patching layers need: 5-byte `call
+/// rel32`/`jmp rel32`, 1- and N-byte NOP encodings, a one-byte trap.
+/// See the module docs for the invariants each method upholds.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Mv64Abi;
 
+/// The MV64 ABI value every caller goes through (`MV64.encode_call(..)`).
+pub const MV64: Mv64Abi = Mv64Abi;
+
+impl Mv64Abi {
     /// Width in bytes of a patchable call site: one whole `call rel32`.
-    fn call_site_len(&self) -> usize;
+    pub fn call_site_len(&self) -> usize {
+        crate::CALL_SITE_LEN
+    }
 
     /// Longest instruction encoding this ISA produces — how many bytes a
     /// decoder may need to look at.
-    fn max_insn_len(&self) -> usize;
+    pub fn max_insn_len(&self) -> usize {
+        16
+    }
 
     /// The one-byte trap instruction planted by the breakpoint quiesce
     /// protocol (`int3` on x86, `OP_TRAP` on MV64).
-    fn trap_byte(&self) -> u8;
+    pub fn trap_byte(&self) -> u8 {
+        crate::encode::OP_TRAP
+    }
 
     /// Checked `rel32` displacement for a `call_site_len`-byte
     /// instruction at `at` reaching `target`.
-    fn rel32(&self, at: u64, target: u64) -> Result<i32, AbiError> {
+    pub fn rel32(&self, at: u64, target: u64) -> Result<i32, AbiError> {
         at.checked_add(self.call_site_len() as u64)
             .and_then(|next| checked_rel32(next, target))
             .ok_or(AbiError::DisplacementOutOfRange { site: at, target })
     }
 
     /// Resolved target of a `call rel32` whose encoding starts at `site`.
-    fn call_target(&self, site: u64, rel: i32) -> u64 {
+    pub fn call_target(&self, site: u64, rel: i32) -> u64 {
         (site + self.call_site_len() as u64).wrapping_add(rel as i64 as u64)
     }
 
     /// Encodes a `call rel32` at `site` aimed at `target`. Exactly
-    /// [`Backend::call_site_len`] bytes.
-    fn encode_call(&self, site: u64, target: u64) -> Result<Vec<u8>, AbiError>;
+    /// [`Mv64Abi::call_site_len`] bytes.
+    pub fn encode_call(&self, site: u64, target: u64) -> Result<Vec<u8>, AbiError> {
+        Ok(crate::encode(&Insn::CallRel {
+            rel: self.rel32(site, target)?,
+        }))
+    }
 
     /// Encodes the generic-entry completeness `jmp rel32` at `at` aimed
-    /// at `target`. Exactly [`Backend::call_site_len`] bytes.
-    fn encode_jmp(&self, at: u64, target: u64) -> Result<Vec<u8>, AbiError>;
+    /// at `target`. Exactly [`Mv64Abi::call_site_len`] bytes.
+    pub fn encode_jmp(&self, at: u64, target: u64) -> Result<Vec<u8>, AbiError> {
+        Ok(crate::encode(&Insn::Jmp {
+            rel: self.rel32(at, target)?,
+        }))
+    }
 
     /// A `len`-byte sled of NOP instructions.
-    fn nop_fill(&self, len: usize) -> Vec<u8>;
+    pub fn nop_fill(&self, len: usize) -> Vec<u8> {
+        crate::nop_fill(len)
+    }
 
     /// The byte image for inlining `body` (already stripped of its final
     /// return) into a site of `site_len` bytes, NOP-padded to exactly
     /// `site_len`. An empty body yields a pure NOP sled (Fig. 3 c); an
     /// oversized body is [`AbiError::InlineTooLarge`].
-    fn inline_image(&self, body: &[u8], site_len: usize) -> Result<Vec<u8>, AbiError> {
+    pub fn inline_image(&self, body: &[u8], site_len: usize) -> Result<Vec<u8>, AbiError> {
         if body.len() > site_len {
             return Err(AbiError::InlineTooLarge {
                 body: body.len(),
@@ -141,55 +155,12 @@ pub trait Backend: Send + Sync {
 
     /// Pads a just-generated function body so its entry can later hold
     /// the completeness jump: extends `bytes` with NOP fill up to
-    /// [`Backend::call_site_len`] if it is shorter (the codegen-side
+    /// [`Mv64Abi::call_site_len`] if it is shorter (the codegen-side
     /// half of the entry-jump invariant).
-    fn pad_entry(&self, bytes: &mut Vec<u8>) {
+    pub fn pad_entry(&self, bytes: &mut Vec<u8>) {
         if bytes.len() < self.call_site_len() {
-            let fill = self.nop_fill(self.call_site_len() - bytes.len());
-            bytes.extend(fill);
+            bytes.extend(self.nop_fill(self.call_site_len() - bytes.len()));
         }
-    }
-}
-
-/// The MV64 reference backend: 5-byte `call rel32`/`jmp rel32`, 1- and
-/// N-byte NOP encodings, `0xCC`-style one-byte trap.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Mv64Backend;
-
-/// The MV64 backend as a shareable trait object.
-pub const MV64: &dyn Backend = &Mv64Backend;
-
-impl Backend for Mv64Backend {
-    fn name(&self) -> &'static str {
-        "mv64"
-    }
-
-    fn call_site_len(&self) -> usize {
-        crate::CALL_SITE_LEN
-    }
-
-    fn max_insn_len(&self) -> usize {
-        16
-    }
-
-    fn trap_byte(&self) -> u8 {
-        crate::encode::OP_TRAP
-    }
-
-    fn encode_call(&self, site: u64, target: u64) -> Result<Vec<u8>, AbiError> {
-        Ok(crate::encode(&Insn::CallRel {
-            rel: self.rel32(site, target)?,
-        }))
-    }
-
-    fn encode_jmp(&self, at: u64, target: u64) -> Result<Vec<u8>, AbiError> {
-        Ok(crate::encode(&Insn::Jmp {
-            rel: self.rel32(at, target)?,
-        }))
-    }
-
-    fn nop_fill(&self, len: usize) -> Vec<u8> {
-        crate::nop_fill(len)
     }
 }
 
@@ -307,6 +278,5 @@ mod tests {
     fn trap_byte_is_the_trap_opcode() {
         assert_eq!(MV64.trap_byte(), crate::encode::OP_TRAP);
         assert_eq!(MV64.max_insn_len(), 16);
-        assert_eq!(MV64.name(), "mv64");
     }
 }

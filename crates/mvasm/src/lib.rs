@@ -33,7 +33,7 @@ pub mod encode;
 pub mod insn;
 pub mod reg;
 
-pub use abi::{AbiError, Backend, Mv64Backend, MV64};
+pub use abi::{AbiError, Mv64Abi, MV64};
 pub use asm::{Assembler, Fixup, FixupKind};
 pub use decode::{decode, DecodeError};
 pub use disasm::disasm;

@@ -52,7 +52,6 @@
 //! PV-Ops case study) are handled by the same call-site patcher; see
 //! [`fnptr`].
 
-pub mod backend;
 pub mod error;
 pub mod fnptr;
 pub mod journal;
@@ -64,7 +63,6 @@ pub mod runtime;
 pub mod stats;
 pub mod txn;
 
-pub use backend::{HostTierBackend, Mv64RtBackend, RtBackend};
 pub use error::{CommitPhase, RtError};
 pub use journal::{Journal, JournalEntry};
 pub use metrics::RtMetrics;

@@ -7,7 +7,6 @@
 //! pass performs it; any apply failure rolls the journal back so the
 //! text segment is left byte-identical to its pre-call state.
 
-use crate::backend::{Mv64RtBackend, RtBackend};
 use crate::error::RtError;
 use crate::journal::Journal;
 use crate::patch::{insn_at, PageBatch};
@@ -19,9 +18,8 @@ use mvobj::descriptor::{
 };
 use mvobj::{Executable, SEC_MV_CALLSITES, SEC_MV_FUNCTIONS, SEC_MV_VARIABLES};
 use mvtrace::{EventKind, TraceRing};
-use mvvm::Machine;
+use mvvm::{ExecTier, Machine};
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How commits install variants — the §7.1 design-space ablation.
@@ -138,10 +136,13 @@ pub struct Runtime {
     /// (default: off — commits then pay one branch per operation and
     /// nothing else).
     pub metrics: Option<crate::metrics::RtMetrics>,
-    /// The runtime backend, whose post-commit sync hook runs after every
-    /// successful operation (default: [`Mv64RtBackend`]).
-    pub(crate) backend: Arc<dyn RtBackend>,
 }
+
+// The commit daemon moves whole runtimes across threads.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<Runtime>();
+};
 
 impl Runtime {
     /// Parses the descriptor sections out of the loaded image and verifies
@@ -173,7 +174,7 @@ impl Runtime {
         let mut sites = Vec::with_capacity(site_descs.len());
         let mut sites_of: HashMap<u64, Vec<usize>> = HashMap::new();
         for desc in site_descs {
-            let insn = insn_at(m, MV64, desc.site)?;
+            let insn = insn_at(m, desc.site)?;
             let len = match insn {
                 Insn::CallRel { rel } => {
                     let t = MV64.call_target(desc.site, rel);
@@ -241,30 +242,36 @@ impl Runtime {
             tracer: None,
             last_timing: PatchTiming::default(),
             metrics: None,
-            backend: Arc::new(Mv64RtBackend),
         })
     }
 
-    /// Installs a runtime backend (see [`crate::backend`]). Takes
-    /// effect on the next operation; for the native-tier backend the
-    /// first post-commit sync lowers the machine's live bodies. Call
-    /// [`Runtime::sync_backend`] to reconcile immediately.
-    pub fn set_backend(&mut self, backend: Arc<dyn RtBackend>) {
-        self.backend = backend;
-    }
-
-    /// Name of the installed backend (`"mv64"` unless changed).
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
-    }
-
-    /// Runs the backend's post-commit sync hook immediately — the same
-    /// reconciliation every successful commit performs. Useful right
-    /// after [`Runtime::set_backend`] so the machine does not wait for
-    /// the first commit to pick up the tier.
-    pub fn sync_backend(&mut self, m: &mut Machine) {
-        let b = Arc::clone(&self.backend);
-        b.sync(m, self);
+    /// Keeps the machine's native regions on the live bindings: on
+    /// [`ExecTier::Native`] the live entry of every multiversed function
+    /// (the committed variant, or the generic body under fallback) gets a
+    /// lowered region and regions rooted anywhere else are dropped. On
+    /// any other tier it does nothing. Every successful transaction runs
+    /// it, unicore and quiesced alike.
+    pub fn sync_native(&self, m: &mut Machine) {
+        if m.tier() != ExecTier::Native {
+            return;
+        }
+        // A Variant binding means calls land on the variant directly
+        // (patched sites) or through the entry jump, which itself stays
+        // on the block engine, so entry jumps need no chasing.
+        let live: Vec<u64> = self
+            .fns
+            .iter()
+            .map(|f| match f.binding {
+                FnBinding::Variant(v) => v,
+                FnBinding::Generic => f.desc.generic,
+            })
+            .collect();
+        m.retain_native(|entry| live.contains(&entry));
+        for &entry in &live {
+            // Best-effort: a body the lowerer cannot digest stays on the
+            // block engine, which runs it identically.
+            m.ensure_native(entry);
+        }
     }
 
     /// Registers the `mv_rt_*` metric family in `registry` and starts

@@ -25,7 +25,6 @@ use mvobj::descriptor::NOT_INLINABLE;
 use mvobj::Prot;
 use mvtrace::{EventKind, Phase as TracePhase};
 use mvvm::{Machine, MemError, PAGE_SIZE};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Bounded retry for transient apply-phase faults.
@@ -692,10 +691,12 @@ impl Runtime {
                 size: f.desc.generic_size,
             });
         }
-        // Entry prologue must be readable, executable text, and the
-        // variant must be within rel32 reach of the entry jump.
+        // Entry prologue must be readable, executable text, the variant
+        // entry executable text too, and the variant within rel32 reach
+        // of the entry jump.
         m.mem.read_vec(f.desc.generic, MV64.call_site_len())?;
         self.check_exec(m, f.desc.generic)?;
+        self.check_exec(m, v.addr)?;
         MV64.encode_jmp(f.desc.generic, v.addr)?;
         // The variant body must be readable if it may be inlined.
         let may_inline = self.inline_enabled && v.inline_len != NOT_INLINABLE;
@@ -921,12 +922,10 @@ impl Runtime {
                 other => break other,
             }
         };
-        // Backend post-commit hook: the image and bookkeeping are final
-        // for this operation, so the backend may reconcile tier state
-        // (e.g. re-lower native regions) against the new bindings.
+        // The image and bookkeeping are final for this operation: move
+        // the native regions onto the new bindings.
         if result.is_ok() {
-            let b = Arc::clone(&self.backend);
-            b.sync(m, self);
+            self.sync_native(m);
         }
         self.emit(|| EventKind::CommitEnd { ok: result.is_ok() });
         let (stats, timing) = (self.stats, self.last_timing);

@@ -125,16 +125,21 @@ fn mv_fixture() -> (Machine, Executable, Runtime) {
 
 /// [`mv_fixture`] with the descriptor's `generic_size` overridden.
 fn mv_fixture_with_generic_size(generic_size: Option<u32>) -> (Machine, Executable, Runtime) {
-    let exe = link(&[mv_object(generic_size, 4)], &Layout::default()).unwrap();
+    boot(mv_object(generic_size, 4, "mv.A=1"))
+}
+
+fn boot(o: Object) -> (Machine, Executable, Runtime) {
+    let exe = link(&[o], &Layout::default()).unwrap();
     let mut m = Machine::new(CostModel::default(), MachineConfig::default());
     m.load(&exe);
     let rt = Runtime::attach(&m, &exe).unwrap();
     (m, exe, rt)
 }
 
-/// The object behind [`mv_fixture`], with `generic_size` overridden and
-/// switch `A` described as `width` bytes wide.
-fn mv_object(generic_size: Option<u32>, width: u32) -> Object {
+/// The object behind [`mv_fixture`], with `generic_size` overridden,
+/// switch `A` described as `width` bytes wide and the `A=1` variant
+/// descriptor naming symbol `a1`.
+fn mv_object(generic_size: Option<u32>, width: u32, a1: &str) -> Object {
     let mut o = Object::new("t");
     o.define_bss("A", 4);
     let mut a = Assembler::new();
@@ -198,7 +203,7 @@ fn mv_object(generic_size: Option<u32>, width: u32) -> Object {
                     }],
                 },
                 VariantDescSym {
-                    symbol: "mv.A=1".into(),
+                    symbol: a1.into(),
                     body_size: 11,
                     inline_len: NOT_INLINABLE,
                     guards: vec![GuardSym {
@@ -218,7 +223,7 @@ fn switch_of_unsupported_width_is_rejected() {
     // The VM loads and stores 1, 2, 4 or 8 bytes; a commit reading a
     // switch of any other width must never be reached.
     for width in [0, 16] {
-        let err = attach(mv_object(None, width)).err();
+        let err = attach(mv_object(None, width, "mv.A=1")).err();
         assert!(
             matches!(err, Some(RtError::Desc(_))),
             "width {width}: {err:?}"
@@ -437,4 +442,27 @@ fn generic_too_small_for_the_entry_jump_fails_validation() {
     assert_eq!(rt.stats.journal_entries, 0);
     assert_eq!(rt.stats.bytes_written, 0);
     assert_eq!(text_snapshot(&m, &exe), pristine);
+}
+
+#[test]
+fn variant_entry_outside_text_fails_validation() {
+    // A variant descriptor naming the `.bss` switch itself attaches: the
+    // descriptor is well-formed. Committing it would send every call into
+    // non-executable memory, so validation must refuse the install
+    // before anything is written.
+    let (mut m, exe, mut rt) = boot(mv_object(None, 4, "A"));
+    let a = exe.symbol("A").unwrap();
+    rt.write_switch(&mut m, a, 1).unwrap();
+    let pristine = text_snapshot(&m, &exe);
+    let err = rt.commit(&mut m).unwrap_err();
+    assert_eq!(err.commit_phase(), Some(CommitPhase::Validate), "{err:?}");
+    assert!(
+        matches!(err.root_cause(), RtError::SiteVerifyFailed { site, .. } if *site == a),
+        "{err:?}"
+    );
+    assert_eq!(rt.stats.journal_entries, 0);
+    assert_eq!(rt.stats.bytes_written, 0);
+    assert_eq!(text_snapshot(&m, &exe), pristine);
+    // The generic body stays live and reads the switch.
+    assert_eq!(m.call(exe.symbol("caller").unwrap(), &[]).unwrap(), 1);
 }

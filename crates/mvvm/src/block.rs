@@ -9,19 +9,21 @@
 //! traces and profiles are byte-identical to tierless execution by
 //! construction — the block layer memoizes *decode*, never semantics.
 //!
-//! Invalidation is precise, driven by the same per-page `code_version`
-//! generations the per-instruction decode cache uses, through the
-//! [`PageGens`] record that blocks and lowered native regions share:
+//! Invalidation is precise, driven by per-page text generations
+//! ([`crate::Memory::text_gen`]) through the [`PageGens`] record that
+//! blocks and lowered native regions share:
 //!
 //! * every block records the generation of **every page any of its
 //!   instruction encodings touches** (an instruction straddling a page
 //!   boundary contributes both pages);
 //! * in normal (non-sticky) mode a block is served only while all its
-//!   recorded generations still match — a commit patch followed by
-//!   [`crate::Memory::flush_icache`] invalidates exactly the blocks whose
-//!   pages were flushed, nothing else. The [`crate::Memory::flush_epoch`]
-//!   counter provides an O(1) "nothing flushed since validation" fast
-//!   path;
+//!   recorded generations still match — a commit patch invalidates
+//!   exactly the blocks on the pages it wrote or flushed, nothing else.
+//!   An unflushed write sends a block back through the decode cache,
+//!   which still serves the stale decodes, so the re-recorded block is
+//!   exactly as stale as tierless execution. The
+//!   [`crate::Memory::text_epoch`] counter provides an O(1) "nothing
+//!   written or flushed since validation" fast path;
 //! * in sticky-icache mode (the SMP machine's private per-CPU icaches)
 //!   version checks are skipped entirely; only an explicit shootdown
 //!   ([`crate::SmpMachine::flush_remote`] →
@@ -52,8 +54,8 @@ pub enum ExecTier {
     Superblock,
     /// Tier 2: superblock behavior plus pre-lowered whole-function
     /// regions ([`crate::native`]) for explicitly registered entries —
-    /// the host-closure tier the `native` runtime backend drives through
-    /// the commit protocol.
+    /// the host-closure tier an attached runtime keeps on the live
+    /// variants after every commit.
     Native,
 }
 
@@ -158,54 +160,55 @@ impl DecodedBlock {
 }
 
 /// The code generations a memoized translation was built from: the
-/// `(page_number, code_version)` of every page any of its instruction
-/// encodings touches, plus the [`Memory::flush_epoch`] at the last
+/// `(page_number, text_gen)` of every page any of its instruction
+/// encodings touches, plus the [`Memory::text_epoch`] at the last
 /// successful validation. Blocks and lowered native regions share this
-/// one validity rule, so a flush invalidates both tiers in lockstep.
+/// one validity rule, so a text write or a flush invalidates both tiers
+/// in lockstep.
 #[derive(Default)]
 pub struct PageGens {
     pages: Vec<(u64, u64)>,
-    /// While the global flush epoch still matches, no page generation
+    /// While the global text epoch still matches, no page generation
     /// anywhere can have moved, so the per-page comparison is skipped.
     epoch: Cell<u64>,
 }
 
 impl PageGens {
-    /// An empty record stamped with `mem`'s current flush epoch.
+    /// An empty record stamped with `mem`'s current text epoch.
     pub(crate) fn new(mem: &Memory) -> PageGens {
         PageGens {
             pages: Vec::new(),
-            epoch: Cell::new(mem.flush_epoch()),
+            epoch: Cell::new(mem.text_epoch()),
         }
     }
 
     /// Records the current generation of every page the `len`-byte
     /// encoding at `pc` touches (deduplicated) — a straddling
-    /// instruction contributes both its pages, so flushing either one
-    /// invalidates the translation.
+    /// instruction contributes both its pages, so writing or flushing
+    /// either one invalidates the translation.
     pub(crate) fn record(&mut self, mem: &Memory, pc: u64, len: usize) {
         let first = pc / PAGE_SIZE;
         let last = (pc + len as u64 - 1) / PAGE_SIZE;
         for page in first..=last {
             if !self.pages.iter().any(|&(p, _)| p == page) {
-                self.pages.push((page, mem.code_version(page * PAGE_SIZE)));
+                self.pages.push((page, mem.text_gen(page * PAGE_SIZE)));
             }
         }
     }
 
     /// `true` while every recorded page keeps its generation, with an
-    /// O(1) fast path when nothing was flushed since the last successful
-    /// validation.
+    /// O(1) fast path when no text was written or flushed since the last
+    /// successful validation.
     #[inline]
     pub(crate) fn valid(&self, mem: &Memory) -> bool {
-        let epoch = mem.flush_epoch();
+        let epoch = mem.text_epoch();
         if self.epoch.get() == epoch {
             return true;
         }
         if self
             .pages
             .iter()
-            .all(|&(page, ver)| mem.code_version(page * PAGE_SIZE) == ver)
+            .all(|&(page, gen)| mem.text_gen(page * PAGE_SIZE) == gen)
         {
             self.epoch.set(epoch);
             return true;
@@ -336,6 +339,11 @@ mod tests {
         mem.flush_icache(0x3000, 1); // another page: epoch moves, gens hold
         assert!(gens.valid(&mem));
         mem.flush_icache(0x2000, 1); // the straddled tail page
+        assert!(!gens.valid(&mem));
+        let mut gens = PageGens::new(&mem);
+        gens.record(&mem, 0x2000, 4);
+        mem.mprotect(0x2000, 1, mvobj::Prot::RW).unwrap();
+        mem.write(0x2000, &[0]).unwrap(); // an unflushed text write
         assert!(!gens.valid(&mem));
     }
 }

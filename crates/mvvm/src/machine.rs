@@ -494,11 +494,7 @@ impl Machine {
             // version counter — only an explicit shootdown
             // (invalidate_decode_*) evicts, exactly the staleness a
             // missing cross-CPU IPI leaves behind.
-            //
-            // Otherwise *every* page the encoding touches must still be
-            // at its recorded generation: an instruction straddling a
-            // page boundary is stale as soon as either page is flushed.
-            if self.sticky_icache || (v0 == version && v1 == self.tail_version(pc, insn, version)) {
+            if self.sticky_icache || self.decode_fresh(pc, (insn, v0, v1), version) {
                 return Ok(insn);
             }
         }
@@ -506,6 +502,15 @@ impl Machine {
         self.decode_cache
             .insert(pc, (insn, version, self.tail_version(pc, insn, version)));
         Ok(insn)
+    }
+
+    /// `true` while *every* page the cached decode at `pc` touches is
+    /// still at its recorded generation (`version` is the head page's
+    /// current one): an instruction straddling a page boundary is stale
+    /// as soon as either page is flushed.
+    #[inline(always)]
+    fn decode_fresh(&self, pc: u64, (insn, v0, v1): CachedDecode, version: u64) -> bool {
+        v0 == version && v1 == self.tail_version(pc, insn, version)
     }
 
     /// `code_version` of the page holding the last byte of `insn`'s
@@ -891,13 +896,22 @@ impl Machine {
             let pc = self.cpu.pc;
             let Some(&bi) = nf.by_pc.get(&pc) else { break };
             let b = &nf.blocks[bi];
-            if b.insns as u64 > budget - retired {
+            if b.ops.len() as u64 > budget - retired {
                 break;
             }
             if retired > 0 && !nf.pages.valid(&self.mem) {
                 break;
             }
             runs += 1;
+            if !b.fetched.get() {
+                let (n, r) = self.run_native_first(b);
+                retired += n;
+                if r.is_err() {
+                    result = r;
+                    break;
+                }
+                continue;
+            }
             for seg in &b.segs {
                 match seg {
                     Seg::Fast(fs) => {
@@ -924,6 +938,25 @@ impl Machine {
         self.natives.stats.runs += runs;
         self.natives.stats.insns += retired;
         (retired, result)
+    }
+
+    /// The first run of lowered block `b`: each op enters the decode
+    /// cache, then retires through [`Machine::exec_insn`] — the fetches
+    /// tierless execution makes, so an unflushed patch later finds the
+    /// same stale decodes whichever tier ran the code. Marks `b` fetched
+    /// once the whole block retired.
+    #[cold]
+    fn run_native_first(&mut self, b: &crate::native::NativeBlock) -> (u64, Result<(), Fault>) {
+        for (i, &(pc, insn)) in b.ops.iter().enumerate() {
+            let version = self.mem.code_version(pc);
+            self.decode_cache
+                .insert(pc, (insn, version, self.tail_version(pc, insn, version)));
+            if let Err(f) = self.exec_insn(pc, insn) {
+                return (i as u64, Err(f));
+            }
+        }
+        b.fetched.set(true);
+        (b.ops.len() as u64, Ok(()))
     }
 
     /// One micro-op of a native fast segment. ALU values come from
@@ -988,8 +1021,10 @@ impl Machine {
     /// Lowers and registers the function region at `entry` for the
     /// native tier, if it is not already covered by a valid region.
     /// Returns `false` when nothing executable could be lowered there.
-    /// Idempotent; the `native` runtime backend calls this from its
-    /// post-commit sync for every installed variant.
+    /// Idempotent; an attached runtime calls this after every commit for
+    /// every live function body. Each pc is read through the decode
+    /// cache while that holds a valid entry, so a region never decodes
+    /// ahead of the icache model.
     pub fn ensure_native(&mut self, entry: u64) -> bool {
         if let Some(nf) = self.natives.get(entry).cloned() {
             if nf.pages.valid(&self.mem) {
@@ -997,7 +1032,14 @@ impl Machine {
             }
             self.natives.invalidate_region(nf.entry);
         }
-        match crate::native::lower(&self.mem, entry) {
+        let decode = |pc| {
+            let version = self.mem.code_version(pc);
+            match self.decode_cache.get(&pc) {
+                Some(&d) if self.decode_fresh(pc, d, version) => Some(d.0),
+                _ => self.mem.fetch_insn(pc).ok(),
+            }
+        };
+        match crate::native::lower(&self.mem, entry, decode) {
             Some(nf) => {
                 self.natives.register(Rc::new(nf));
                 true
@@ -1007,7 +1049,7 @@ impl Machine {
     }
 
     /// Drops lowered regions whose registered entry fails `keep` (the
-    /// reconciliation half of the `native` backend's post-commit sync).
+    /// reconciliation half of the runtime's post-commit native sync).
     pub fn retain_native(&mut self, keep: impl Fn(u64) -> bool) {
         self.natives.retain_regions(keep);
     }
@@ -1902,15 +1944,21 @@ mod tests {
 
     #[test]
     fn tiered_staleness_matches_tierless() {
-        // The stale-icache discipline must survive the block tiers: a
-        // patch without a flush stays stale, the flush makes exactly the
-        // patched code fresh.
-        for tier in [
-            ExecTier::Tierless,
-            ExecTier::Block,
-            ExecTier::Superblock,
-            ExecTier::Native,
-        ] {
+        // The stale-icache discipline must survive every tier: a patch
+        // without a flush stays stale exactly where tierless execution
+        // already decoded the old bytes, and the flush makes exactly the
+        // patched code fresh. On the native tier `lower` registers a
+        // region at `f` wherever the scenario says so; the other tiers
+        // must observe the same values without one.
+        #[derive(Clone, Copy)]
+        enum Step {
+            Call,
+            Write,
+            Flush,
+            Lower,
+        }
+        use Step::*;
+        let run = |tier: ExecTier, steps: &[Step]| -> Vec<u64> {
             let mut a = mvasm::Assembler::new();
             a.label("f");
             a.mov_ri(Reg::R0, 1);
@@ -1922,21 +1970,44 @@ mod tests {
             let mut m = Machine::boot(&exe);
             m.set_tier(tier);
             let f = exe.symbol("f").unwrap();
-            if tier == ExecTier::Native {
-                assert!(m.ensure_native(f), "lower the patch target");
+            let mut seen = Vec::new();
+            for step in steps {
+                match step {
+                    Call => seen.push(m.call(f, &[]).unwrap()),
+                    Write => {
+                        let patched = mvasm::encode(&Insn::MovRI {
+                            dst: Reg::R0,
+                            imm: 2,
+                        });
+                        m.mem.mprotect(f, 16, mvobj::Prot::RW).unwrap();
+                        m.mem.write(f, &patched).unwrap();
+                        m.mem.mprotect(f, 16, mvobj::Prot::RX).unwrap();
+                    }
+                    Flush => m.mem.flush_icache(f, 16),
+                    Lower if tier == ExecTier::Native => assert!(m.ensure_native(f)),
+                    Lower => {}
+                }
             }
-            assert_eq!(m.call(f, &[]).unwrap(), 1, "{tier}");
-
-            let patched = mvasm::encode(&Insn::MovRI {
-                dst: Reg::R0,
-                imm: 2,
-            });
-            m.mem.mprotect(f, 16, mvobj::Prot::RW).unwrap();
-            m.mem.write(f, &patched).unwrap();
-            m.mem.mprotect(f, 16, mvobj::Prot::RX).unwrap();
-            assert_eq!(m.call(f, &[]).unwrap(), 1, "{tier}: must stay stale");
-            m.mem.flush_icache(f, 16);
-            assert_eq!(m.call(f, &[]).unwrap(), 2, "{tier}: flush must refresh");
+            seen
+        };
+        for (steps, want) in [
+            // Decoded before the write: stale until the flush.
+            (&[Lower, Call, Write, Call, Flush, Call][..], &[1, 1, 2][..]),
+            // Lowered after an unflushed write over a decoded body: the
+            // region must take the stale decode, not the new bytes.
+            (&[Call, Write, Lower, Call], &[1, 1]),
+            // Written after lowering but before any fetch: the first
+            // fetch sees the new bytes, so the region must not run.
+            (&[Lower, Write, Call], &[2]),
+        ] {
+            for tier in [
+                ExecTier::Tierless,
+                ExecTier::Block,
+                ExecTier::Superblock,
+                ExecTier::Native,
+            ] {
+                assert_eq!(run(tier, steps), want, "{tier}");
+            }
         }
     }
 }

@@ -60,6 +60,10 @@ struct Page {
     /// instructions visible — exactly the hazard the paper's run-time
     /// library avoids by flushing after patching (§4).
     code_version: u64,
+    /// Bumped by every flush *and* every write while the page is text:
+    /// the generation a translation of the page's bytes (a decoded block
+    /// or a lowered native region) keys on (see [`Memory::text_gen`]).
+    text_gen: u64,
     /// Set once the page has ever been mapped or mprotected executable,
     /// never cleared. Distinguishes patching-path writes (which fault
     /// plans target) from ordinary guest data stores even while the
@@ -73,6 +77,7 @@ impl Page {
             bytes: vec![0u8; PAGE_SIZE as usize].into_boxed_slice(),
             prot,
             code_version: 0,
+            text_gen: 0,
             text: prot.exec,
         }
     }
@@ -86,6 +91,9 @@ pub struct Memory {
     /// Bumped by every icache flush that takes effect (see
     /// [`Memory::flush_epoch`]).
     flush_epoch: u64,
+    /// Bumped whenever any page's `text_gen` moves (see
+    /// [`Memory::text_epoch`]).
+    text_epoch: u64,
 }
 
 impl Memory {
@@ -254,11 +262,13 @@ impl Memory {
             return;
         }
         self.flush_epoch += 1;
+        self.text_epoch += 1;
         let first = Self::page_no(addr);
         let last = Self::page_no(addr.saturating_add(len - 1));
         for p in first..=last {
             if let Some(page) = self.pages.get_mut(&p) {
                 page.code_version += 1;
+                page.text_gen += 1;
             }
         }
     }
@@ -276,6 +286,24 @@ impl Memory {
         self.pages
             .get(&Self::page_no(addr))
             .map_or(0, |p| p.code_version)
+    }
+
+    /// Text generation of the page containing `addr` (0 for unmapped):
+    /// moves on every flush of the page and every write to it while it
+    /// is text. The decode cache models an icache and keys on
+    /// [`Memory::code_version`], so an unflushed patch leaves its decodes
+    /// stale; translations built from those decodes key on this, so the
+    /// same patch sends them back through the decode cache.
+    pub fn text_gen(&self, addr: u64) -> u64 {
+        self.pages
+            .get(&Self::page_no(addr))
+            .map_or(0, |p| p.text_gen)
+    }
+
+    /// Monotonic count of [`Memory::text_gen`] moves anywhere: while it
+    /// stands still, no page's text generation can have changed.
+    pub fn text_epoch(&self) -> u64 {
+        self.text_epoch
     }
 
     /// Checks every page of `[addr, addr+len)` before anything is
@@ -324,6 +352,10 @@ impl Memory {
         while done < data.len() {
             let a = addr + done as u64;
             let page = self.pages.get_mut(&Self::page_no(a)).expect("checked");
+            if page.text {
+                page.text_gen += 1;
+                self.text_epoch += 1;
+            }
             let po = (a % PAGE_SIZE) as usize;
             let n = (data.len() - done).min(PAGE_SIZE as usize - po);
             page.bytes[po..po + n].copy_from_slice(&data[done..done + n]);
@@ -367,13 +399,16 @@ impl Memory {
         if let Some(po) = Self::in_one_page(addr, data.len()) {
             let page = self.pages.get_mut(&Self::page_no(addr));
             let page = Self::permit(page, addr, Access::Write, |p| p.write)?;
-            if page.text
-                && self
+            if page.text {
+                if self
                     .fault
                     .as_mut()
                     .is_some_and(|plan| plan.trips(FaultOp::TextWrite, addr))
-            {
-                return Err(injected);
+                {
+                    return Err(injected);
+                }
+                page.text_gen += 1;
+                self.text_epoch += 1;
             }
             page.bytes[po..po + data.len()].copy_from_slice(data);
             return Ok(());
@@ -563,6 +598,25 @@ mod tests {
         m.flush_icache(0x1000, 1);
         assert_eq!(m.code_version(0x1000), 1);
         assert_eq!(m.code_version(0x1000 + PAGE_SIZE), 0);
+    }
+
+    #[test]
+    fn text_gen_moves_on_text_writes_and_flushes() {
+        let mut m = Memory::new();
+        m.map(0x1000, PAGE_SIZE, Prot::RW); // data: never text
+        m.map(0x2000, 2 * PAGE_SIZE, Prot::RX);
+        m.write(0x1000, &[1]).unwrap();
+        assert_eq!((m.text_gen(0x1000), m.text_epoch()), (0, 0));
+        m.mprotect(0x2000, 2 * PAGE_SIZE, Prot::RW).unwrap();
+        m.write(0x2000, &[1]).unwrap();
+        assert_eq!(m.text_gen(0x2000), 1, "an unflushed text write");
+        assert_eq!(m.code_version(0x2000), 0, "the icache still sees none");
+        m.write(0x3000 - 1, &[1, 2]).unwrap(); // straddles both text pages
+        assert_eq!((m.text_gen(0x2000), m.text_gen(0x3000)), (2, 1));
+        m.flush_icache(0x3000, 1);
+        assert_eq!(m.text_gen(0x3000), 2);
+        assert_eq!(m.text_epoch(), 4);
+        assert_eq!(m.flush_epoch(), 1, "only the flush counts as one");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! Where the block tiers ([`crate::block`]) *record* decode as a side
 //! effect of executing, this tier *lowers* statically: starting from a
 //! registered function entry it walks the reachable direct control flow
-//! (`jmp`, `jcc`, `call rel` and fallthrough edges) through
-//! [`crate::Memory::fetch`] and compiles every straight-line block into a
+//! (`jmp`, `jcc`, `call rel` and fallthrough edges) without executing
+//! anything and compiles every straight-line block into a
 //! [`NativeBlock`] — alternating [`Seg::Fast`] runs of packed
 //! [`MicroOp`]s with their cycle charges pre-classified, and
 //! [`Seg::Slow`] single instructions that replay through the one true
@@ -22,14 +22,21 @@
 //! subset (register-only, unfaultable, control-free), cycle charges are
 //! counted per original instruction class, and everything else — loads,
 //! stores, branches, calls, traps — goes through `exec_insn` unchanged.
-//! A lowered region is valid only while every page it was lowered from
-//! keeps its `code_version`; a commit patch invalidates the whole
-//! region and execution falls back to the block engine until the next
-//! successful commit re-registers it.
 //!
-//! Registration is explicit ([`crate::Machine::ensure_native`]): the
-//! `native` runtime backend drives it from the commit protocol, keeping
-//! the set of lowered regions in lockstep with the functions' installed
+//! Lowering never decodes ahead of the icache model: each instruction
+//! comes from the machine's decode cache while that holds a valid entry
+//! (a stale decode an unflushed patch left behind is what tierless
+//! execution would run), and from memory otherwise, without inserting
+//! anything. A block's first run inserts its decodes, as tierless
+//! execution fetching them would. A region is valid only while every
+//! page it was lowered from keeps its text generation
+//! ([`crate::Memory::text_gen`]): any write or flush there — a commit
+//! patch included — invalidates the whole region, and execution falls
+//! back to the block engine until the region is lowered again.
+//!
+//! Registration is explicit ([`crate::Machine::ensure_native`]): an
+//! attached runtime drives it from the commit protocol, keeping the set
+//! of lowered regions in lockstep with the functions' installed
 //! variants.
 
 use crate::block::PageGens;
@@ -37,6 +44,7 @@ use crate::fx::FxHashMap;
 use crate::mem::Memory;
 use crate::DecodedBlock;
 use mvasm::{AluOp, Cond, Insn};
+use std::cell::Cell;
 use std::collections::{HashSet, VecDeque};
 use std::rc::Rc;
 
@@ -232,8 +240,11 @@ pub struct NativeBlock {
     pub entry: u64,
     /// Segments in execution order.
     pub segs: Vec<Seg>,
-    /// Total guest instructions in the block.
-    pub insns: u32,
+    /// The lowered `(pc, insn)` trace the segments were built from.
+    pub ops: Box<[(u64, Insn)]>,
+    /// Set once a run retired the whole block, its decodes in the
+    /// decode cache.
+    pub fetched: Cell<bool>,
 }
 
 /// A lowered function region: every straight-line block reachable from
@@ -534,16 +545,17 @@ fn build_block(entry: u64, ops: &[(u64, Insn)]) -> NativeBlock {
     NativeBlock {
         entry,
         segs,
-        insns: ops.len() as u32,
+        ops: ops.into(),
+        fetched: Cell::new(false),
     }
 }
 
 /// Statically lowers the function region reachable from `entry`:
-/// breadth-first over direct control flow, fetching and decoding
-/// through `mem` without executing anything. Returns `None` when not
-/// even the entry block could be decoded (unmapped, non-executable, or
-/// an immediate decode error).
-pub fn lower(mem: &Memory, entry: u64) -> Option<NativeFn> {
+/// breadth-first over direct control flow, decoding each pc through
+/// `decode` without executing anything, and recording the generations
+/// of `mem`'s pages. Returns `None` when not even the entry block could
+/// be decoded (unmapped, non-executable, or an immediate decode error).
+pub fn lower(mem: &Memory, entry: u64, decode: impl Fn(u64) -> Option<Insn>) -> Option<NativeFn> {
     let mut blocks: Vec<NativeBlock> = Vec::new();
     let mut by_pc: FxHashMap<u64, usize> = FxHashMap::default();
     let mut pages = PageGens::new(mem);
@@ -563,7 +575,7 @@ pub fn lower(mem: &Memory, entry: u64) -> Option<NativeFn> {
                 succs.push(cur); // fallthrough continuation block
                 break;
             }
-            let Ok(insn) = mem.fetch_insn(cur) else {
+            let Some(insn) = decode(cur) else {
                 break;
             };
             pages.record(mem, cur, insn.len());
@@ -743,18 +755,7 @@ mod tests {
         pages.record(&mem, 0x1000, 1);
         let nf = Rc::new(NativeFn {
             entry: 0x1000,
-            blocks: vec![
-                NativeBlock {
-                    entry: 0x1000,
-                    segs: vec![],
-                    insns: 0,
-                },
-                NativeBlock {
-                    entry: 0x1040,
-                    segs: vec![],
-                    insns: 0,
-                },
-            ],
+            blocks: vec![build_block(0x1000, &[]), build_block(0x1040, &[])],
             by_pc: FxHashMap::default(),
             pages,
         });

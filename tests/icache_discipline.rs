@@ -46,14 +46,15 @@ fn buggy_patcher_without_flush_runs_stale_code() {
 /// machine semantics, so the tiered engines must reproduce it exactly:
 /// a cached block over the call site stays stale precisely as long as
 /// the cached per-instruction decode would, and the missing flush
-/// evicts both in lockstep.
+/// evicts both in lockstep. On the native tier the multiversed body
+/// runs as a lowered region on the patched page.
 #[test]
 fn stale_window_is_identical_at_every_tier() {
     use multiverse::mvvm::ExecTier;
     let program = Program::build(&[("t.c", SRC)]).unwrap();
     let run = |tier: ExecTier| {
         let mut w = program.boot();
-        w.machine.set_tier(tier);
+        w.set_tier(tier);
         // Warm caches hard enough to trigger superblock promotion.
         let warm: Vec<u64> = (0..12).map(|_| w.call("use_it", &[]).unwrap()).collect();
 
@@ -74,7 +75,7 @@ fn stale_window_is_identical_at_every_tier() {
     assert_eq!(base.0, vec![2; 12]);
     assert_eq!(base.1, 2, "stale until the flush");
     assert_eq!(base.2, 1, "fresh after the flush");
-    for tier in [ExecTier::Block, ExecTier::Superblock] {
+    for tier in [ExecTier::Block, ExecTier::Superblock, ExecTier::Native] {
         assert_eq!(run(tier), base, "{tier}: staleness window diverged");
     }
 }

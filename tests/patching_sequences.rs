@@ -334,7 +334,7 @@ fn smp_flip_run(
     let (taddr, tsize) = program.exe().section(multiverse::mvobj::SEC_TEXT);
     let mut w = program.boot_smp(vcpus);
     w.smp.set_seed(seed);
-    w.smp.set_tier(tier);
+    w.set_tier(tier);
     w.set("config_smp", 1).unwrap();
     w.spawn_all("worker", &[ITERS]).unwrap();
     let mut committed = false;
@@ -372,7 +372,7 @@ proptest! {
         seed in any::<u64>(),
         breakpoint in any::<bool>(),
         flips in 1usize..5,
-        tier_idx in 0usize..3,
+        tier_idx in 0usize..4,
     ) {
         use multiverse::mvrt::CommitStrategy;
         use multiverse::mvvm::ExecTier;
@@ -383,7 +383,12 @@ proptest! {
         } else {
             CommitStrategy::StopMachine
         };
-        let tier = [ExecTier::Tierless, ExecTier::Block, ExecTier::Superblock][tier_idx];
+        let tier = [
+            ExecTier::Tierless,
+            ExecTier::Block,
+            ExecTier::Superblock,
+            ExecTier::Native,
+        ][tier_idx];
         let program = smp_contention::build().unwrap();
         let (text, cycles, counter) = smp_flip_run(&program, vcpus, seed, strategy, flips, tier);
         prop_assert_eq!(counter, (vcpus as i64) * 64, "lost a locked increment");

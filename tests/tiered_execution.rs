@@ -5,7 +5,9 @@
 //! compiled programs, through real runtime commits/reverts, through
 //! quiesced concurrent commits, and through injected commit faults.
 //! The block layers memoize decode, never semantics; these tests are
-//! the contract.
+//! the contract. Tiers are set through [`multiverse::World::set_tier`]
+//! and [`SmpWorld::set_tier`], so on the native tier every commit
+//! re-lowers the live function bodies.
 
 use multiverse::mvasm::{self, Insn, Reg};
 use multiverse::mvobj::{self, link, Layout, Object, Prot, SectionKind, Symbol};
@@ -18,6 +20,8 @@ const VCPUS: usize = 4;
 const ITERS: u64 = 96;
 const WARM_ROUNDS: u64 = 6;
 const MAX_ROUNDS: u64 = 10_000_000;
+/// Every tier checked against the tierless oracle.
+const TIERED: [ExecTier; 3] = [ExecTier::Block, ExecTier::Superblock, ExecTier::Native];
 
 const SRC: &str = r#"
     multiverse bool fast;
@@ -32,14 +36,14 @@ const SRC: &str = r#"
 /// A full commit/revert life cycle on a compiled program: every call
 /// result, the cycle count and the machine [`Stats`] must be identical
 /// at every tier — the runtime's patches and icache flushes must
-/// invalidate blocks precisely enough that no stale variant survives
-/// and no fresh one appears early.
+/// invalidate blocks and native regions precisely enough that no stale
+/// variant survives and no fresh one appears early.
 #[test]
 fn compiled_program_commit_cycle_is_tier_invariant() {
     let program = Program::build(&[("t.c", SRC)]).unwrap();
-    let run = |tier: ExecTier| -> (Vec<u64>, u64, Stats, u64) {
+    let run = |tier: ExecTier| -> (Vec<u64>, u64, Stats, u64, u64) {
         let mut w = program.boot();
-        w.machine.set_tier(tier);
+        w.set_tier(tier);
         let mut results = Vec::new();
         for _ in 0..24 {
             results.push(w.call("use_it", &[]).unwrap());
@@ -58,26 +62,32 @@ fn compiled_program_commit_cycle_is_tier_invariant() {
             w.cycles(),
             w.machine.stats,
             w.machine.block_stats().hits,
+            w.machine.native_stats().insns,
         )
     };
-    let (base, cycles, stats, _) = run(ExecTier::Tierless);
+    let (base, cycles, stats, _, _) = run(ExecTier::Tierless);
     assert_eq!(&base[..24], &[2; 24], "generic before commit");
     assert_eq!(&base[24..48], &[1; 24], "variant after commit");
     assert_eq!(base[48], 1, "reverted generic still evaluates fast=1");
     assert_eq!(base[49], 2, "generic reads the switch dynamically again");
-    for tier in [ExecTier::Block, ExecTier::Superblock] {
-        let (r, c, s, hits) = run(tier);
+    for tier in TIERED {
+        let (r, c, s, hits, native_insns) = run(tier);
         assert_eq!(r, base, "{tier}: results diverged");
         assert_eq!(c, cycles, "{tier}: cycles diverged");
         assert_eq!(s, stats, "{tier}: stats diverged");
         assert!(hits > 0, "{tier}: repeated calls must replay blocks");
+        assert_eq!(
+            native_insns > 0,
+            tier == ExecTier::Native,
+            "{tier}: only the native tier runs lowered regions"
+        );
     }
 }
 
 fn boot_workers(p: &Program, tier: ExecTier, seed: u64) -> SmpWorld {
     let mut w = p.boot_smp(VCPUS);
     w.smp.set_seed(seed);
-    w.smp.set_tier(tier);
+    w.set_tier(tier);
     w.set("config_smp", 1).unwrap();
     w.spawn_all("worker", &[ITERS]).unwrap();
     for _ in 0..WARM_ROUNDS {
@@ -124,7 +134,7 @@ fn quiesced_commits_are_tier_invariant() {
             (VCPUS as i64) * (ITERS as i64),
             "{strategy}: tierless lost an increment"
         );
-        for tier in [ExecTier::Block, ExecTier::Superblock] {
+        for tier in TIERED {
             assert_eq!(run(tier), base, "{strategy} {tier}: diverged from tierless");
         }
     }
@@ -151,7 +161,7 @@ fn faulted_quiesced_commits_are_tier_invariant() {
         };
         let base = run(ExecTier::Tierless);
         assert_eq!(base.1, (VCPUS as i64) * (ITERS as i64), "{op:?}@{n}");
-        for tier in [ExecTier::Block, ExecTier::Superblock] {
+        for tier in TIERED {
             assert_eq!(run(tier), base, "{op:?}@{n} {tier}: diverged");
         }
     }
@@ -246,12 +256,38 @@ fn straddling_patch_under_ranged_shootdown_is_tier_invariant() {
         "start-address rule: tail-only flush keeps stale"
     );
     assert_eq!(full, vec![2, 2], "flush over the start refreshes");
-    for tier in [ExecTier::Block, ExecTier::Superblock] {
+    for tier in TIERED {
         let (t, f, evictions) = run(tier);
         assert_eq!((t, f), (tail.clone(), full.clone()), "{tier}: diverged");
         assert!(
             evictions >= 1,
             "{tier}: the ranged shootdown must evict blocks"
         );
+    }
+}
+
+/// Every tier starts cold on every vCPU: switching a running SMP
+/// world's tier, directly or through the backend-name alias, empties
+/// each vCPU's private block cache, not only the resident one.
+#[test]
+fn smp_tier_switch_starts_every_vcpu_cold() {
+    let p = smp_contention::build().unwrap();
+    for alias in [false, true] {
+        let mut w = boot_workers(&p, ExecTier::Superblock, 7);
+        w.run(MAX_ROUNDS).unwrap();
+        let warm = |w: &SmpWorld| (0..VCPUS).all(|i| !w.smp.context(i).blocks.is_empty());
+        assert!(warm(&w), "every vCPU recorded blocks");
+        if alias {
+            w.set_backend("native").unwrap();
+        } else {
+            w.set_tier(ExecTier::Native);
+        }
+        assert_eq!(w.smp.tier(), ExecTier::Native);
+        for i in 0..VCPUS {
+            assert!(
+                w.smp.context(i).blocks.is_empty(),
+                "alias {alias}: vCPU {i} kept the blocks of the tier it left"
+            );
+        }
     }
 }
