@@ -24,11 +24,14 @@ use mvobj::Executable;
 use std::fmt;
 use std::rc::Rc;
 
-/// A cached decode: the instruction plus the `code_version` generation of
-/// the first and last page its encoding touches. Both generations must
-/// still match for the entry to be served (non-sticky mode) — keying on
-/// the first page alone would let an instruction straddling a page
-/// boundary survive a flush of its tail page.
+/// A cached decode: the instruction, the `code_version`s of the pages
+/// its encoding touches (see [`page_versions`]), and the
+/// [`Memory::flush_epoch`] at which those were last found current. The
+/// versions must still match for the entry to be served (non-sticky
+/// mode) — keying on the first page alone would let an instruction
+/// straddling a page boundary survive a flush of its tail page. Only a
+/// flush moves a `code_version`, so while the epoch stands still the
+/// entry is served without reading them.
 type CachedDecode = (Insn, u64, u64);
 
 /// Unicore or multicore operation — switches the cost of bus-locked
@@ -488,41 +491,24 @@ impl Machine {
     }
 
     fn decode_at(&mut self, pc: u64) -> Result<Insn, Fault> {
-        let version = self.mem.code_version(pc);
-        if let Some(&(insn, v0, v1)) = self.decode_cache.get(&pc) {
+        let epoch = self.mem.flush_epoch();
+        if let Some(d) = self.decode_cache.get_mut(&pc) {
             // Sticky mode: the private icache ignores the shared
             // version counter — only an explicit shootdown
             // (invalidate_decode_*) evicts, exactly the staleness a
             // missing cross-CPU IPI leaves behind.
-            if self.sticky_icache || self.decode_fresh(pc, (insn, v0, v1), version) {
-                return Ok(insn);
+            if self.sticky_icache || d.2 == epoch {
+                return Ok(d.0);
+            }
+            if decode_fresh(&self.mem, pc, *d) {
+                d.2 = epoch;
+                return Ok(d.0);
             }
         }
         let insn = self.mem.fetch_insn(pc)?;
         self.decode_cache
-            .insert(pc, (insn, version, self.tail_version(pc, insn, version)));
+            .insert(pc, fresh_decode(&self.mem, pc, insn));
         Ok(insn)
-    }
-
-    /// `true` while *every* page the cached decode at `pc` touches is
-    /// still at its recorded generation (`version` is the head page's
-    /// current one): an instruction straddling a page boundary is stale
-    /// as soon as either page is flushed.
-    #[inline(always)]
-    fn decode_fresh(&self, pc: u64, (insn, v0, v1): CachedDecode, version: u64) -> bool {
-        v0 == version && v1 == self.tail_version(pc, insn, version)
-    }
-
-    /// `code_version` of the page holding the last byte of `insn`'s
-    /// encoding at `pc` (`head_version` is passed in to skip the lookup
-    /// for the common non-straddling case).
-    fn tail_version(&self, pc: u64, insn: Insn, head_version: u64) -> u64 {
-        let last = pc + insn.len() as u64 - 1;
-        if last / PAGE_SIZE == pc / PAGE_SIZE {
-            head_version
-        } else {
-            self.mem.code_version(last)
-        }
     }
 
     /// A dividing ALU op (every other ALU op is register-only and goes
@@ -778,20 +764,37 @@ impl Machine {
 
     /// Retires up to `budget > 0` instructions through the active
     /// [`ExecTier`] and returns how many retired plus the first fault, if
-    /// any. Tierless maps to a single [`Machine::step`]; the block tiers
-    /// replay and record decoded blocks. Every observable — cycles,
-    /// [`Stats`], traces, profiles, fault points — matches calling
-    /// [`Machine::step`] the same number of times, because the tiers
-    /// memoize decode, never semantics.
+    /// any. Tierless calls [`Machine::step`] in a loop; the block tiers
+    /// replay and record decoded blocks. Every tier stops at the budget,
+    /// at `halt`, and where control reaches [`RET_SENTINEL`] after at
+    /// least one retirement. Every observable — cycles, [`Stats`],
+    /// traces, profiles, fault points — matches calling [`Machine::step`]
+    /// the same number of times, because the tiers memoize decode, never
+    /// semantics.
     pub fn step_tiered(&mut self, budget: u64) -> (u64, Result<(), Fault>) {
         debug_assert!(budget > 0, "step_tiered needs a positive budget");
         match self.tier {
-            ExecTier::Tierless => match self.step() {
-                Ok(()) => (1, Ok(())),
-                Err(f) => (0, Err(f)),
-            },
+            ExecTier::Tierless => self.step_insns(budget),
             ExecTier::Block | ExecTier::Superblock | ExecTier::Native => self.step_blocks(budget),
         }
+    }
+
+    /// The tierless loop: [`Machine::step`] until the budget, `halt`,
+    /// or control reaching [`RET_SENTINEL`] mid-run — the stops of
+    /// [`Machine::step_blocks`], so callers see the same quanta at
+    /// every tier.
+    fn step_insns(&mut self, budget: u64) -> (u64, Result<(), Fault>) {
+        let mut retired = 0u64;
+        while retired < budget && !self.cpu.halted {
+            if retired > 0 && self.cpu.pc == RET_SENTINEL {
+                break;
+            }
+            if let Err(f) = self.step() {
+                return (retired, Err(f));
+            }
+            retired += 1;
+        }
+        (retired, Ok(()))
     }
 
     /// The block-tier loop: replay cached valid blocks, record new ones.
@@ -948,9 +951,8 @@ impl Machine {
     #[cold]
     fn run_native_first(&mut self, b: &crate::native::NativeBlock) -> (u64, Result<(), Fault>) {
         for (i, &(pc, insn)) in b.ops.iter().enumerate() {
-            let version = self.mem.code_version(pc);
             self.decode_cache
-                .insert(pc, (insn, version, self.tail_version(pc, insn, version)));
+                .insert(pc, fresh_decode(&self.mem, pc, insn));
             if let Err(f) = self.exec_insn(pc, insn) {
                 return (i as u64, Err(f));
             }
@@ -1032,12 +1034,9 @@ impl Machine {
             }
             self.natives.invalidate_region(nf.entry);
         }
-        let decode = |pc| {
-            let version = self.mem.code_version(pc);
-            match self.decode_cache.get(&pc) {
-                Some(&d) if self.decode_fresh(pc, d, version) => Some(d.0),
-                _ => self.mem.fetch_insn(pc).ok(),
-            }
+        let decode = |pc| match self.decode_cache.get(&pc) {
+            Some(&d) if decode_fresh(&self.mem, pc, d) => Some(d.0),
+            _ => self.mem.fetch_insn(pc).ok(),
         };
         match crate::native::lower(&self.mem, entry, decode) {
             Some(nf) => {
@@ -1293,6 +1292,33 @@ impl Machine {
             r?;
         }
         Ok(self.cpu.get(Reg::R0))
+    }
+}
+
+/// A decode of `insn` at `pc`, stamped with the current versions of
+/// its pages and the current flush epoch.
+fn fresh_decode(mem: &Memory, pc: u64, insn: Insn) -> CachedDecode {
+    (insn, page_versions(mem, pc, insn), mem.flush_epoch())
+}
+
+/// `true` while every page the cached decode at `pc` touches is still at
+/// its recorded version: an instruction straddling a page boundary is
+/// stale as soon as either page is flushed.
+#[inline(always)]
+fn decode_fresh(mem: &Memory, pc: u64, (insn, versions, _): CachedDecode) -> bool {
+    versions == page_versions(mem, pc, insn)
+}
+
+/// The `code_version` of the page holding `insn`'s encoding at `pc`,
+/// plus that of the next page when the encoding straddles into it.
+/// Versions only grow, so the sum moves whenever either one does.
+fn page_versions(mem: &Memory, pc: u64, insn: Insn) -> u64 {
+    let head = mem.code_version(pc);
+    let last = pc + insn.len() as u64 - 1;
+    if last / PAGE_SIZE == pc / PAGE_SIZE {
+        head
+    } else {
+        head + mem.code_version(last)
     }
 }
 
@@ -1955,6 +1981,8 @@ mod tests {
             Call,
             Write,
             Flush,
+            /// Flushes a page other than `f`'s (the stack's top page).
+            FlushOther,
             Lower,
         }
         use Step::*;
@@ -1984,6 +2012,7 @@ mod tests {
                         m.mem.mprotect(f, 16, mvobj::Prot::RX).unwrap();
                     }
                     Flush => m.mem.flush_icache(f, 16),
+                    FlushOther => m.mem.flush_icache(STACK_TOP - 8, 8),
                     Lower if tier == ExecTier::Native => assert!(m.ensure_native(f)),
                     Lower => {}
                 }
@@ -1999,6 +2028,9 @@ mod tests {
             // Written after lowering but before any fetch: the first
             // fetch sees the new bytes, so the region must not run.
             (&[Lower, Write, Call], &[2]),
+            // A flush elsewhere moves the flush epoch but not `f`'s
+            // code version: the decode of `f` stays stale.
+            (&[Lower, Call, Write, FlushOther, Call], &[1, 1]),
         ] {
             for tier in [
                 ExecTier::Tierless,

@@ -5,6 +5,7 @@ use crate::fx::FxHashMap;
 use crate::machine::Fault;
 use mvasm::Insn;
 use mvobj::{Executable, Prot};
+use std::cell::Cell;
 use std::fmt;
 use std::ops::Deref;
 
@@ -83,10 +84,26 @@ impl Page {
     }
 }
 
+/// Entries of the software TLB in front of the page table: a power of
+/// two, direct-mapped on the low bits of the page number.
+const TLB_ENTRIES: usize = 256;
+
+/// The tag of an empty TLB entry: no page number (`addr / PAGE_SIZE`)
+/// reaches it.
+const NO_PAGE: u64 = u64::MAX;
+
 /// The guest physical/virtual memory (flat, demand-populated pages).
-#[derive(Default)]
 pub struct Memory {
-    pages: FxHashMap<u64, Page>,
+    /// Every mapped page, in mapping order. Pages are never unmapped,
+    /// so a page keeps its slot for the life of the memory.
+    pages: Vec<Page>,
+    /// Page number → slot in `pages`: the page table.
+    slots: FxHashMap<u64, usize>,
+    /// A direct-mapped software TLB of `(page number, slot)` pairs in
+    /// front of `slots`, so an access to a recently used page costs no
+    /// hash probe. Filled on a miss, also by `&self` reads; an entry
+    /// never goes stale because a slot never changes.
+    tlb: [Cell<(u64, usize)>; TLB_ENTRIES],
     fault: Option<FaultPlan>,
     /// Bumped by every icache flush that takes effect (see
     /// [`Memory::flush_epoch`]).
@@ -94,6 +111,19 @@ pub struct Memory {
     /// Bumped whenever any page's `text_gen` moves (see
     /// [`Memory::text_epoch`]).
     text_epoch: u64,
+}
+
+impl Default for Memory {
+    fn default() -> Memory {
+        Memory {
+            pages: Vec::new(),
+            slots: FxHashMap::default(),
+            tlb: std::array::from_fn(|_| Cell::new((NO_PAGE, 0))),
+            fault: None,
+            flush_epoch: 0,
+            text_epoch: 0,
+        }
+    }
 }
 
 impl Memory {
@@ -104,6 +134,34 @@ impl Memory {
 
     fn page_no(addr: u64) -> u64 {
         addr / PAGE_SIZE
+    }
+
+    /// The slot of page number `page` if it is mapped: a TLB hit, or
+    /// one page-table probe that refills the entry.
+    #[inline]
+    fn slot(&self, page: u64) -> Option<usize> {
+        let entry = &self.tlb[page as usize % TLB_ENTRIES];
+        match entry.get() {
+            (tag, slot) if tag == page => Some(slot),
+            _ => {
+                let slot = *self.slots.get(&page)?;
+                entry.set((page, slot));
+                Some(slot)
+            }
+        }
+    }
+
+    /// Page number `page`, if mapped.
+    #[inline]
+    fn page(&self, page: u64) -> Option<&Page> {
+        self.slot(page).map(|s| &self.pages[s])
+    }
+
+    /// Page number `page`, if mapped, for writing.
+    #[inline]
+    fn page_mut(&mut self, page: u64) -> Option<&mut Page> {
+        let s = self.slot(page)?;
+        Some(&mut self.pages[s])
     }
 
     /// Offset of `addr` in its page, when `[addr, addr+len)` is
@@ -143,10 +201,20 @@ impl Memory {
         let first = Self::page_no(addr);
         let last = Self::page_no(addr.saturating_add(len - 1));
         for p in first..=last {
-            let page = self.pages.entry(p).or_insert_with(|| Page::new(prot));
+            let page = self.page_or_map(p, prot);
             page.prot = prot;
             page.text |= prot.exec;
         }
+    }
+
+    /// Page number `p`, mapped zero-filled with `prot` if it was not.
+    fn page_or_map(&mut self, p: u64, prot: Prot) -> &mut Page {
+        let pages = &mut self.pages;
+        let slot = *self.slots.entry(p).or_insert_with(|| {
+            pages.push(Page::new(prot));
+            pages.len() - 1
+        });
+        &mut self.pages[slot]
     }
 
     /// Installs a deterministic fault schedule (see [`crate::fault`]).
@@ -188,7 +256,7 @@ impl Memory {
         }
         let first = Self::page_no(addr);
         let last = Self::page_no(addr.saturating_add(len as u64 - 1));
-        (first..=last).any(|p| self.pages.get(&p).is_some_and(|pg| pg.text))
+        (first..=last).any(|p| self.page(p).is_some_and(|pg| pg.text))
     }
 
     /// Loads all segments of a linked executable.
@@ -219,7 +287,7 @@ impl Memory {
         let first = Self::page_no(addr);
         let last = Self::page_no(end);
         for p in first..=last {
-            if !self.pages.contains_key(&p) {
+            if self.slot(p).is_none() {
                 return Err(MemError {
                     addr: p * PAGE_SIZE,
                     access: Access::Write,
@@ -237,7 +305,7 @@ impl Memory {
             });
         }
         for p in first..=last {
-            let page = self.pages.get_mut(&p).expect("checked above");
+            let page = self.page_mut(p).expect("checked above");
             page.prot = prot;
             page.text |= prot.exec;
         }
@@ -246,7 +314,7 @@ impl Memory {
 
     /// Current protection of the page containing `addr`.
     pub fn prot_of(&self, addr: u64) -> Option<Prot> {
-        self.pages.get(&Self::page_no(addr)).map(|p| p.prot)
+        self.page(Self::page_no(addr)).map(|p| p.prot)
     }
 
     /// Invalidates cached decoded instructions for `[addr, addr+len)`.
@@ -266,7 +334,7 @@ impl Memory {
         let first = Self::page_no(addr);
         let last = Self::page_no(addr.saturating_add(len - 1));
         for p in first..=last {
-            if let Some(page) = self.pages.get_mut(&p) {
+            if let Some(page) = self.page_mut(p) {
                 page.code_version += 1;
                 page.text_gen += 1;
             }
@@ -283,9 +351,7 @@ impl Memory {
 
     /// Code version of the page containing `addr` (0 for unmapped).
     pub fn code_version(&self, addr: u64) -> u64 {
-        self.pages
-            .get(&Self::page_no(addr))
-            .map_or(0, |p| p.code_version)
+        self.page(Self::page_no(addr)).map_or(0, |p| p.code_version)
     }
 
     /// Text generation of the page containing `addr` (0 for unmapped):
@@ -295,9 +361,7 @@ impl Memory {
     /// stale; translations built from those decodes key on this, so the
     /// same patch sends them back through the decode cache.
     pub fn text_gen(&self, addr: u64) -> u64 {
-        self.pages
-            .get(&Self::page_no(addr))
-            .map_or(0, |p| p.text_gen)
+        self.page(Self::page_no(addr)).map_or(0, |p| p.text_gen)
     }
 
     /// Monotonic count of [`Memory::text_gen`] moves anywhere: while it
@@ -330,7 +394,7 @@ impl Memory {
         let first = Self::page_no(addr);
         for p in first..=Self::page_no(end) {
             let at = if p == first { addr } else { p * PAGE_SIZE };
-            Self::permit(self.pages.get(&p), at, access, &allowed)?;
+            Self::permit(self.page(p), at, access, &allowed)?;
         }
         Ok(())
     }
@@ -339,7 +403,7 @@ impl Memory {
         let mut done = 0usize;
         while done < buf.len() {
             let a = addr + done as u64;
-            let page = self.pages.get(&Self::page_no(a)).expect("checked");
+            let page = self.page(Self::page_no(a)).expect("checked");
             let po = (a % PAGE_SIZE) as usize;
             let n = (buf.len() - done).min(PAGE_SIZE as usize - po);
             buf[done..done + n].copy_from_slice(&page.bytes[po..po + n]);
@@ -351,7 +415,8 @@ impl Memory {
         let mut done = 0usize;
         while done < data.len() {
             let a = addr + done as u64;
-            let page = self.pages.get_mut(&Self::page_no(a)).expect("checked");
+            let s = self.slot(Self::page_no(a)).expect("checked");
+            let page = &mut self.pages[s];
             if page.text {
                 page.text_gen += 1;
                 self.text_epoch += 1;
@@ -366,7 +431,7 @@ impl Memory {
     /// Reads `buf.len()` bytes at `addr` (data access).
     pub fn read(&self, addr: u64, buf: &mut [u8]) -> Result<(), MemError> {
         if let Some(po) = Self::in_one_page(addr, buf.len()) {
-            let page = self.pages.get(&Self::page_no(addr));
+            let page = self.page(Self::page_no(addr));
             let page = Self::permit(page, addr, Access::Read, |p| p.read)?;
             buf.copy_from_slice(&page.bytes[po..po + buf.len()]);
             return Ok(());
@@ -397,7 +462,7 @@ impl Memory {
             mapped: true,
         };
         if let Some(po) = Self::in_one_page(addr, data.len()) {
-            let page = self.pages.get_mut(&Self::page_no(addr));
+            let page = self.slot(Self::page_no(addr)).map(|s| &mut self.pages[s]);
             let page = Self::permit(page, addr, Access::Write, |p| p.write)?;
             if page.text {
                 if self
@@ -433,14 +498,14 @@ impl Memory {
         let first = Self::page_no(addr);
         let last = Self::page_no(end);
         for p in first..=last {
-            self.pages.entry(p).or_insert_with(|| Page::new(Prot::RW));
+            self.page_or_map(p, Prot::RW);
         }
         self.copy_in(addr, data);
     }
 
     /// Fetches up to `len` bytes for execution at `addr`.
     pub fn fetch(&self, addr: u64, buf: &mut [u8]) -> Result<usize, MemError> {
-        let page = self.pages.get(&Self::page_no(addr));
+        let page = self.page(Self::page_no(addr));
         let page = Self::permit(page, addr, Access::Exec, |p| p.exec)?;
         // Fetch as many bytes as are executable and mapped; decode decides
         // whether that is enough.
@@ -451,7 +516,7 @@ impl Memory {
             let Some(a) = addr.checked_add(n as u64) else {
                 break;
             };
-            match self.pages.get(&Self::page_no(a)) {
+            match self.page(Self::page_no(a)) {
                 Some(p) if p.prot.exec => {
                     let take = (buf.len() - n).min(PAGE_SIZE as usize);
                     buf[n..n + take].copy_from_slice(&p.bytes[..take]);

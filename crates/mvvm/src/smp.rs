@@ -202,7 +202,8 @@ impl SmpMachine {
     }
 
     /// Overrides quantum length and jitter (`jitter >= 1`; an effective
-    /// quantum is always at least one instruction).
+    /// quantum is always at least one instruction, also when the jitter
+    /// exceeds the quantum).
     pub fn set_quantum(&mut self, quantum: u64, jitter: u64) {
         self.quantum = quantum.max(1);
         self.jitter = jitter.max(1);
@@ -439,8 +440,10 @@ impl SmpMachine {
         let mut retired = 0u64;
         for k in 0..n {
             let i = (start + k) % n;
-            let q = self.quantum - xorshift(&mut self.rng) % self.jitter;
-            let q = q.max(1);
+            let q = self
+                .quantum
+                .saturating_sub(xorshift(&mut self.rng) % self.jitter)
+                .max(1);
             match self.states[i] {
                 VcpuState::Runnable => retired += self.run_quantum(i, q),
                 VcpuState::Parked | VcpuState::Trapped { .. } => {
@@ -592,6 +595,33 @@ mod tests {
         }
         let results = smp.run_until_done(1000).unwrap();
         assert_eq!(results, vec![5, 15, 25, 35]);
+    }
+
+    #[test]
+    fn jitter_above_quantum_still_runs_short_quanta() {
+        // A jitter larger than the quantum once underflowed the
+        // subtraction: a debug build panicked, a release build wrapped
+        // to a quantum of about 2^64 and ran the vCPU to completion.
+        let exe = exe_with_fn(|a| {
+            a.mov_ri(Reg::R1, 0);
+            a.label("loop");
+            a.emit(Insn::AluRI {
+                op: AluOp::Add,
+                dst: Reg::R1,
+                imm: 1,
+            });
+            a.cmp_ri(Reg::R1, 100);
+            a.jcc("loop", mvasm::Cond::Lt);
+            a.ret();
+        });
+        let mut smp = SmpMachine::boot(&exe, 1);
+        smp.set_quantum(5, 100);
+        smp.spawn(0, exe.symbol("f").unwrap(), &[]).unwrap();
+        for _ in 0..20 {
+            let retired = smp.step_round();
+            assert!((1..=5).contains(&retired), "retired {retired}");
+        }
+        assert!(!smp.all_done());
     }
 
     #[test]

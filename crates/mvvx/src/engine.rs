@@ -31,12 +31,13 @@
 //! that is concrete across a context's configurations aborts the pass
 //! with the label of one offending configuration.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
 use mvasm::{AluOp, Insn, Reg};
 use mvtrace::{EventKind, TraceRing};
+use mvvm::fx::FxHashMap;
 use mvvm::machine::{HC_CLI, HC_STI, RET_SENTINEL};
 use mvvm::mem::{extend, Access, MemError};
 use mvvm::{Fault, Memory, Platform};
@@ -344,7 +345,7 @@ pub struct Vexec<'a> {
     platform: Platform,
     opts: VexecOptions,
     trace: Option<&'a mut TraceRing>,
-    decode_cache: HashMap<u64, Insn>,
+    decode_cache: FxHashMap<u64, Insn>,
     stats: VexecStats,
     live: u64,
 }
@@ -396,7 +397,7 @@ impl<'a> Vexec<'a> {
             platform,
             opts: VexecOptions::default(),
             trace: None,
-            decode_cache: HashMap::new(),
+            decode_cache: FxHashMap::default(),
             stats: VexecStats::default(),
             live: 0,
         }
