@@ -26,7 +26,8 @@
 //!   `rel32` field by [`checked_rel32`] (the one shared implementation)
 //!   instead of silently truncating.
 
-use crate::insn::Insn;
+use crate::encode::{rel32_insn, OP_CALL_REL, OP_JMP};
+use crate::CALL_SITE_LEN;
 
 /// Errors the ABI reports while constructing patch images.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -118,39 +119,47 @@ impl Mv64Abi {
 
     /// Encodes a `call rel32` at `site` aimed at `target`. Exactly
     /// [`Mv64Abi::call_site_len`] bytes.
-    pub fn encode_call(&self, site: u64, target: u64) -> Result<Vec<u8>, AbiError> {
-        Ok(crate::encode(&Insn::CallRel {
-            rel: self.rel32(site, target)?,
-        }))
+    pub fn encode_call(&self, site: u64, target: u64) -> Result<[u8; CALL_SITE_LEN], AbiError> {
+        Ok(rel32_insn(OP_CALL_REL, self.rel32(site, target)?))
     }
 
     /// Encodes the generic-entry completeness `jmp rel32` at `at` aimed
     /// at `target`. Exactly [`Mv64Abi::call_site_len`] bytes.
-    pub fn encode_jmp(&self, at: u64, target: u64) -> Result<Vec<u8>, AbiError> {
-        Ok(crate::encode(&Insn::Jmp {
-            rel: self.rel32(at, target)?,
-        }))
+    pub fn encode_jmp(&self, at: u64, target: u64) -> Result<[u8; CALL_SITE_LEN], AbiError> {
+        Ok(rel32_insn(OP_JMP, self.rel32(at, target)?))
     }
 
-    /// A `len`-byte sled of NOP instructions.
-    pub fn nop_fill(&self, len: usize) -> Vec<u8> {
-        crate::nop_fill(len)
+    /// Fills `out` with a NOP sled covering exactly its length.
+    pub fn nop_fill(&self, out: &mut [u8]) {
+        crate::nop_fill(out)
     }
 
-    /// The byte image for inlining `body` (already stripped of its final
-    /// return) into a site of `site_len` bytes, NOP-padded to exactly
-    /// `site_len`. An empty body yields a pure NOP sled (Fig. 3 c); an
-    /// oversized body is [`AbiError::InlineTooLarge`].
-    pub fn inline_image(&self, body: &[u8], site_len: usize) -> Result<Vec<u8>, AbiError> {
-        if body.len() > site_len {
+    /// Writes the image of the call site at `site` rewritten to call
+    /// `target` into `image`, the whole site (at least
+    /// [`Mv64Abi::call_site_len`] bytes): the `call rel32`, NOP-padded to
+    /// the site's length.
+    pub fn call_image(&self, site: u64, target: u64, image: &mut [u8]) -> Result<(), AbiError> {
+        let (call, pad) = image.split_at_mut(self.call_site_len());
+        call.copy_from_slice(&self.encode_call(site, target)?);
+        self.nop_fill(pad);
+        Ok(())
+    }
+
+    /// Writes the image of inlining `body` (already stripped of its final
+    /// return) into `image`, the whole site: the body, NOP-padded to the
+    /// site's length. An empty body yields a pure NOP sled (Fig. 3 c); a
+    /// body longer than the site is [`AbiError::InlineTooLarge`].
+    pub fn inline_image(&self, body: &[u8], image: &mut [u8]) -> Result<(), AbiError> {
+        if body.len() > image.len() {
             return Err(AbiError::InlineTooLarge {
                 body: body.len(),
-                site_len,
+                site_len: image.len(),
             });
         }
-        let mut v = body.to_vec();
-        v.extend(self.nop_fill(site_len - body.len()));
-        Ok(v)
+        let (head, pad) = image.split_at_mut(body.len());
+        head.copy_from_slice(body);
+        self.nop_fill(pad);
+        Ok(())
     }
 
     /// Pads a just-generated function body so its entry can later hold
@@ -158,8 +167,10 @@ impl Mv64Abi {
     /// [`Mv64Abi::call_site_len`] if it is shorter (the codegen-side
     /// half of the entry-jump invariant).
     pub fn pad_entry(&self, bytes: &mut Vec<u8>) {
-        if bytes.len() < self.call_site_len() {
-            bytes.extend(self.nop_fill(self.call_site_len() - bytes.len()));
+        let len = bytes.len();
+        if len < self.call_site_len() {
+            bytes.resize(self.call_site_len(), 0);
+            self.nop_fill(&mut bytes[len..]);
         }
     }
 }
@@ -167,6 +178,7 @@ impl Mv64Abi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::insn::Insn;
 
     #[test]
     fn call_and_jmp_are_exactly_one_call_site() {
@@ -175,6 +187,16 @@ mod tests {
         let jmp = MV64.encode_jmp(site, 0x2_0000).unwrap();
         assert_eq!(call.len(), MV64.call_site_len());
         assert_eq!(jmp.len(), MV64.call_site_len());
+    }
+
+    #[test]
+    fn call_image_pads_a_wide_site() {
+        let site = 0x1_0000u64;
+        let mut img = [0u8; 9]; // a `call [mem]` site rebound to a direct call
+        MV64.call_image(site, 0x2_0000, &mut img).unwrap();
+        assert_eq!(img[..5], MV64.encode_call(site, 0x2_0000).unwrap());
+        assert_eq!(crate::decode(&img[5..]).unwrap(), (Insn::Nop { len: 4 }, 4));
+        assert!(MV64.call_image(site, site + (4 << 30), &mut img).is_err());
     }
 
     #[test]
@@ -240,18 +262,19 @@ mod tests {
     #[test]
     fn inline_image_pads_and_rejects() {
         let body = crate::encode(&Insn::Cli);
-        let img = MV64.inline_image(&body, 5).unwrap();
+        let mut img = [0u8; 5];
+        MV64.inline_image(&body, &mut img).unwrap();
         assert_eq!(img.len(), 5);
         let (first, n) = crate::decode(&img).unwrap();
         assert_eq!(first, Insn::Cli);
         let (second, _) = crate::decode(&img[n..]).unwrap();
         assert!(second.is_nop());
         // Empty body: a single wide NOP.
-        let img = MV64.inline_image(&[], 5).unwrap();
+        MV64.inline_image(&[], &mut img).unwrap();
         assert_eq!(crate::decode(&img).unwrap(), (Insn::Nop { len: 5 }, 5));
         // Oversized body: an error, not an assert.
         assert_eq!(
-            MV64.inline_image(&[0x90u8; 6], 5).unwrap_err(),
+            MV64.inline_image(&[0x90u8; 6], &mut img).unwrap_err(),
             AbiError::InlineTooLarge {
                 body: 6,
                 site_len: 5

@@ -116,18 +116,12 @@ pub fn encode_into(insn: &Insn, out: &mut Vec<u8>) {
             out.extend_from_slice(&[OP_CMP_RI, a.raw()]);
             out.extend_from_slice(&imm.to_le_bytes());
         }
-        Insn::Jmp { rel } => {
-            out.push(OP_JMP);
-            out.extend_from_slice(&rel.to_le_bytes());
-        }
+        Insn::Jmp { rel } => out.extend_from_slice(&rel32_insn(OP_JMP, rel)),
         Insn::Jcc { cc, rel } => {
             out.extend_from_slice(&[OP_JCC, cc.encode()]);
             out.extend_from_slice(&rel.to_le_bytes());
         }
-        Insn::CallRel { rel } => {
-            out.push(OP_CALL_REL);
-            out.extend_from_slice(&rel.to_le_bytes());
-        }
+        Insn::CallRel { rel } => out.extend_from_slice(&rel32_insn(OP_CALL_REL, rel)),
         Insn::CallInd { target } => {
             out.extend_from_slice(&[OP_CALL_IND, target.raw()]);
         }
@@ -158,13 +152,8 @@ pub fn encode_into(insn: &Insn, out: &mut Vec<u8>) {
                 (1..=crate::MAX_NOP_LEN as u8).contains(&len),
                 "nop length {len} out of range 1..=15"
             );
-            if len == 1 {
-                out.push(OP_NOP1);
-            } else {
-                out.push(OP_NOPW);
-                out.push(len);
-                out.resize(start + len as usize, 0);
-            }
+            out.resize(start + len as usize, 0);
+            write_nop(&mut out[start..]);
         }
     }
     debug_assert_eq!(out.len() - start, insn.len(), "length mismatch for {insn}");
@@ -177,25 +166,43 @@ pub fn encode(insn: &Insn) -> Vec<u8> {
     v
 }
 
-/// Produces a byte sequence of NOP instructions filling exactly `len` bytes.
+/// The encoding of a `rel32` transfer (`call rel32` or `jmp rel32`):
+/// the opcode, then the little-endian displacement.
+pub(crate) fn rel32_insn(op: u8, rel: i32) -> [u8; crate::CALL_SITE_LEN] {
+    let mut bytes = [op; crate::CALL_SITE_LEN];
+    bytes[1..].copy_from_slice(&rel.to_le_bytes());
+    bytes
+}
+
+/// Writes one NOP exactly `out.len()` (1 to 15) bytes long.
+fn write_nop(out: &mut [u8]) {
+    if let [byte] = out {
+        *byte = OP_NOP1;
+    } else {
+        out[0] = OP_NOPW;
+        out[1] = out.len() as u8;
+        out[2..].fill(0);
+    }
+}
+
+/// Fills `out` with NOP instructions covering exactly its length.
 ///
 /// Used by the patcher to erase an empty function body at a call site
-/// (Fig. 3 c of the paper). Any `len` is supported by chaining wide NOPs.
-pub fn nop_fill(len: usize) -> Vec<u8> {
-    let mut v = Vec::with_capacity(len);
-    let mut remaining = len;
-    while remaining > 0 {
+/// (Fig. 3 c of the paper). Any length is supported by chaining wide
+/// NOPs.
+pub fn nop_fill(out: &mut [u8]) {
+    let mut rest = out;
+    while !rest.is_empty() {
         // A trailing remainder of 16 must not emit a 15-byte NOP followed by
         // an invalid 1-byte tail of a wide NOP, so split 16 as 8 + 8.
-        let chunk = match remaining {
+        let chunk = match rest.len() {
             16 => 8,
             n => n.min(crate::MAX_NOP_LEN),
         };
-        encode_into(&Insn::Nop { len: chunk as u8 }, &mut v);
-        remaining -= chunk;
+        let (nop, tail) = rest.split_at_mut(chunk);
+        write_nop(nop);
+        rest = tail;
     }
-    debug_assert_eq!(v.len(), len);
-    v
 }
 
 #[cfg(test)]
@@ -229,7 +236,8 @@ mod tests {
     #[test]
     fn nop_fill_covers_every_length() {
         for len in 1..200 {
-            let bytes = nop_fill(len);
+            let mut bytes = vec![0u8; len];
+            nop_fill(&mut bytes);
             assert_eq!(bytes.len(), len);
             // The fill must decode as a pure NOP sled.
             let mut pos = 0;

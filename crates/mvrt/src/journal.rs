@@ -21,7 +21,7 @@ use crate::error::RtError;
 use crate::patch::pages_of;
 use crate::stats::PatchStats;
 use mvobj::Prot;
-use mvvm::{Machine, PAGE_SIZE};
+use mvvm::{Machine, MemError, Memory, PAGE_SIZE};
 
 /// Maximum byte length of one journaled write. Comfortably above the
 /// longest patch the runtime performs (a 9-byte indirect call site).
@@ -49,6 +49,17 @@ impl Span {
             len: bytes.len() as u8,
             buf,
         }
+    }
+
+    /// Reads `len` bytes of `mem` at `addr` into an inline span. Panics
+    /// if `len` exceeds [`MAX_SPAN`].
+    pub fn read(mem: &Memory, addr: u64, len: usize) -> Result<Span, MemError> {
+        let mut span = Span {
+            len: len as u8,
+            buf: [0u8; MAX_SPAN],
+        };
+        mem.read(addr, &mut span.buf[..len])?;
+        Ok(span)
     }
 }
 

@@ -126,7 +126,10 @@ mod tests {
             ),
             "{err:?}"
         );
-        let err: RtError = MV64.inline_image(&[0x90u8; 6], 5).unwrap_err().into();
+        let err: RtError = MV64
+            .inline_image(&[0x90u8; 6], &mut [0u8; 5])
+            .unwrap_err()
+            .into();
         assert!(
             matches!(
                 err,

@@ -12,11 +12,12 @@
 //!   the new instruction — a torn fetch;
 //! * a vCPU whose private instruction cache still holds a decode of the
 //!   old bytes keeps executing them until an IPI shootdown evicts it —
-//!   stale code. Under a block tier ([`mvvm::ExecTier`]) the same IPI
-//!   also evicts exactly the decoded blocks spanning the flushed range
-//!   from every per-vCPU block cache, in lockstep with the per-insn
-//!   decode caches, so quiesced commits need no extra work regardless
-//!   of the execution tier.
+//!   stale code. Every shootdown here is a full one
+//!   ([`SmpMachine::flush_remote`] with no range): it empties every
+//!   vCPU's decode cache and, under a block tier ([`mvvm::ExecTier`]),
+//!   its block cache too, so quiesced commits need no extra work
+//!   regardless of the execution tier. Emptying a block cache frees
+//!   nothing: its blocks live in arenas it keeps for re-recording.
 //!
 //! This module provides the two classic protocols as
 //! [`CommitStrategy`]:
@@ -125,58 +126,68 @@ const MAX_QUIESCE_ROUNDS: u64 = 10_000;
 
 /// Byte ranges `[start, end)` the transaction may write, computed
 /// conservatively (delta-planning skips are *not* subtracted: a region
-/// the commit ends up not touching is still safe to quiesce around).
+/// the commit ends up not touching is still safe to quiesce around),
+/// sorted and deduplicated. Allocated once, at its final size.
 fn danger_regions(rt: &Runtime, op: TxnOp) -> Result<Vec<(u64, u64)>, RtError> {
-    let mut fns: Vec<usize> = Vec::new();
-    let mut ptr_vars: Vec<u64> = Vec::new();
+    let mut n = 0usize;
+    each_danger_region(rt, op, &mut |_| n += 1)?;
+    let mut regions = Vec::with_capacity(n);
+    each_danger_region(rt, op, &mut |r| regions.push(r))?;
+    regions.sort_unstable();
+    regions.dedup();
+    Ok(regions)
+}
+
+/// Calls `f` with every region [`danger_regions`] collects, unsorted.
+fn each_danger_region(
+    rt: &Runtime,
+    op: TxnOp,
+    f: &mut dyn FnMut((u64, u64)),
+) -> Result<(), RtError> {
+    let sites = |callee: u64, f: &mut dyn FnMut((u64, u64))| {
+        for &si in rt.sites_of.get(&callee).into_iter().flatten() {
+            let s = &rt.sites[si];
+            f((s.desc.site, s.desc.site + s.len as u64));
+        }
+    };
+    let function = |fi: usize, f: &mut dyn FnMut((u64, u64))| {
+        let desc = &rt.fns[fi].desc;
+        if desc.variants.is_empty() {
+            return;
+        }
+        let g = desc.generic;
+        // The completeness entry jump overwrites the first call-site's
+        // worth of generic bytes in every strategy.
+        f((g, g + MV64.call_site_len() as u64));
+        if matches!(rt.strategy, PatchStrategy::CallSites) {
+            sites(g, f);
+        }
+    };
     match op {
         TxnOp::CommitAll | TxnOp::RevertAll => {
-            fns.extend(0..rt.fns.len());
-            ptr_vars.extend(rt.vars.iter().filter(|v| v.fn_ptr).map(|v| v.addr));
+            for fi in 0..rt.fns.len() {
+                function(fi, f);
+            }
+            for v in rt.vars.iter().filter(|v| v.fn_ptr) {
+                sites(v.addr, f);
+            }
         }
         TxnOp::CommitRefs(a) | TxnOp::RevertRefs(a) => {
             let &vi = rt.var_by_addr.get(&a).ok_or(RtError::UnknownVariable(a))?;
             if rt.vars[vi].fn_ptr {
-                ptr_vars.push(a);
+                sites(a, f);
             } else {
-                fns.extend((0..rt.fns.len()).filter(|&fi| rt.references_var(fi, a)));
+                for fi in (0..rt.fns.len()).filter(|&fi| rt.references_var(fi, a)) {
+                    function(fi, f);
+                }
             }
         }
         TxnOp::CommitFunc(a) | TxnOp::RevertFunc(a) => {
             let &fi = rt.fn_by_addr.get(&a).ok_or(RtError::UnknownFunction(a))?;
-            fns.push(fi);
+            function(fi, f);
         }
     }
-    let mut regions: Vec<(u64, u64)> = Vec::new();
-    for fi in fns {
-        let f = &rt.fns[fi];
-        if f.desc.variants.is_empty() {
-            continue;
-        }
-        let g = f.desc.generic;
-        // The completeness entry jump overwrites the first call-site's
-        // worth of generic bytes in every strategy.
-        regions.push((g, g + MV64.call_site_len() as u64));
-        if matches!(rt.strategy, PatchStrategy::CallSites) {
-            if let Some(idxs) = rt.sites_of.get(&g) {
-                for &si in idxs {
-                    let s = &rt.sites[si];
-                    regions.push((s.desc.site, s.desc.site + s.len as u64));
-                }
-            }
-        }
-    }
-    for va in ptr_vars {
-        if let Some(idxs) = rt.sites_of.get(&va) {
-            for &si in idxs {
-                let s = &rt.sites[si];
-                regions.push((s.desc.site, s.desc.site + s.len as u64));
-            }
-        }
-    }
-    regions.sort_unstable();
-    regions.dedup();
-    Ok(regions)
+    Ok(())
 }
 
 /// `true` if `addr` lies strictly inside one of the regions. The
@@ -197,8 +208,7 @@ fn vcpu_unsafe(smp: &SmpMachine, i: usize, regions: &[(u64, u64)]) -> bool {
         return true;
     }
     smp.backtrace_of(i, BACKTRACE_DEPTH)
-        .iter()
-        .any(|&ra| inside_interior(regions, ra))
+        .any(|ra| inside_interior(regions, ra))
 }
 
 /// Writes `byte` over `addr` through the ordinary mprotect → write →
@@ -312,7 +322,7 @@ impl Runtime {
         let stall0 = smp.total_stall_cycles();
         let shoot0 = smp.shootdowns();
         let mut rounds = 0u64;
-        let mut parked: Vec<usize> = Vec::new();
+        let mut parked: Vec<usize> = Vec::with_capacity(n);
         loop {
             let mut pending = false;
             for i in 0..n {
@@ -409,7 +419,7 @@ impl Runtime {
         // Plant a trap byte over the first byte of every region,
         // journaled locally so a mid-plant fault can unwind.
         let trap = MV64.trap_byte();
-        let mut planted: Vec<(u64, u8)> = Vec::new();
+        let mut planted: Vec<(u64, u8)> = Vec::with_capacity(regions.len());
         for &(start, _) in &regions {
             let mut orig = [0u8; 1];
             // A FaultPlan targeting trap plants fails this plant before

@@ -8,7 +8,7 @@
 //! text segment is left byte-identical to its pre-call state.
 
 use crate::error::RtError;
-use crate::journal::Journal;
+use crate::journal::{Journal, Span, MAX_SPAN};
 use crate::patch::{insn_at, PageBatch};
 use crate::stats::{PatchStats, PatchTiming};
 use crate::txn::{RetryPolicy, TxnOp};
@@ -18,8 +18,8 @@ use mvobj::descriptor::{
 };
 use mvobj::{Executable, SEC_MV_CALLSITES, SEC_MV_FUNCTIONS, SEC_MV_VARIABLES};
 use mvtrace::{EventKind, TraceRing};
+use mvvm::fx::FxHashMap;
 use mvvm::{ExecTier, Machine};
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// How commits install variants — the §7.1 design-space ablation.
@@ -63,7 +63,8 @@ pub(crate) struct SiteState {
     /// Total patchable length: 5 for a `call rel32` site, 9 for a
     /// `call *[mem]` (function-pointer) site.
     pub(crate) len: usize,
-    pub(crate) original: Vec<u8>,
+    /// The bytes found at attach, restored by a revert.
+    pub(crate) original: Span,
     pub(crate) binding: SiteBinding,
 }
 
@@ -72,7 +73,9 @@ pub(crate) struct SiteState {
 pub(crate) struct FnState {
     pub(crate) desc: FnDesc,
     pub(crate) binding: FnBinding,
-    pub(crate) saved_prologue: Option<Vec<u8>>,
+    /// The generic entry's first call-site's worth of bytes, saved by the
+    /// first entry jump and restored by a revert.
+    pub(crate) saved_prologue: Option<Span>,
 }
 
 /// Outcome of a commit operation.
@@ -102,12 +105,12 @@ pub struct CommitReport {
 /// The attached multiverse runtime for one loaded program.
 pub struct Runtime {
     pub(crate) vars: Vec<VarDesc>,
-    pub(crate) var_by_addr: HashMap<u64, usize>,
+    pub(crate) var_by_addr: FxHashMap<u64, usize>,
     pub(crate) fns: Vec<FnState>,
-    pub(crate) fn_by_addr: HashMap<u64, usize>,
+    pub(crate) fn_by_addr: FxHashMap<u64, usize>,
     pub(crate) sites: Vec<SiteState>,
     /// callee address (generic entry or fn-pointer variable) → site indices.
-    pub(crate) sites_of: HashMap<u64, Vec<usize>>,
+    pub(crate) sites_of: FxHashMap<u64, Vec<usize>>,
     /// The undo log of the current (or last) apply phase, cleared when
     /// an apply phase begins so each one reuses the allocation.
     pub(crate) undo: Journal,
@@ -163,16 +166,16 @@ impl Runtime {
         let fn_descs = parse_functions(&read_sec(SEC_MV_FUNCTIONS)?)?;
         let site_descs = parse_callsites(&read_sec(SEC_MV_CALLSITES)?)?;
 
-        let var_by_addr: HashMap<u64, usize> =
+        let var_by_addr: FxHashMap<u64, usize> =
             vars.iter().enumerate().map(|(i, v)| (v.addr, i)).collect();
-        let fn_by_addr: HashMap<u64, usize> = fn_descs
+        let fn_by_addr: FxHashMap<u64, usize> = fn_descs
             .iter()
             .enumerate()
             .map(|(i, f)| (f.generic, i))
             .collect();
 
         let mut sites = Vec::with_capacity(site_descs.len());
-        let mut sites_of: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut sites_of: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
         for desc in site_descs {
             let insn = insn_at(m, desc.site)?;
             let len = match insn {
@@ -208,7 +211,7 @@ impl Runtime {
                     })
                 }
             };
-            let original = m.mem.read_vec(desc.site, len)?;
+            let original = Span::read(&m.mem, desc.site, len)?;
             sites_of.entry(desc.callee).or_default().push(sites.len());
             sites.push(SiteState {
                 desc,
@@ -427,22 +430,21 @@ impl Runtime {
         // §4's "check the site still points at the expected target" is
         // the validate phase's byte check of every site; apply trusts it.
         let (site, len) = (self.sites[si].desc.site, self.sites[si].len);
-        let (bytes, new_binding) = match inline {
+        let mut image = [0u8; MAX_SPAN];
+        let image = &mut image[..len];
+        let new_binding = match inline {
             Some((body_addr, inline_len)) if (inline_len as usize) <= len => {
-                let body = m.mem.read_vec(body_addr, inline_len as usize)?;
+                let body = Span::read(&m.mem, body_addr, inline_len as usize)?;
                 self.stats.sites_inlined += 1;
-                (
-                    MV64.inline_image(&body, len)?,
-                    SiteBinding::Inlined(body_addr),
-                )
+                MV64.inline_image(&body, image)?;
+                SiteBinding::Inlined(body_addr)
             }
             _ => {
-                let mut b = MV64.encode_call(site, target)?;
-                b.extend(MV64.nop_fill(len - MV64.call_site_len()));
-                (b, SiteBinding::Call(target))
+                MV64.call_image(site, target, image)?;
+                SiteBinding::Call(target)
             }
         };
-        self.write_text(m, site, &bytes)?;
+        self.write_text(m, site, image)?;
         self.stats.sites_patched += 1;
         self.sites[si].binding = new_binding;
         match new_binding {
@@ -457,12 +459,34 @@ impl Runtime {
             return Ok(());
         }
         let site = self.sites[si].desc.site;
-        let original = self.sites[si].original.clone();
+        let original = self.sites[si].original;
         self.write_text(m, site, &original)?;
         self.stats.sites_patched += 1;
         self.sites[si].binding = SiteBinding::Original;
         self.emit(|| EventKind::SiteRestored { site });
         Ok(())
+    }
+
+    /// Runs `f` over the recorded sites of `callee`, in record order,
+    /// and returns how many there are. The list is moved out of
+    /// [`Runtime::sites_of`] for the walk and back after it, so the walk
+    /// copies nothing; `f` must not read the map.
+    fn for_sites_of(
+        &mut self,
+        callee: u64,
+        mut f: impl FnMut(&mut Runtime, usize) -> Result<(), RtError>,
+    ) -> Result<usize, RtError> {
+        let Some(list) = self.sites_of.get_mut(&callee) else {
+            return Ok(0);
+        };
+        let idxs = std::mem::take(list);
+        let walked = idxs.iter().try_for_each(|&si| f(self, si));
+        let n = idxs.len();
+        *self
+            .sites_of
+            .get_mut(&callee)
+            .expect("the list stays keyed") = idxs;
+        walked.map(|()| n)
     }
 
     pub(crate) fn install_variant(
@@ -476,26 +500,25 @@ impl Runtime {
             let v = &f.desc.variants[vi];
             (f.desc.generic, v.addr, v.inline_len)
         };
-        // Patch all recorded call sites of the generic function (the
-        // EntryOnly strategy leaves them aimed at the generic entry, where
-        // the jump redirects them).
-        let site_idxs = match self.strategy {
-            PatchStrategy::CallSites => self.sites_of.get(&generic).cloned().unwrap_or_default(),
-            PatchStrategy::EntryOnly => Vec::new(),
-        };
         let inline = if self.inline_enabled && v_inline != NOT_INLINABLE {
             Some((v_addr, v_inline))
         } else {
             None
         };
-        for si in &site_idxs {
-            self.patch_site_to(m, *si, v_addr, inline)?;
-        }
+        // Patch all recorded call sites of the generic function (the
+        // EntryOnly strategy leaves them aimed at the generic entry, where
+        // the jump redirects them).
+        let sites = match self.strategy {
+            PatchStrategy::CallSites => {
+                self.for_sites_of(generic, |rt, si| rt.patch_site_to(m, si, v_addr, inline))?
+            }
+            PatchStrategy::EntryOnly => 0,
+        };
         // Completeness: overwrite the generic entry with `jmp variant`,
         // saving the prologue the first time.
         let jmp = MV64.encode_jmp(generic, v_addr)?;
         if self.fns[fi].saved_prologue.is_none() {
-            let saved = m.mem.read_vec(generic, MV64.call_site_len())?;
+            let saved = Span::read(&m.mem, generic, MV64.call_site_len())?;
             self.fns[fi].saved_prologue = Some(saved);
         }
         self.write_text(m, generic, &jmp)?;
@@ -506,23 +529,20 @@ impl Runtime {
             function: generic,
             variant: v_addr,
         });
-        Ok(site_idxs.len())
+        Ok(sites)
     }
 
     pub(crate) fn revert_fn_idx(&mut self, m: &mut Machine, fi: usize) -> Result<usize, RtError> {
         let generic = self.fns[fi].desc.generic;
-        let site_idxs = self.sites_of.get(&generic).cloned().unwrap_or_default();
-        for si in &site_idxs {
-            self.restore_site(m, *si)?;
-        }
-        if let Some(prologue) = self.fns[fi].saved_prologue.clone() {
+        let sites = self.for_sites_of(generic, |rt, si| rt.restore_site(m, si))?;
+        if let Some(prologue) = self.fns[fi].saved_prologue {
             self.write_text(m, generic, &prologue)?;
             self.fns[fi].saved_prologue = None;
             self.stats.prologues_restored += 1;
             self.emit(|| EventKind::PrologueRestored { function: generic });
         }
         self.fns[fi].binding = FnBinding::Generic;
-        Ok(site_idxs.len())
+        Ok(sites)
     }
 
     pub(crate) fn commit_fnptr_var(
@@ -542,12 +562,12 @@ impl Runtime {
             let il = self.fns[fi].desc.generic_inline_len;
             (self.inline_enabled && il != NOT_INLINABLE).then_some((target, il))
         });
-        let site_idxs = self.sites_of.get(&var_addr).cloned().unwrap_or_default();
-        for si in &site_idxs {
-            self.patch_site_to(m, *si, target, inline)?;
+        let sites = self.for_sites_of(var_addr, |rt, si| {
+            rt.patch_site_to(m, si, target, inline)?;
             report.fnptr_sites += 1;
-        }
-        report.sites_touched += site_idxs.len();
+            Ok(())
+        })?;
+        report.sites_touched += sites;
         Ok(())
     }
 
@@ -556,11 +576,7 @@ impl Runtime {
         m: &mut Machine,
         var_addr: u64,
     ) -> Result<usize, RtError> {
-        let site_idxs = self.sites_of.get(&var_addr).cloned().unwrap_or_default();
-        for si in &site_idxs {
-            self.restore_site(m, *si)?;
-        }
-        Ok(site_idxs.len())
+        self.for_sites_of(var_addr, |rt, si| rt.restore_site(m, si))
     }
 
     /// Runs `op` as a transaction, charging wall-clock time to

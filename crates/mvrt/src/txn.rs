@@ -16,8 +16,8 @@
 //! plan/validate/apply cycle is safe.
 
 use crate::error::{CommitPhase, RtError};
-use crate::journal::Span;
-use crate::patch::{pages_of, PageBatch};
+use crate::journal::{Span, MAX_SPAN};
+use crate::patch::pages_of;
 use crate::runtime::{CommitReport, FnBinding, PatchStrategy, Runtime, SiteBinding};
 use crate::stats::PatchTiming;
 use mvasm::MV64;
@@ -538,8 +538,8 @@ impl Runtime {
         let Ok(jmp) = MV64.encode_jmp(f.desc.generic, v.addr) else {
             return false;
         };
-        match m.mem.read_vec(f.desc.generic, MV64.call_site_len()) {
-            Ok(cur) if cur == jmp => {}
+        match Span::read(&m.mem, f.desc.generic, jmp.len()) {
+            Ok(cur) if *cur == jmp => {}
             _ => return false,
         }
         if self.strategy == PatchStrategy::CallSites {
@@ -639,7 +639,7 @@ impl Runtime {
     /// cheaper than re-decoding the instruction.
     fn check_site_patchable(&self, m: &Machine, si: usize) -> Result<(), RtError> {
         let s = &self.sites[si];
-        let mut current = [0u8; crate::journal::MAX_SPAN];
+        let mut current = [0u8; MAX_SPAN];
         let current = &mut current[..s.len];
         m.mem.read(s.desc.site, current)?;
         let ok = match s.binding {
@@ -648,9 +648,10 @@ impl Runtime {
             SiteBinding::Original => current == &s.original[..],
             // Rewritten: must hold exactly the call we encoded.
             SiteBinding::Call(target) => {
-                let mut expected = MV64.encode_call(s.desc.site, target)?;
-                expected.extend(MV64.nop_fill(s.len - MV64.call_site_len()));
-                current == &expected[..]
+                let mut expected = [0u8; MAX_SPAN];
+                let expected = &mut expected[..s.len];
+                MV64.call_image(s.desc.site, target, expected)?;
+                current == expected
             }
             // Inlined bodies are arbitrary bytes; readability (above) is
             // the only byte-level invariant.
@@ -694,14 +695,14 @@ impl Runtime {
         // Entry prologue must be readable, executable text, the variant
         // entry executable text too, and the variant within rel32 reach
         // of the entry jump.
-        m.mem.read_vec(f.desc.generic, MV64.call_site_len())?;
+        m.mem.check_read(f.desc.generic, MV64.call_site_len())?;
         self.check_exec(m, f.desc.generic)?;
         self.check_exec(m, v.addr)?;
         MV64.encode_jmp(f.desc.generic, v.addr)?;
         // The variant body must be readable if it may be inlined.
         let may_inline = self.inline_enabled && v.inline_len != NOT_INLINABLE;
         if may_inline {
-            m.mem.read_vec(v.addr, v.inline_len as usize)?;
+            m.mem.check_read(v.addr, v.inline_len as usize)?;
         }
         if self.strategy == PatchStrategy::CallSites {
             if let Some(idxs) = self.sites_of.get(&f.desc.generic) {
@@ -724,13 +725,13 @@ impl Runtime {
             for &si in idxs {
                 if self.sites[si].binding != SiteBinding::Original {
                     m.mem
-                        .read_vec(self.sites[si].desc.site, self.sites[si].len)?;
+                        .check_read(self.sites[si].desc.site, self.sites[si].len)?;
                     self.check_exec(m, self.sites[si].desc.site)?;
                 }
             }
         }
         if f.saved_prologue.is_some() {
-            m.mem.read_vec(f.desc.generic, MV64.call_site_len())?;
+            m.mem.check_read(f.desc.generic, MV64.call_site_len())?;
             self.check_exec(m, f.desc.generic)?;
         }
         Ok(())
@@ -745,7 +746,7 @@ impl Runtime {
         if let Some(&fi) = self.fn_by_addr.get(&target) {
             let il = self.fns[fi].desc.generic_inline_len;
             if self.inline_enabled && il != NOT_INLINABLE {
-                m.mem.read_vec(target, il as usize)?;
+                m.mem.check_read(target, il as usize)?;
                 inline_len = Some(il);
             }
         }
@@ -765,7 +766,7 @@ impl Runtime {
             for &si in idxs {
                 if self.sites[si].binding != SiteBinding::Original {
                     m.mem
-                        .read_vec(self.sites[si].desc.site, self.sites[si].len)?;
+                        .check_read(self.sites[si].desc.site, self.sites[si].len)?;
                     self.check_exec(m, self.sites[si].desc.site)?;
                 }
             }
@@ -779,10 +780,7 @@ impl Runtime {
             fn_states: self
                 .fns
                 .iter()
-                .map(|f| {
-                    let p = f.saved_prologue.as_deref().map(Span::from_slice);
-                    (f.binding, p)
-                })
+                .map(|f| (f.binding, f.saved_prologue))
                 .collect(),
         }
     }
@@ -793,7 +791,7 @@ impl Runtime {
         }
         for (f, (b, p)) in self.fns.iter_mut().zip(snap.fn_states) {
             f.binding = b;
-            f.saved_prologue = p.map(|s| s.to_vec());
+            f.saved_prologue = p;
         }
     }
 
@@ -810,7 +808,8 @@ impl Runtime {
     ) -> Result<CommitReport, RtError> {
         let snapshot = self.snapshot_state();
         self.undo.clear();
-        self.batch = PageBatch::default();
+        self.batch.open.clear();
+        self.batch.writes = 0;
         let mut report = CommitReport::default();
         let mut failure = self.execute_actions(m, actions, &mut report).err();
         if failure.is_none() {

@@ -508,7 +508,9 @@ fn tampered_site_fails_verification() {
     // Overwrite the patched call site behind the runtime's back.
     let caller = fx.exe.symbol("caller").unwrap();
     fx.m.mem.mprotect(caller, 5, mvobj::Prot::RW).unwrap();
-    fx.m.mem.write(caller, &mvasm::MV64.nop_fill(5)).unwrap();
+    let mut nops = [0u8; 5];
+    mvasm::MV64.nop_fill(&mut nops);
+    fx.m.mem.write(caller, &nops).unwrap();
     fx.m.mem.mprotect(caller, 5, mvobj::Prot::RX).unwrap();
     set_a(&mut fx, 0);
     let err = fx.rt.commit(&mut fx.m).unwrap_err();

@@ -26,16 +26,22 @@
 //!   written or flushed since validation" fast path;
 //! * in sticky-icache mode (the SMP machine's private per-CPU icaches)
 //!   version checks are skipped entirely; only an explicit shootdown
-//!   ([`crate::SmpMachine::flush_remote`] →
-//!   [`crate::Machine::invalidate_decode_range`]) evicts, using the same
+//!   ([`crate::SmpMachine::flush_remote`]) evicts. A ranged one goes
+//!   through [`crate::Machine::invalidate_decode_range`], using the same
 //!   instruction-start-address rule the per-instruction cache uses, so a
 //!   stale block stays observably stale exactly as long as a stale
-//!   per-instruction decode would.
+//!   per-instruction decode would; a full one (every quiesced commit's)
+//!   empties every vCPU's decode and block caches.
+//!
+//! A [`DecodedBlock`] is a small by-value header. Its ops ([`BlockOp`])
+//! and page generations live in two arenas of the owning
+//! [`crate::tier0::BlockCache`], so recording appends and a full
+//! shootdown frees nothing.
 
 use crate::mem::{Memory, PAGE_SIZE};
 use mvasm::Insn;
 use std::cell::Cell;
-use std::rc::Rc;
+use std::ops::Range;
 
 /// Which execution engine the machine runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -90,25 +96,62 @@ pub const MAX_SUPERBLOCK_INSTS: usize = 1024;
 /// Direct transfers a superblock may fuse across.
 pub const MAX_SUPERBLOCK_FUSES: usize = 16;
 
+/// One recorded op in a block cache's op arena: a `(pc, insn)` pair of
+/// the memoized trace, plus the fast run starting at it.
+#[derive(Clone, Copy, Debug)]
+pub struct BlockOp {
+    /// Address the op was fetched from.
+    pub pc: u64,
+    /// The memoized decode.
+    pub insn: Insn,
+    /// Length of the maximal run of *fast* ops (see
+    /// [`DecodedBlock::is_fast`]) starting at this op within its block,
+    /// or `0` if this op is not fast. Replay retires a whole run with
+    /// batched `tsc`/instruction-count bookkeeping — sound because fast
+    /// ops cannot fault, halt, transfer control, or observe
+    /// `tsc`/[`crate::Stats`], and nothing else can observe machine state
+    /// mid-quantum.
+    pub fast_run: u32,
+}
+
+impl BlockOp {
+    /// A recorded op; its fast run is filled in when its block is
+    /// complete ([`DecodedBlock::mark_fast_runs`]).
+    pub fn new(pc: u64, insn: Insn) -> BlockOp {
+        BlockOp {
+            pc,
+            insn,
+            fast_run: 0,
+        }
+    }
+}
+
 /// A recorded straight-line (or, for superblocks, direct-jump-fused) run
-/// of decoded instructions, keyed by its entry `pc`.
+/// of decoded instructions, keyed by its entry `pc`. This is the small
+/// by-value header a [`crate::tier0::BlockCache`]'s map and `last` slot
+/// hold; the ops and page generations it names live in that cache's
+/// arenas.
+#[derive(Clone, Debug)]
 pub struct DecodedBlock {
     /// Entry address (the cache key).
     pub entry: u64,
-    /// The memoized `(pc, insn)` trace, in execution order.
-    pub ops: Vec<(u64, Insn)>,
-    /// The generation of every page any op's encoding touches, as
-    /// observed when the block was recorded.
-    pub pages: PageGens,
+    /// The block's ops in the cache's op arena, in execution order.
+    pub(crate) ops: Range<u32>,
+    /// The block's `(page, text_gen)` records in the cache's generation
+    /// arena: every page any op's encoding touches, as observed when the
+    /// block was recorded.
+    pub(crate) gens: Range<u32>,
     /// `true` once this entry was promoted to a fused superblock.
     pub superblock: bool,
-    /// `fast_runs[i]` is the length of the maximal run of *fast* ops
-    /// (see [`DecodedBlock::is_fast`]) starting at `ops[i]`, or `0` if
-    /// `ops[i]` is not fast. Replay retires a whole run with batched
-    /// `tsc`/instruction-count bookkeeping — sound because fast ops
-    /// cannot fault, halt, transfer control, or observe `tsc`/[`crate::Stats`],
-    /// and nothing else can observe machine state mid-quantum.
-    pub fast_runs: Vec<u32>,
+    /// The [`Memory::text_epoch`] at the last successful validation (see
+    /// [`gens_valid`]).
+    pub(crate) epoch: Cell<u64>,
+}
+
+/// A `u32` arena range as a slice index.
+#[inline]
+pub(crate) fn span(r: &Range<u32>) -> Range<usize> {
+    r.start as usize..r.end as usize
 }
 
 impl DecodedBlock {
@@ -138,33 +181,73 @@ impl DecodedBlock {
         matches!(insn, Insn::CmpRR { .. } | Insn::CmpRI { .. }).then_some(next)
     }
 
-    /// Builds the [`DecodedBlock::fast_runs`] table for `ops`.
-    pub fn fast_runs_of(ops: &[(u64, Insn)]) -> Vec<u32> {
-        let mut runs = vec![0u32; ops.len()];
-        for i in (0..ops.len()).rev() {
-            if Self::is_fast(&ops[i].1) {
-                runs[i] = 1 + runs.get(i + 1).copied().unwrap_or(0);
-            }
+    /// Fills in [`BlockOp::fast_run`] for every op of one complete block.
+    pub fn mark_fast_runs(ops: &mut [BlockOp]) {
+        let mut run = 0u32;
+        for op in ops.iter_mut().rev() {
+            run = if Self::is_fast(&op.insn) { run + 1 } else { 0 };
+            op.fast_run = run;
         }
-        runs
     }
 
-    /// `true` if any op of this block *starts* in `[start, end)` — the
-    /// same instruction-start-address rule
+    /// `true` if any of `ops` *starts* in `[start, end)` — the same
+    /// instruction-start-address rule
     /// [`crate::Machine::invalidate_decode_range`] applies to the
     /// per-instruction decode cache, so explicit shootdowns evict blocks
     /// and single decodes in lockstep.
-    pub fn overlaps(&self, start: u64, end: u64) -> bool {
-        self.ops.iter().any(|&(pc, _)| pc >= start && pc < end)
+    pub fn overlaps(ops: &[BlockOp], start: u64, end: u64) -> bool {
+        ops.iter().any(|op| op.pc >= start && op.pc < end)
     }
+}
+
+/// Appends to `gens[from..]` the current generation of every page the
+/// `len`-byte encoding at `pc` touches, skipping pages already recorded
+/// there — a straddling instruction contributes both its pages, so
+/// writing or flushing either one invalidates the translation.
+pub(crate) fn record_gens(
+    gens: &mut Vec<(u64, u64)>,
+    from: usize,
+    mem: &Memory,
+    pc: u64,
+    len: usize,
+) {
+    let first = pc / PAGE_SIZE;
+    let last = (pc + len as u64 - 1) / PAGE_SIZE;
+    for page in first..=last {
+        if !gens[from..].iter().any(|&(p, _)| p == page) {
+            gens.push((page, mem.text_gen(page * PAGE_SIZE)));
+        }
+    }
+}
+
+/// `true` while every recorded `(page, text_gen)` in `gens` still holds,
+/// with an O(1) fast path: while the global text epoch still matches
+/// `epoch` (the epoch of the last successful validation), no page
+/// generation anywhere can have moved. A successful full check advances
+/// `epoch`.
+#[inline]
+pub(crate) fn gens_valid(gens: &[(u64, u64)], epoch: &Cell<u64>, mem: &Memory) -> bool {
+    let now = mem.text_epoch();
+    if epoch.get() == now {
+        return true;
+    }
+    if gens
+        .iter()
+        .all(|&(page, gen)| mem.text_gen(page * PAGE_SIZE) == gen)
+    {
+        epoch.set(now);
+        return true;
+    }
+    false
 }
 
 /// The code generations a memoized translation was built from: the
 /// `(page_number, text_gen)` of every page any of its instruction
 /// encodings touches, plus the [`Memory::text_epoch`] at the last
-/// successful validation. Blocks and lowered native regions share this
-/// one validity rule, so a text write or a flush invalidates both tiers
-/// in lockstep.
+/// successful validation. Lowered native regions own one; blocks keep
+/// the same records in their cache's generation arena. Both go through
+/// `record_gens` and `gens_valid`, so a text write or a flush
+/// invalidates both tiers in lockstep.
 #[derive(Default)]
 pub struct PageGens {
     pages: Vec<(u64, u64)>,
@@ -183,37 +266,16 @@ impl PageGens {
     }
 
     /// Records the current generation of every page the `len`-byte
-    /// encoding at `pc` touches (deduplicated) — a straddling
-    /// instruction contributes both its pages, so writing or flushing
-    /// either one invalidates the translation.
+    /// encoding at `pc` touches (deduplicated, see [`record_gens`]).
     pub(crate) fn record(&mut self, mem: &Memory, pc: u64, len: usize) {
-        let first = pc / PAGE_SIZE;
-        let last = (pc + len as u64 - 1) / PAGE_SIZE;
-        for page in first..=last {
-            if !self.pages.iter().any(|&(p, _)| p == page) {
-                self.pages.push((page, mem.text_gen(page * PAGE_SIZE)));
-            }
-        }
+        record_gens(&mut self.pages, 0, mem, pc, len);
     }
 
-    /// `true` while every recorded page keeps its generation, with an
-    /// O(1) fast path when no text was written or flushed since the last
-    /// successful validation.
+    /// `true` while every recorded page keeps its generation (see
+    /// [`gens_valid`]).
     #[inline]
     pub(crate) fn valid(&self, mem: &Memory) -> bool {
-        let epoch = mem.text_epoch();
-        if self.epoch.get() == epoch {
-            return true;
-        }
-        if self
-            .pages
-            .iter()
-            .all(|&(page, gen)| mem.text_gen(page * PAGE_SIZE) == gen)
-        {
-            self.epoch.set(epoch);
-            return true;
-        }
-        false
+        gens_valid(&self.pages, &self.epoch, mem)
     }
 
     /// `true` if any recorded page intersects `[start, end)`
@@ -253,11 +315,6 @@ impl std::ops::AddAssign for BlockCacheStats {
     }
 }
 
-/// Shared handle to a block. `Rc` keeps replay alive across an eviction
-/// that lands mid-replay (host code runs between quanta, never inside
-/// one, but the borrow would otherwise still conflict).
-pub type BlockRef = Rc<DecodedBlock>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,21 +335,18 @@ mod tests {
 
     #[test]
     fn overlaps_uses_instruction_start_addresses() {
-        let ops = vec![(0x100, Insn::Nop { len: 4 }), (0x104, Insn::Halt)];
-        let b = DecodedBlock {
-            entry: 0x100,
-            fast_runs: DecodedBlock::fast_runs_of(&ops),
-            ops,
-            pages: PageGens::default(),
-            superblock: false,
-        };
-        assert!(b.overlaps(0x100, 0x101));
-        assert!(b.overlaps(0x104, 0x200));
+        let b = [
+            BlockOp::new(0x100, Insn::Nop { len: 4 }),
+            BlockOp::new(0x104, Insn::Halt),
+        ];
+        let overlaps = |start, end| DecodedBlock::overlaps(&b, start, end);
+        assert!(overlaps(0x100, 0x101));
+        assert!(overlaps(0x104, 0x200));
         // Covers bytes of the nop but no op *starts* there — the
         // per-instruction cache would keep its entry, so the block layer
         // must too.
-        assert!(!b.overlaps(0x101, 0x104));
-        assert!(!b.overlaps(0x105, 0x200));
+        assert!(!overlaps(0x101, 0x104));
+        assert!(!overlaps(0x105, 0x200));
     }
 
     #[test]
@@ -303,7 +357,7 @@ mod tests {
             dst: Reg::R0,
             imm: 1,
         };
-        let ops: Vec<(u64, Insn)> = [
+        let mut ops: Vec<BlockOp> = [
             alu(AluOp::Add),                    // fast
             alu(AluOp::Xor),                    // fast
             Insn::CmpRI { a: Reg::R0, imm: 3 }, // fast
@@ -320,9 +374,11 @@ mod tests {
         ]
         .into_iter()
         .enumerate()
-        .map(|(i, insn)| (i as u64 * 4, insn))
+        .map(|(i, insn)| BlockOp::new(i as u64 * 4, insn))
         .collect();
-        assert_eq!(DecodedBlock::fast_runs_of(&ops), vec![3, 2, 1, 0, 0, 1, 0]);
+        DecodedBlock::mark_fast_runs(&mut ops);
+        let fast_runs: Vec<u32> = ops.iter().map(|op| op.fast_run).collect();
+        assert_eq!(fast_runs, vec![3, 2, 1, 0, 0, 1, 0]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! profiles, fault points — is identical across tiers by construction.
 
 use crate::block::{
-    BlockCacheStats, DecodedBlock, ExecTier, PageGens, MAX_BLOCK_INSTS, MAX_SUPERBLOCK_FUSES,
+    span, BlockCacheStats, BlockOp, DecodedBlock, ExecTier, MAX_BLOCK_INSTS, MAX_SUPERBLOCK_FUSES,
     MAX_SUPERBLOCK_INSTS,
 };
 use crate::cost::CostModel;
@@ -441,32 +441,28 @@ impl Machine {
     /// pointer` code under a real debugger.
     pub fn backtrace(&self, max_frames: usize) -> Vec<u64> {
         self.backtrace_from(self.cpu.get(Reg::BP), max_frames)
+            .collect()
     }
 
-    /// [`Machine::backtrace`] starting from an explicit frame pointer —
-    /// lets the SMP scheduler walk the stack of a vCPU whose context is
-    /// currently swapped out.
-    pub fn backtrace_from(&self, bp: u64, max_frames: usize) -> Vec<u64> {
-        let mut out = Vec::new();
-        let mut bp = bp;
-        for _ in 0..max_frames {
+    /// The return addresses of [`Machine::backtrace`], walked lazily from
+    /// an explicit frame pointer — lets the SMP scheduler walk the stack
+    /// of a vCPU whose context is currently swapped out without
+    /// collecting it.
+    pub fn backtrace_from(&self, bp: u64, max_frames: usize) -> impl Iterator<Item = u64> + '_ {
+        let mut frame = Some(bp);
+        std::iter::from_fn(move || {
+            let bp = frame.take()?;
             // Frame layout: [bp] = caller's bp, [bp+8] = return address.
-            let Ok(ret) = self.mem.read_uint(bp.wrapping_add(8), 8) else {
-                break;
-            };
-            let Ok(next_bp) = self.mem.read_uint(bp, 8) else {
-                break;
-            };
+            let ret = self.mem.read_uint(bp.wrapping_add(8), 8).ok()?;
+            let next_bp = self.mem.read_uint(bp, 8).ok()?;
             if ret == 0 || ret == RET_SENTINEL {
-                break;
+                return None;
             }
-            out.push(ret);
-            if next_bp <= bp {
-                break; // stacks grow down; anything else is a torn chain
-            }
-            bp = next_bp;
-        }
-        out
+            // Stacks grow down; anything else is a torn chain.
+            frame = (next_bp > bp).then_some(next_bp);
+            Some(ret)
+        })
+        .take(max_frames)
     }
 
     #[inline]
@@ -849,41 +845,42 @@ impl Machine {
     /// the cached block if present and valid, record one otherwise.
     fn step_block_once(&mut self, budget: u64) -> (u64, Result<(), Fault>) {
         let pc = self.cpu.pc;
-        let cached = self
-            .blocks
-            .last(pc)
-            .cloned()
-            .map(|b| (b, true))
-            .or_else(|| self.blocks.get(pc).cloned().map(|b| (b, false)));
-        match cached {
-            // Sticky mode serves blocks unchecked: the private icache
-            // ignores version counters and only the explicit shootdown
-            // primitives evict (see `invalidate_decode_range`).
-            Some((b, _)) if !self.sticky_icache && !b.pages.valid(&self.mem) => {
-                self.blocks.evict(pc);
-                self.record_block(pc, budget, false)
-            }
-            Some((b, from_last)) => {
-                if !from_last
-                    && matches!(self.tier, ExecTier::Superblock | ExecTier::Native)
-                    && !b.superblock
-                    && self.blocks.bump_hot(pc) >= HOT_THRESHOLD
-                {
-                    // Hot tier-0 entry: re-record as a fused
-                    // superblock (the recording replaces the map
-                    // entry at `pc`).
-                    self.blocks.stats.promotions += 1;
-                    self.record_block(pc, budget, true)
-                } else {
-                    self.blocks.stats.hits += 1;
-                    if !from_last {
-                        self.blocks.set_last(pc, b.clone());
-                    }
-                    self.replay_block(&b, budget)
-                }
-            }
-            None => self.record_block(pc, budget, false),
+        let (b, from_last) = match self.blocks.last(pc) {
+            Some(b) => (b, true),
+            None => match self.blocks.get(pc) {
+                Some(b) => (b, false),
+                None => return self.record_block(pc, budget, false),
+            },
+        };
+        // Sticky mode serves blocks unchecked: the private icache
+        // ignores version counters and only the explicit shootdown
+        // primitives evict (see `invalidate_decode_range`).
+        if !self.sticky_icache && !self.blocks.valid(b, &self.mem) {
+            self.blocks.evict(pc);
+            return self.record_block(pc, budget, false);
         }
+        let b = b.clone();
+        if !from_last
+            && matches!(self.tier, ExecTier::Superblock | ExecTier::Native)
+            && !b.superblock
+            && self.blocks.bump_hot(pc) >= HOT_THRESHOLD
+        {
+            // Hot tier-0 entry: re-record as a fused superblock (the
+            // recording replaces the map entry at `pc`).
+            self.blocks.stats.promotions += 1;
+            return self.record_block(pc, budget, true);
+        }
+        self.blocks.stats.hits += 1;
+        let ops = span(&b.ops);
+        if !from_last {
+            self.blocks.set_last(b);
+        }
+        // Replay borrows the op arena: nothing a replayed op executes
+        // reaches the block cache.
+        let arena = std::mem::take(&mut self.blocks.ops);
+        let r = self.replay_block(&arena[ops], budget);
+        self.blocks.ops = arena;
+        r
     }
 
     /// Executes lowered blocks of `nf` while control stays inside the
@@ -1063,17 +1060,17 @@ impl Machine {
         self.natives.stats
     }
 
-    /// Re-executes the memoized ops of `b`. Stops at the budget or at a
-    /// fault.
+    /// Re-executes the memoized `ops` of the block at the current `pc`.
+    /// Stops at the budget or at a fault.
     ///
     /// Mid-block control flow is deterministic by construction: recording
     /// breaks at every transfer except fused `jmp`/`call rel`, whose
     /// targets are static, and `halt` only ever terminates a trace — so
-    /// inside the pre-sliced budget window only the entry pc needs
-    /// checking, and the per-op guard is a debug assertion.
+    /// inside the pre-sliced budget window the per-op `pc` guard is a
+    /// debug assertion.
     ///
     /// With no tracer or profiler attached, maximal runs of register-only
-    /// ops ([`DecodedBlock::fast_runs`]) retire through [`Machine::exec_fast`]
+    /// ops ([`BlockOp::fast_run`]) retire through [`Machine::exec_fast`]
     /// with the `tsc`, instruction-count, `fusable_at` and `pc` updates
     /// batched to the end of the run. Fast ops cannot fault, halt,
     /// transfer control, or read `tsc`/[`Stats`], and host code only
@@ -1081,35 +1078,32 @@ impl Machine {
     /// is bit-identical to per-instruction execution. Everything else —
     /// and every op when a tracer or profiler is attached — goes through
     /// [`Machine::exec_insn`] unchanged.
-    fn replay_block(&mut self, b: &DecodedBlock, budget: u64) -> (u64, Result<(), Fault>) {
-        let limit = usize::try_from(budget).map_or(b.ops.len(), |n| b.ops.len().min(n));
-        if self.cpu.pc != b.entry {
-            return (0, Ok(()));
-        }
+    fn replay_block(&mut self, ops: &[BlockOp], budget: u64) -> (u64, Result<(), Fault>) {
+        let limit = usize::try_from(budget).map_or(ops.len(), |n| ops.len().min(n));
         let plain = self.trace.is_none() && self.profiler.is_none();
         let mut i = 0usize;
         while i < limit {
-            let (pc, insn) = b.ops[i];
-            debug_assert_eq!(self.cpu.pc, pc, "replay left the recorded trace");
+            let op = ops[i];
+            debug_assert_eq!(self.cpu.pc, op.pc, "replay left the recorded trace");
             let run = if plain {
-                (b.fast_runs[i] as usize).min(limit - i)
+                (op.fast_run as usize).min(limit - i)
             } else {
                 0
             };
             if run > 0 {
                 let mut cycles = 0u64;
-                for &(_, op) in &b.ops[i..i + run] {
-                    cycles += self.exec_fast(op);
+                for fast in &ops[i..i + run] {
+                    cycles += self.exec_fast(fast.insn);
                 }
                 self.cpu.tsc += cycles;
                 self.stats.instructions += run as u64;
-                let (last_pc, last) = b.ops[i + run - 1];
-                let next = last_pc + last.len() as u64;
-                self.fusable_at = DecodedBlock::fuse_latch(&last, next);
+                let last = ops[i + run - 1];
+                let next = last.pc + last.insn.len() as u64;
+                self.fusable_at = DecodedBlock::fuse_latch(&last.insn, next);
                 self.cpu.pc = next;
                 i += run;
             } else {
-                if let Err(f) = self.exec_insn(pc, insn) {
+                if let Err(f) = self.exec_insn(op.pc, op.insn) {
                     return (i as u64, Err(f));
                 }
                 i += 1;
@@ -1183,8 +1177,7 @@ impl Machine {
         } else {
             MAX_BLOCK_INSTS
         };
-        let mut ops: Vec<(u64, Insn)> = Vec::new();
-        let mut pages = PageGens::new(&self.mem);
+        let mark = self.blocks.mark(&self.mem);
         let mut fuses = 0usize;
         let mut retired = 0u64;
         let mut result = Ok(());
@@ -1197,14 +1190,14 @@ impl Machine {
                     break;
                 }
             };
-            pages.record(&self.mem, pc, insn.len());
-            ops.push((pc, insn));
+            self.blocks.push_op(mark, &self.mem, pc, insn);
             if let Err(f) = self.exec_insn(pc, insn) {
                 result = Err(f);
                 break;
             }
             retired += 1;
-            if self.cpu.halted || self.cpu.pc == RET_SENTINEL || ops.len() >= max_ops {
+            let recorded = &self.blocks.ops[mark.ops..];
+            if self.cpu.halted || self.cpu.pc == RET_SENTINEL || recorded.len() >= max_ops {
                 break;
             }
             // A superblock fuses across direct, statically-targeted
@@ -1213,7 +1206,7 @@ impl Machine {
             if superblock
                 && fuses < MAX_SUPERBLOCK_FUSES
                 && matches!(insn, Insn::Jmp { .. } | Insn::CallRel { .. })
-                && !ops.iter().any(|&(p, _)| p == self.cpu.pc)
+                && !recorded.iter().any(|op| op.pc == self.cpu.pc)
             {
                 fuses += 1;
                 continue;
@@ -1230,16 +1223,7 @@ impl Machine {
                 break;
             }
         }
-        if !ops.is_empty() {
-            let block = Rc::new(DecodedBlock {
-                entry,
-                fast_runs: DecodedBlock::fast_runs_of(&ops),
-                ops,
-                pages,
-                superblock,
-            });
-            self.blocks.insert(entry, block);
-        }
+        self.blocks.finish(mark, entry, superblock);
         (retired, result)
     }
 

@@ -441,6 +441,12 @@ impl Memory {
         Ok(())
     }
 
+    /// Fails exactly as [`Memory::read`] of `len` bytes at `addr` would,
+    /// copying nothing: a readability check that needs no buffer.
+    pub fn check_read(&self, addr: u64, len: usize) -> Result<(), MemError> {
+        self.access(addr, len, Access::Read, |p| p.read)
+    }
+
     /// Reads into a fresh vector.
     pub fn read_vec(&self, addr: u64, len: usize) -> Result<Vec<u8>, MemError> {
         let mut v = vec![0u8; len];

@@ -381,8 +381,8 @@ impl SmpMachine {
     }
 
     /// Return-address backtrace of vCPU `i` (its context need not be
-    /// resident).
-    pub fn backtrace_of(&self, i: usize, max_frames: usize) -> Vec<u64> {
+    /// resident), walked lazily.
+    pub fn backtrace_of(&self, i: usize, max_frames: usize) -> impl Iterator<Item = u64> + '_ {
         self.machine
             .backtrace_from(self.ctxs[i].cpu.get(Reg::BP), max_frames)
     }
