@@ -568,3 +568,54 @@ fn wxorx_is_preserved_after_patching() {
     let prot = fx.m.mem.prot_of(caller).unwrap();
     assert!(prot.exec && !prot.write);
 }
+
+fn text(fx: &Fx) -> Vec<u8> {
+    let (addr, size) = fx.exe.section(mvobj::SEC_TEXT);
+    fx.m.mem.read_vec(addr, size as usize).unwrap()
+}
+
+#[test]
+fn null_fnptr_target_fails_the_dry_run_and_the_validate_phase() {
+    let mut fx = setup();
+    let op = fx.exe.symbol("op").unwrap();
+    fx.m.mem.write_int(op, 0, 8).unwrap();
+    // The dry run reports the switch's bind on its call site.
+    let report = fx.rt.validate(&fx.m);
+    assert!(!report.healthy(), "a null target must not pass the dry run");
+    let site = report.sites.iter().find(|s| s.callee == op).unwrap();
+    assert!(
+        site.issue
+            .as_deref()
+            .is_some_and(|i| i.contains("unreachable target 0x0")),
+        "{site:?}"
+    );
+    // And the commit fails there too, having written nothing.
+    let before = text(&fx);
+    let err = fx.rt.commit(&mut fx.m).unwrap_err();
+    assert_eq!(err.commit_phase(), Some(mvrt::CommitPhase::Validate));
+    assert!(
+        matches!(err.root_cause(), RtError::BadFnPtrTarget { var_addr, target: 0 } if *var_addr == op),
+        "{err:?}"
+    );
+    assert_eq!(text(&fx), before, "a failed validate writes nothing");
+}
+
+#[test]
+fn fnptr_aimed_at_data_fails_validation_with_nothing_written() {
+    let mut fx = setup();
+    let op = fx.exe.symbol("op").unwrap();
+    let data = fx.exe.symbol("A").unwrap();
+    let before = text(&fx);
+    let err = mvrt::fnptr::bind_and_commit(&mut fx.rt, &mut fx.m, op, data).unwrap_err();
+    assert_eq!(
+        err.commit_phase(),
+        Some(mvrt::CommitPhase::Validate),
+        "{err:?}"
+    );
+    assert_eq!(text(&fx), before, "a failed validate writes nothing");
+    assert!(!fx.rt.validate(&fx.m).healthy());
+    // Aimed back at a function, the same switch commits cleanly.
+    let impl_b = fx.exe.symbol("impl_b").unwrap();
+    mvrt::fnptr::bind_and_commit(&mut fx.rt, &mut fx.m, op, impl_b).unwrap();
+    assert_eq!(call(&mut fx, "caller3"), 22);
+}

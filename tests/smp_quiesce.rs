@@ -7,7 +7,9 @@
 //! quiesced commit must produce an image byte-identical to the same
 //! plan committed on an idle single-vCPU world.
 
-use multiverse::mvrt::{CommitStrategy, TxnOp};
+use multiverse::mvrt::mvmetrics::Registry;
+use multiverse::mvrt::mvtrace::EventKind;
+use multiverse::mvrt::{CommitDaemon, CommitStrategy, Lane, MvdConfig, MvdOp, RtError, TxnOp};
 use multiverse::mvvm::{FaultOp, FaultPlan};
 use multiverse::{Program, SmpWorld};
 use mv_workloads::smp_contention;
@@ -30,6 +32,13 @@ fn boot_workers(p: &Program, seed: u64) -> SmpWorld {
         w.smp.step_round();
     }
     w
+}
+
+/// Quiesce windows the runtime's trace has opened and closed so far.
+fn windows(w: &SmpWorld) -> (usize, usize) {
+    let events = w.rt.as_ref().unwrap().trace_snapshot();
+    let count = |name: &str| events.iter().filter(|e| e.kind.name() == name).count();
+    (count("quiesce_begin"), count("quiesce_end"))
 }
 
 fn text_of(p: &Program, w: &SmpWorld) -> Vec<u8> {
@@ -173,10 +182,17 @@ fn fault_sweep_never_tears_text_or_workers() {
             for n in 1..=count {
                 for seed in SEEDS {
                     let mut w = boot_workers(&p, seed);
+                    w.rt.as_mut().unwrap().enable_tracing(4096);
                     let pristine = text_of(&p, &w);
 
                     w.smp.machine.inject_fault(FaultPlan::new(op, n));
-                    match w.commit_quiesced(strategy) {
+                    let committed = w.commit_quiesced(strategy);
+                    assert_eq!(
+                        windows(&w),
+                        (1, 1),
+                        "{strategy} {op:?}@{n} seed {seed}: quiesce window left open"
+                    );
+                    match committed {
                         Err(_) => {
                             // The commit failed: the rollback (and, for
                             // breakpoint-first, the trap unwind) must
@@ -220,6 +236,7 @@ fn fault_sweep_never_tears_text_or_workers() {
                     // (or re-lands) exactly on the reference image.
                     w.commit_quiesced(strategy)
                         .unwrap_or_else(|e| panic!("{strategy} {op:?}@{n} heal failed: {e}"));
+                    assert_eq!(windows(&w), (2, 2), "{strategy} {op:?}@{n} seed {seed}");
                     assert_eq!(
                         text_of(&p, &w),
                         reference,
@@ -254,4 +271,77 @@ fn commit_refs_fault_sweep_is_atomic() {
             assert_eq!(w.get("counter").unwrap(), (VCPUS as i64) * (ITERS as i64));
         }
     }
+}
+
+/// Quiesced and daemon commits are timed like unicore ones: whichever
+/// path runs the transaction, `last_timing` covers its phases and
+/// counts its sites, and `patch_time` grows.
+#[test]
+fn quiesced_and_daemon_commits_are_timed() {
+    let p = smp_contention::build().unwrap();
+    let check = |w: &SmpWorld, before, sites_touched: usize, what: &str| {
+        let rt = w.rt.as_ref().unwrap();
+        let t = rt.last_timing;
+        assert!(sites_touched > 0, "{what}: the commit must touch sites");
+        assert!(t.elapsed >= t.plan + t.validate + t.apply, "{what}: {t:?}");
+        assert_eq!(t.sites, sites_touched as u64, "{what}: {t:?}");
+        assert!(rt.patch_time > before, "{what}: patch_time did not grow");
+    };
+    for strategy in STRATEGIES {
+        let mut w = boot_workers(&p, SEEDS[1]);
+        let before = w.rt.as_ref().unwrap().patch_time;
+        let q = w.commit_quiesced(strategy).unwrap();
+        check(&w, before, q.commit.sites_touched, strategy.name());
+    }
+    let mut w = boot_workers(&p, SEEDS[1]);
+    let switch = w.sym("config_smp").unwrap();
+    let before = w.rt.as_ref().unwrap().patch_time;
+    let mut daemon = CommitDaemon::new(MvdConfig::default());
+    let flip = MvdOp::Flip { switch, value: 0 };
+    daemon.submit(w.rt.as_mut().unwrap(), flip, Lane::Normal);
+    assert!(daemon.step(w.rt.as_mut().unwrap(), &mut w.smp));
+    let done = daemon.take_completions();
+    let multiverse::mvrt::MvdOutcome::Committed(q) = &done[0].outcome else {
+        panic!("the flip must land: {:?}", done[0].outcome);
+    };
+    check(&w, before, q.commit.sites_touched, "mvd flip");
+}
+
+/// A breakpoint commit whose trap unwind fails too still closes its
+/// quiesce window. From the third mprotect on every one faults: the
+/// second trap plant fails, and so does restoring the first trap byte.
+#[test]
+fn failed_trap_unwind_still_closes_the_window() {
+    let p = smp_contention::build().unwrap();
+    let mut w = boot_workers(&p, SEEDS[1]);
+    let registry = Registry::new();
+    w.enable_metrics(&registry);
+    w.smp
+        .machine
+        .inject_fault(FaultPlan::new(FaultOp::Mprotect, 3).sticky());
+    let rt = w.rt.as_mut().unwrap();
+    rt.enable_tracing(4096);
+    let err = rt
+        .run_quiesced(&mut w.smp, TxnOp::CommitAll, CommitStrategy::Breakpoint)
+        .unwrap_err();
+    assert!(matches!(err, RtError::RollbackFailed { .. }), "{err:?}");
+    let ends: Vec<_> = rt
+        .take_trace()
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            EventKind::QuiesceEnd { ok, .. } => Some(ok),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(ends, [false], "one failed quiesce_end");
+    let failed = registry.counter_with(
+        "mv_rt_quiesce_total",
+        "Quiesce windows by strategy and outcome",
+        &[("strategy", "breakpoint"), ("outcome", "err")],
+    );
+    assert_eq!(
+        failed.get(),
+        1,
+        "one failed breakpoint window in the metrics"
+    );
 }
