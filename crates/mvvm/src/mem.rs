@@ -447,6 +447,14 @@ impl Memory {
         self.access(addr, len, Access::Read, |p| p.read)
     }
 
+    /// Fails exactly as [`Memory::write`] of `len` bytes at `addr` would
+    /// for protection, writing nothing: the first page of the range that
+    /// is unmapped or not writable faults, at `addr` or at that page's
+    /// first byte. An installed [`FaultPlan`] is not consulted.
+    pub fn check_write(&self, addr: u64, len: usize) -> Result<(), MemError> {
+        self.access(addr, len, Access::Write, |p| p.write)
+    }
+
     /// Reads into a fresh vector.
     pub fn read_vec(&self, addr: u64, len: usize) -> Result<Vec<u8>, MemError> {
         let mut v = vec![0u8; len];

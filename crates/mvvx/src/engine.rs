@@ -25,15 +25,25 @@
 //! written before their split, so a split and the join after it cost
 //! what the siblings wrote in between, not the size of the overlay.
 //!
+//! **Memory.** A context's writes live in its overlay (the private
+//! `overlay` module): page-sized chunks of concrete bytes with a written
+//! and a variational bit per byte, in a part frozen at the last split and
+//! a part of its own. A load inside one page whose bytes are all concrete
+//! in one part, or that reads only the base image outside every switch
+//! cell, costs one check; so does a concrete store inside one page.
+//! Everything else — variational bytes, switch cells, accesses split
+//! between parts or straddling a page — reads and writes byte by byte,
+//! with exactly the per-byte semantics. A store faults where
+//! [`Memory::write`] would, at the first byte of the first page it may
+//! not write.
+//!
 //! **Bail.** `rdtsc` is refused outright ([`VexecError::Unsupported`]):
 //! cycle counts are configuration-dependent in ways the shared pass does
 //! not model, so timing questions must fall back to enumeration. A fault
 //! that is concrete across a context's configurations aborts the pass
 //! with the label of one offending configuration.
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::rc::Rc;
 
 use mvasm::{AluOp, Insn, Reg};
 use mvtrace::{EventKind, TraceRing};
@@ -43,6 +53,7 @@ use mvvm::mem::{extend, Access, MemError};
 use mvvm::{Fault, Memory, Platform};
 
 use crate::config::{ConfigSpace, LeafSet};
+use crate::overlay::{Byte, Load, Overlay};
 use crate::value::{NeedSplit, Val};
 
 /// Tuning knobs for a vexec pass.
@@ -184,49 +195,6 @@ enum Terminal {
     Halt,
 }
 
-/// Memory bytes written over the base image, byte-granular, with the
-/// closed address range they span. A probe outside that range costs no
-/// map lookup: decodes and reads of the base image usually fall outside
-/// both parts of a context's overlay, and then cost less than the one
-/// lookup a single overlay map took.
-#[derive(Clone)]
-struct Delta {
-    bytes: BTreeMap<u64, Val>,
-    /// Every key lies in `lo..=hi`; `lo > hi` while `bytes` is empty.
-    lo: u64,
-    hi: u64,
-}
-
-impl Default for Delta {
-    fn default() -> Delta {
-        Delta {
-            bytes: BTreeMap::new(),
-            lo: u64::MAX,
-            hi: 0,
-        }
-    }
-}
-
-impl Delta {
-    fn get(&self, addr: u64) -> Option<&Val> {
-        if addr < self.lo || addr > self.hi {
-            return None;
-        }
-        self.bytes.get(&addr)
-    }
-
-    fn insert(&mut self, addr: u64, v: Val) {
-        self.lo = self.lo.min(addr);
-        self.hi = self.hi.max(addr);
-        self.bytes.insert(addr, v);
-    }
-
-    /// `true` if some byte in `from..to` was written.
-    fn any_in(&self, from: u64, to: u64) -> bool {
-        from <= self.hi && self.lo < to && self.bytes.range(from..to).next().is_some()
-    }
-}
-
 /// One variational context: the state of some subset of configurations.
 struct Ctx {
     leaves: LeafSet,
@@ -238,49 +206,26 @@ struct Ctx {
     /// scheduler suspends a context when its depth drops below the
     /// horizon of the split that created it — the join point.
     depth: i64,
-    /// The memory overlay's part shared with the siblings of the
-    /// context's last split: every byte written before that split,
-    /// tabulated over the splitting context's leaves (reads restrict
-    /// them). Never mutated while another context holds it.
-    frozen: Rc<Delta>,
-    /// The bytes this context wrote since its last split; they shadow
-    /// `frozen`.
-    own: Delta,
+    /// Every byte the context wrote over the base image. Bytes frozen
+    /// at a split keep the splitting context's tables; reads restrict
+    /// them to this context's leaves.
+    overlay: Overlay,
     out: Vec<Val>,
     terminal: Option<Terminal>,
 }
 
 impl Ctx {
-    /// Folds the context's own bytes into its frozen part, so a split
-    /// hands every child the whole overlay without copying a byte. The
-    /// fold is in place unless another context still shares the part.
-    fn freeze(&mut self) {
-        if self.own.bytes.is_empty() {
-            return;
-        }
-        let own = std::mem::take(&mut self.own);
-        if self.frozen.bytes.is_empty() {
-            self.frozen = Rc::new(own);
-        } else {
-            let frozen = Rc::make_mut(&mut self.frozen);
-            for (addr, v) in own.bytes {
-                frozen.insert(addr, v);
-            }
-        }
-    }
-
     /// A child over `leaves`, a subset of this (frozen) context's: value
     /// tables in registers and output are pruned, the overlay is shared.
     fn child(&self, space: &ConfigSpace, leaves: LeafSet) -> Ctx {
-        debug_assert!(self.own.bytes.is_empty(), "split before freeze");
+        debug_assert!(self.overlay.is_frozen(), "split before freeze");
         Ctx {
             regs: std::array::from_fn(|i| self.regs[i].restrict(space, &leaves)),
             cmp: (
                 self.cmp.0.restrict(space, &leaves),
                 self.cmp.1.restrict(space, &leaves),
             ),
-            frozen: Rc::clone(&self.frozen),
-            own: Delta::default(),
+            overlay: self.overlay.child(),
             out: self
                 .out
                 .iter()
@@ -292,13 +237,6 @@ impl Ctx {
             depth: self.depth,
             terminal: self.terminal,
         }
-    }
-
-    /// Every byte the context wrote, ascending.
-    fn written(&self) -> BTreeMap<u64, &Val> {
-        let mut all: BTreeMap<u64, &Val> = self.frozen.bytes.iter().map(|(a, v)| (*a, v)).collect();
-        all.extend(self.own.bytes.iter().map(|(a, v)| (*a, v)));
-        all
     }
 }
 
@@ -346,6 +284,9 @@ pub struct Vexec<'a> {
     opts: VexecOptions,
     trace: Option<&'a mut TraceRing>,
     decode_cache: FxHashMap<u64, Insn>,
+    /// The first and last byte of the switch cells, if any: an access
+    /// outside that range reads no cell.
+    cells: Option<(u64, u64)>,
     stats: VexecStats,
     live: u64,
 }
@@ -391,6 +332,11 @@ impl<'a> Vexec<'a> {
     /// Creates an engine over a base memory image and a configuration
     /// space, with the platform deciding hypercall semantics.
     pub fn new(mem: &'a Memory, space: &'a ConfigSpace, platform: Platform) -> Vexec<'a> {
+        let cells = space.switches().iter().fold(None, |span, sw| {
+            let last = sw.addr + sw.width as u64 - 1;
+            let (lo, hi) = span.unwrap_or((sw.addr, last));
+            Some((lo.min(sw.addr), hi.max(last)))
+        });
         Vexec {
             mem,
             space,
@@ -398,6 +344,7 @@ impl<'a> Vexec<'a> {
             opts: VexecOptions::default(),
             trace: None,
             decode_cache: FxHashMap::default(),
+            cells,
             stats: VexecStats::default(),
             live: 0,
         }
@@ -442,8 +389,7 @@ impl<'a> Vexec<'a> {
             if_flag,
             pc: entry,
             depth: 0,
-            frozen: Rc::default(),
-            own: Delta::default(),
+            overlay: Overlay::default(),
             out: Vec::new(),
             terminal: None,
         };
@@ -470,13 +416,14 @@ impl<'a> Vexec<'a> {
     /// Returns every terminal/suspended context that descends from it.
     fn run(&mut self, mut ctx: Ctx, horizon: i64) -> Result<Vec<Ctx>, VexecError> {
         let mut out: Vec<Ctx> = Vec::new();
+        let mut weight = ctx.leaves.count() as u64;
         loop {
             if ctx.terminal.is_some() || ctx.depth < horizon {
                 out.push(ctx);
                 self.try_merge(&mut out);
                 return Ok(out);
             }
-            match self.step(&mut ctx)? {
+            match self.step(&mut ctx, weight)? {
                 Step::Retired => {}
                 Step::Terminal => {
                     out.push(ctx);
@@ -500,6 +447,7 @@ impl<'a> Vexec<'a> {
                     if live.len() == 1 && out.is_empty() {
                         // Fully re-joined: continue sharing in this frame.
                         ctx = live.pop().expect("len checked");
+                        weight = ctx.leaves.count() as u64;
                         continue;
                     }
                     for c in live {
@@ -512,15 +460,15 @@ impl<'a> Vexec<'a> {
         }
     }
 
-    /// One shared step: execute, or turn an [`Abort`] into a
+    /// One shared step of `ctx`, which stands for `weight`
+    /// configurations: execute, or turn an [`Abort`] into a
     /// materializing split / pass error.
-    fn step(&mut self, ctx: &mut Ctx) -> Result<Step, VexecError> {
+    fn step(&mut self, ctx: &mut Ctx, weight: u64) -> Result<Step, VexecError> {
         if self.stats.steps >= self.opts.fuel {
             return Err(VexecError::Fuel {
                 steps: self.stats.steps,
             });
         }
-        let weight = ctx.leaves.count() as u64;
         match self.exec(ctx) {
             Ok(step) => {
                 // The instruction retired exactly once for every
@@ -539,7 +487,7 @@ impl<'a> Vexec<'a> {
     /// pc — the aborted instruction re-executes with the switch
     /// concrete.
     fn materialize(&mut self, ctx: &mut Ctx, sw: usize) -> Step {
-        ctx.freeze();
+        ctx.overlay.freeze();
         let digits = self.space.live_digits(&ctx.leaves, sw);
         let children: Vec<Ctx> = digits
             .iter()
@@ -642,21 +590,17 @@ impl<'a> Vexec<'a> {
         // Contexts holding one frozen part see the same byte wherever
         // neither wrote since it froze, and that byte restricted to each
         // side merges back into itself; any other pair merges every byte.
-        let shared = Rc::ptr_eq(&a.frozen, &b.frozen);
-        let mut parts = vec![&a.own, &b.own];
-        if !shared {
-            parts.extend([&*a.frozen, &*b.frozen]);
-        }
-        let mut own = Delta::default();
-        for &addr in parts.iter().flat_map(|p| p.bytes.keys()) {
-            if own.bytes.contains_key(&addr) {
-                continue;
-            }
+        let mut overlay = if a.overlay.shares_frozen(&b.overlay) {
+            a.overlay.child()
+        } else {
+            Overlay::default()
+        };
+        for addr in Overlay::join_addrs(&a.overlay, &b.overlay) {
             // A byte one side never wrote still has a value there — the
             // symbolic-or-base read the other side would see.
             let va = self.read_byte(a, addr).ok()?;
             let vb = self.read_byte(b, addr).ok()?;
-            own.insert(addr, merge_val(&va, &vb, s, &da, &db)?);
+            overlay.set(addr, merge_val(&va, &vb, s, &da, &db)?);
         }
         Some(Ctx {
             leaves: a.leaves.union(&b.leaves),
@@ -665,12 +609,7 @@ impl<'a> Vexec<'a> {
             if_flag: a.if_flag,
             pc: a.pc,
             depth: a.depth,
-            frozen: if shared {
-                Rc::clone(&a.frozen)
-            } else {
-                Rc::default()
-            },
-            own,
+            overlay,
             out,
             terminal: None,
         })
@@ -687,7 +626,7 @@ impl<'a> Vexec<'a> {
                 return Err(VexecError::Incomplete { missing: n });
             }
             let sp = self.space;
-            let written = ctx.written();
+            let written = ctx.overlay.written();
             for leaf in ctx.leaves.iter() {
                 debug_assert!(!coverage.contains(leaf), "terminal contexts overlap");
                 coverage.insert(leaf);
@@ -703,7 +642,10 @@ impl<'a> Vexec<'a> {
                     out: ctx.out.iter().map(|v| v.at(sp, leaf) as u8).collect(),
                     writes: written
                         .iter()
-                        .map(|(a, v)| (*a, v.at(sp, leaf) as u8))
+                        .map(|&(a, b)| match b {
+                            Byte::Concrete(x) => (a, x),
+                            Byte::Var(v) => (a, v.at(sp, leaf) as u8),
+                        })
                         .collect(),
                 };
                 if let Some(t) = self.trace.as_deref_mut() {
@@ -731,8 +673,7 @@ impl<'a> Vexec<'a> {
     // ---- memory -----------------------------------------------------
 
     fn decode(&mut self, ctx: &Ctx, pc: u64) -> Result<Insn, Abort> {
-        let to = pc.saturating_add(16);
-        if ctx.own.any_in(pc, to) || ctx.frozen.any_in(pc, to) {
+        if ctx.overlay.any_written(pc, pc.saturating_add(16)) {
             return Err(Abort::Unsupported("self-modifying code"));
         }
         if let Some(i) = self.decode_cache.get(&pc) {
@@ -743,26 +684,36 @@ impl<'a> Vexec<'a> {
         Ok(insn)
     }
 
+    /// `true` if `addr..=last` may read a switch cell.
+    fn near_cells(&self, addr: u64, last: u64) -> bool {
+        self.cells.is_some_and(|(lo, hi)| addr <= hi && lo <= last)
+    }
+
     /// One memory byte as the context sees it: its own bytes first, then
     /// its frozen ones (restricted to its leaves), then the symbolic view
     /// of a switch cell, then the shared base.
     fn read_byte(&self, ctx: &Ctx, addr: u64) -> Result<Val, Abort> {
-        if let Some(v) = ctx.own.get(addr) {
-            return Ok(v.clone());
+        if let Some(b) = ctx.overlay.own_byte(addr) {
+            return Ok(b.to_val());
         }
-        if let Some(v) = ctx.frozen.get(addr) {
-            return Ok(v.restrict(self.space, &ctx.leaves));
+        if let Some(b) = ctx.overlay.frozen_byte(addr) {
+            return Ok(match b {
+                Byte::Concrete(x) => Val::Concrete(x as u64),
+                Byte::Var(v) => v.restrict(self.space, &ctx.leaves),
+            });
         }
-        for (s, sw) in self.space.switches().iter().enumerate() {
-            if addr >= sw.addr && addr < sw.addr + sw.width as u64 {
-                let shift = 8 * (addr - sw.addr) as u32;
-                let vals = self
-                    .space
-                    .live_digits(&ctx.leaves, s)
-                    .into_iter()
-                    .map(|i| (i, (sw.values[i] as u64 >> shift) & 0xFF))
-                    .collect();
-                return Ok(Val::per_value(s, vals));
+        if self.near_cells(addr, addr) {
+            for (s, sw) in self.space.switches().iter().enumerate() {
+                if addr >= sw.addr && addr < sw.addr + sw.width as u64 {
+                    let shift = 8 * (addr - sw.addr) as u32;
+                    let vals = self
+                        .space
+                        .live_digits(&ctx.leaves, s)
+                        .into_iter()
+                        .map(|i| (i, (sw.values[i] as u64 >> shift) & 0xFF))
+                        .collect();
+                    return Ok(Val::per_value(s, vals));
+                }
             }
         }
         self.mem
@@ -771,8 +722,21 @@ impl<'a> Vexec<'a> {
             .map_err(Abort::from)
     }
 
+    /// The `width`-byte load at `addr`. An access inside one chunk of the
+    /// overlay that reads only concrete bytes of one part, or only the
+    /// base image outside every switch cell, costs one check; any other
+    /// reads byte by byte.
     fn read_mem(&self, ctx: &Ctx, addr: u64, width: usize) -> Result<Val, Abort> {
-        last_byte(addr, width, Access::Read)?;
+        let last = last_byte(addr, width, Access::Read)?;
+        match ctx.overlay.load(addr, width) {
+            Load::Concrete(v) => return Ok(Val::Concrete(v)),
+            // One chunk is one page, so this read faults where the
+            // byte-by-byte one would.
+            Load::Untouched if !self.near_cells(addr, last) => {
+                return Ok(Val::Concrete(self.mem.read_uint(addr, width)?));
+            }
+            Load::Untouched | Load::Bytes => {}
+        }
         let mut acc = Val::Concrete(0);
         for j in 0..width {
             let b = self.read_byte(ctx, addr + j as u64)?;
@@ -782,25 +746,11 @@ impl<'a> Vexec<'a> {
         Ok(acc)
     }
 
+    /// Stores the low `width` bytes of `val` at `addr`, faulting exactly
+    /// where [`Memory::write`] would.
     fn write_mem(&self, ctx: &mut Ctx, addr: u64, val: Val, width: usize) -> Result<(), Abort> {
-        let last = last_byte(addr, width, Access::Write)?;
-        for probe in [addr, last] {
-            match self.mem.prot_of(probe) {
-                Some(p) if p.write => {}
-                other => {
-                    return Err(Abort::Fault(Fault::Mem(MemError {
-                        addr: probe,
-                        access: Access::Write,
-                        mapped: other.is_some(),
-                    })))
-                }
-            }
-        }
-        for j in 0..width {
-            let shift = 8 * j as u32;
-            ctx.own
-                .insert(addr + j as u64, val.map(|v| (v >> shift) & 0xFF));
-        }
+        self.mem.check_write(addr, width)?;
+        ctx.overlay.store(addr, &val, width);
         Ok(())
     }
 
@@ -1013,7 +963,7 @@ impl<'a> Vexec<'a> {
         taken_pc: u64,
         fall_pc: u64,
     ) -> Vec<Ctx> {
-        ctx.freeze();
+        ctx.overlay.freeze();
         let n = self.space.leaf_count();
         let mut taken = LeafSet::empty(n);
         let mut fall = LeafSet::empty(n);
@@ -1431,6 +1381,212 @@ mod tests {
             ]);
             want.sort_unstable();
             assert_eq!(leaf.writes, want, "leaf {}", leaf.leaf);
+        }
+    }
+
+    /// Runs an 8-byte store at the last four bytes of the [`SCRATCH`]
+    /// page, with the next page mapped `next` (or unmapped), and checks
+    /// that the pass faults exactly as [`Memory::write`] does.
+    fn straddling_store_faults_as_the_vm(next: Option<Prot>) {
+        let at = SCRATCH + 0xFFC;
+        let code = [
+            Insn::MovRI { dst: r(1), imm: -1 },
+            Insn::StoreAbs {
+                src: r(1),
+                addr: at,
+                width: Width::W64,
+            },
+            Insn::Ret,
+        ];
+        let (mut mem, space) = setup(&code, vec![domain(&[0, 1])]);
+        mem.map(SCRATCH, 4096, Prot::RW);
+        if let Some(prot) = next {
+            mem.map(SCRATCH + 0x1000, 4096, prot);
+        }
+        let want = mem.write(at, &[0xFF; 8]).unwrap_err();
+        assert_eq!(want.addr, SCRATCH + 0x1000, "the VM faults at the page");
+        let mut vx = Vexec::new(&mem, &space, Platform::Native);
+        match vx.run_call(CODE, &[], &regs0(), true) {
+            Err(VexecError::Fault {
+                fault: Fault::Mem(e),
+                ..
+            }) => assert_eq!(e, want),
+            other => panic!("expected a write fault, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn store_into_unmapped_second_page_faults_at_that_page() {
+        straddling_store_faults_as_the_vm(None);
+    }
+
+    #[test]
+    fn store_into_read_only_second_page_faults_at_that_page() {
+        straddling_store_faults_as_the_vm(Some(Prot::R));
+    }
+
+    #[test]
+    fn load_overlapping_a_switch_cell_in_part_reads_byte_by_byte() {
+        // The cell sits 8 bytes into the switch page. r0 reads four
+        // stored bytes and the cell's first four; r1 reads two base
+        // bytes, the whole cell and two more base bytes.
+        let cell = SWITCH + 8;
+        let code = [
+            Insn::MovRI {
+                dst: r(2),
+                imm: 0x1122_3344,
+            },
+            Insn::StoreAbs {
+                src: r(2),
+                addr: cell - 4,
+                width: Width::W32,
+            },
+            Insn::LoadAbs {
+                dst: r(0),
+                addr: cell - 4,
+                width: Width::W64,
+                signed: false,
+            },
+            Insn::LoadAbs {
+                dst: r(1),
+                addr: cell - 2,
+                width: Width::W64,
+                signed: false,
+            },
+            Insn::Ret,
+        ];
+        let sw = SwitchDomain {
+            addr: cell,
+            ..domain(&[3, -7])
+        };
+        let (mem, space) = setup(&code, vec![sw]);
+        let mut vx = Vexec::new(&mem, &space, Platform::Native);
+        let rep = vx.run_call(CODE, &[], &regs0(), true).unwrap();
+        assert_eq!(rep.stats.splits, 0);
+        let want = |v: i64| {
+            let v = v as u32 as u64;
+            ((v << 32) | 0x1122_3344, (v << 16) | 0x1122)
+        };
+        let got: Vec<(u64, u64)> = rep.leaves.iter().map(|l| (l.exit, l.regs[1])).collect();
+        assert_eq!(got, vec![want(-7), want(3)]);
+    }
+
+    #[test]
+    fn chunk_straddling_accesses_read_byte_by_byte() {
+        // A concrete store across the page boundary, then a switch value
+        // stored across it again, then loads across it.
+        let at = SCRATCH + 0xFFC;
+        let code = [
+            Insn::MovRI {
+                dst: r(2),
+                imm: 0x8877_6655_4433_2211_u64 as i64,
+            },
+            Insn::StoreAbs {
+                src: r(2),
+                addr: at,
+                width: Width::W64,
+            },
+            Insn::LoadAbs {
+                dst: r(1),
+                addr: at + 1,
+                width: Width::W32,
+                signed: false,
+            },
+            Insn::LoadAbs {
+                dst: r(3),
+                addr: SWITCH,
+                width: Width::W32,
+                signed: true,
+            },
+            Insn::StoreAbs {
+                src: r(3),
+                addr: at + 3,
+                width: Width::W16,
+            },
+            Insn::LoadAbs {
+                dst: r(0),
+                addr: at,
+                width: Width::W64,
+                signed: false,
+            },
+            Insn::Ret,
+        ];
+        let (mut mem, space) = setup(&code, vec![domain(&[0x0102, 0x0A0B])]);
+        mem.map(SCRATCH, 0x2000, Prot::RW);
+        let mut vx = Vexec::new(&mem, &space, Platform::Native);
+        let rep = vx.run_call(CODE, &[], &regs0(), true).unwrap();
+        assert_eq!(rep.stats.splits, 0);
+        let bytes = |v: u64| {
+            let mut b = 0x8877_6655_4433_2211u64.to_le_bytes();
+            b[3..5].copy_from_slice(&v.to_le_bytes()[..2]);
+            b
+        };
+        for (leaf, v) in rep.leaves.iter().zip([0x0102u64, 0x0A0B]) {
+            assert_eq!(
+                (leaf.exit, leaf.regs[1]),
+                (u64::from_le_bytes(bytes(v)), 0x5544_3322)
+            );
+            let stored: Vec<(u64, u8)> = (at..).zip(bytes(v)).collect();
+            assert!(leaf.writes.starts_with(&stored), "leaf {}", leaf.leaf);
+        }
+    }
+
+    #[test]
+    fn load_split_between_own_and_frozen_bytes_reads_byte_by_byte() {
+        // Eight bytes stored before a split on the switch; each arm
+        // overwrites two of them, then loads all eight.
+        let arm = |imm: i64| {
+            [
+                Insn::MovRI { dst: r(3), imm },
+                Insn::StoreAbs {
+                    src: r(3),
+                    addr: SCRATCH + 2,
+                    width: Width::W16,
+                },
+                Insn::LoadAbs {
+                    dst: r(0),
+                    addr: SCRATCH,
+                    width: Width::W64,
+                    signed: false,
+                },
+                Insn::Ret,
+            ]
+        };
+        let fall = arm(0xAAAA);
+        let mut code = vec![
+            Insn::MovRI {
+                dst: r(2),
+                imm: 0x0807_0605_0403_0201,
+            },
+            Insn::StoreAbs {
+                src: r(2),
+                addr: SCRATCH,
+                width: Width::W64,
+            },
+            Insn::LoadAbs {
+                dst: r(1),
+                addr: SWITCH,
+                width: Width::W32,
+                signed: true,
+            },
+            Insn::CmpRI { a: r(1), imm: 0 },
+            Insn::Jcc {
+                cc: Cond::Eq,
+                rel: fall.iter().map(|i| i.len() as i32).sum(),
+            },
+        ];
+        code.extend(fall);
+        code.extend(arm(0xBBBB));
+        let (mut mem, space) = setup(&code, vec![domain(&[0, 1])]);
+        mem.map(SCRATCH, 4096, Prot::RW);
+        let mut vx = Vexec::new(&mem, &space, Platform::Native);
+        let rep = vx.run_call(CODE, &[], &regs0(), true).unwrap();
+        assert_eq!(rep.stats.splits, 1);
+        let exit: Vec<u64> = rep.leaves.iter().map(|l| l.exit).collect();
+        assert_eq!(exit, vec![0x0807_0605_BBBB_0201, 0x0807_0605_AAAA_0201]);
+        for leaf in &rep.leaves {
+            let stored: Vec<(u64, u8)> = (SCRATCH..).zip(leaf.exit.to_le_bytes()).collect();
+            assert!(leaf.writes.starts_with(&stored), "leaf {}", leaf.leaf);
         }
     }
 

@@ -28,6 +28,11 @@
 //!   (contexts split into at most two arms, grouping domain values by
 //!   outcome), and sibling re-join when split contexts return to their
 //!   common caller with differences expressible over the split switch.
+//! * `overlay` (private) — a context's memory writes: page-sized,
+//!   copy-on-write chunks of concrete bytes with one written and one
+//!   variational bit per byte, variational values in a side map. An
+//!   access to concrete bytes inside one page costs one check, so code
+//!   that touches no variational data pays no per-byte overhead.
 //! * [`metrics`] — the `mv_vexec_*` counter family for the
 //!   [`mvmetrics::Registry`].
 //!
@@ -42,6 +47,7 @@
 pub mod config;
 pub mod engine;
 pub mod metrics;
+mod overlay;
 pub mod value;
 
 pub use config::{ConfigSpace, LeafSet, SpaceError, SwitchDomain};

@@ -8,7 +8,9 @@
 //! random straight-line-plus-branch programs over random switch domains
 //! must split and re-join to *exactly* |cross product| leaves, each
 //! computing what a Rust oracle predicts and reporting exactly the
-//! global stores it predicts.
+//! global stores it predicts, byte by byte: the programs also read and
+//! write the same global through byte and word pointers, so variational
+//! and concrete bytes meet inside one 8-byte slot.
 
 use multiverse::mvvm::{CostModel, MachineConfig, Platform};
 use multiverse::mvvx;
@@ -153,10 +155,19 @@ enum S {
     Load(u8),
     /// `if (a_ == v) { buf[k] = acc; }`
     StoreIfA(u8, u8),
+    /// `acc = acc + bytes[k];` through `u8* bytes = &buf`.
+    LoadByte(u8),
+    /// `acc = acc + words[k];` through `i32* words = &buf`.
+    LoadWord(u8),
+    /// `bytes[k] = acc;`: the low byte of `acc`, into part of a slot.
+    StoreByte(u8),
 }
 
 /// Slots of the generated kernel's global `i64 buf[]`.
 const SLOTS: usize = 4;
+
+/// Bytes of `buf`.
+const BYTES: usize = 8 * SLOTS;
 
 fn arb_stmt() -> impl Strategy<Value = S> {
     prop_oneof![
@@ -169,6 +180,9 @@ fn arb_stmt() -> impl Strategy<Value = S> {
         any::<u8>().prop_map(S::Store),
         any::<u8>().prop_map(S::Load),
         (any::<u8>(), any::<u8>()).prop_map(|(v, k)| S::StoreIfA(v, k)),
+        any::<u8>().prop_map(S::LoadByte),
+        any::<u8>().prop_map(S::LoadWord),
+        any::<u8>().prop_map(S::StoreByte),
     ]
 }
 
@@ -190,6 +204,9 @@ fn render(stmts: &[S], da: usize, db: usize) -> String {
                 v as usize % da,
                 k as usize % SLOTS
             ),
+            S::LoadByte(k) => format!("acc = acc + bytes[{}];", k as usize % BYTES),
+            S::LoadWord(k) => format!("acc = acc + words[{}];", k as usize % (BYTES / 4)),
+            S::StoreByte(k) => format!("bytes[{}] = acc;", k as usize % BYTES),
         };
         body.push_str(&line);
         body.push('\n');
@@ -199,6 +216,8 @@ fn render(stmts: &[S], da: usize, db: usize) -> String {
         multiverse({}) i32 a_;
         multiverse({}) i32 b_;
         i64 buf[{SLOTS}];
+        u8* bytes = &buf;
+        i32* words = &buf;
         multiverse i64 kernel(i64 x) {{
             i64 acc = x;
             {body}
@@ -211,18 +230,29 @@ fn render(stmts: &[S], da: usize, db: usize) -> String {
     )
 }
 
-/// The kernel's result and the final value of every `buf` slot it
-/// stored (`None`: never stored).
-fn eval(stmts: &[S], da: usize, db: usize, a: i64, b: i64, x: i64) -> (i64, [Option<i64>; SLOTS]) {
+/// The kernel's result and the final value of every `buf` byte it
+/// stored (`None`: never stored, so still zero).
+fn eval(stmts: &[S], da: usize, db: usize, a: i64, b: i64, x: i64) -> (i64, [Option<u8>; BYTES]) {
     let mut acc = x;
-    let mut buf = [None; SLOTS];
+    let mut buf = [None; BYTES];
+    let read = |buf: &[Option<u8>; BYTES], at: usize, n: usize| -> u64 {
+        (0..n)
+            .rev()
+            .fold(0, |v, j| (v << 8) | buf[at + j].unwrap_or(0) as u64)
+    };
     for s in stmts {
-        match *s {
-            S::Store(k) => buf[k as usize % SLOTS] = Some(acc),
-            S::StoreIfA(v, k) if a == (v as usize % da) as i64 => {
-                buf[k as usize % SLOTS] = Some(acc)
+        let slot = |k: u8| 8 * (k as usize % SLOTS);
+        let stored = match *s {
+            S::Store(k) => Some(k),
+            S::StoreIfA(v, k) if a == (v as usize % da) as i64 => Some(k),
+            S::StoreByte(k) => {
+                buf[k as usize % BYTES] = Some(acc as u8);
+                None
             }
-            _ => {}
+            _ => None,
+        };
+        if let Some(k) = stored {
+            buf[slot(k)..slot(k) + 8].copy_from_slice(&acc.to_le_bytes().map(Some));
         }
         acc = match *s {
             S::AddConst(k) => acc.wrapping_add(k as i64),
@@ -231,7 +261,12 @@ fn eval(stmts: &[S], da: usize, db: usize, a: i64, b: i64, x: i64) -> (i64, [Opt
             S::AddSwitchB => acc.wrapping_add(b),
             S::IfA(v, k) if a == (v as usize % da) as i64 => acc.wrapping_add(k as i64),
             S::IfB(v, k) if b == (v as usize % db) as i64 => acc.wrapping_add(k as i64),
-            S::Load(k) => acc.wrapping_add(buf[k as usize % SLOTS].unwrap_or(0)),
+            S::Load(k) => acc.wrapping_add(read(&buf, slot(k), 8) as i64),
+            S::LoadByte(k) => acc.wrapping_add(read(&buf, k as usize % BYTES, 1) as i64),
+            S::LoadWord(k) => {
+                let at = 4 * (k as usize % (BYTES / 4));
+                acc.wrapping_add(read(&buf, at, 4) as u32 as i32 as i64)
+            }
             _ => acc,
         };
     }
@@ -243,7 +278,7 @@ proptest! {
 
     /// Splits and joins must multiply out to *exactly* the cross
     /// product: every leaf present once, every exit and every stored
-    /// `buf` slot equal to the Rust oracle, no unstored slot reported
+    /// `buf` byte equal to the Rust oracle, no unstored byte reported
     /// written, and the enumeration replay agrees on every reported
     /// component.
     #[test]
@@ -275,26 +310,19 @@ proptest! {
         for leaf in &report.leaves {
             let a = leaf.assignment.iter().find(|(n, _)| n == "a_").unwrap().1;
             let b = leaf.assignment.iter().find(|(n, _)| n == "b_").unwrap().1;
-            let (exit, slots) = eval(&stmts, da, db, a, b, x);
+            let (exit, bytes) = eval(&stmts, da, db, a, b, x);
             prop_assert_eq!(
                 leaf.exit, exit as u64,
                 "leaf {} (a_={}, b_={}) of:\n{}", leaf.leaf, a, b, src
             );
-            for (k, slot) in slots.iter().enumerate() {
-                let at = buf + 8 * k as u64;
-                let seen: Vec<(u64, u8)> = leaf
-                    .writes
-                    .iter()
-                    .filter(|(addr, _)| (at..at + 8).contains(addr))
-                    .copied()
-                    .collect();
-                let want: Vec<(u64, u8)> = slot
-                    .iter()
-                    .flat_map(|v| v.to_le_bytes().into_iter().zip(at..).map(|(b, a)| (a, b)))
-                    .collect();
+            for (k, byte) in bytes.iter().enumerate() {
+                let at = buf + k as u64;
+                let seen: Vec<(u64, u8)> =
+                    leaf.writes.iter().filter(|(addr, _)| *addr == at).copied().collect();
+                let want: Vec<(u64, u8)> = byte.iter().map(|&b| (at, b)).collect();
                 prop_assert_eq!(
                     seen, want,
-                    "leaf {} (a_={}, b_={}), buf[{}] of:\n{}", leaf.leaf, a, b, k, src
+                    "leaf {} (a_={}, b_={}), byte {} of buf in:\n{}", leaf.leaf, a, b, k, src
                 );
             }
         }
