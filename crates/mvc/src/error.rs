@@ -39,6 +39,19 @@ pub enum CompileError {
         /// which factors of the cross product to restrict.
         switches: Vec<(String, usize)>,
     },
+    /// A value in a configuration switch's domain that the switch cannot
+    /// hold: outside its type's range, or outside the `i32` range of a
+    /// descriptor guard. No commit could ever select its variant.
+    SwitchDomain {
+        /// Switch name.
+        switch: String,
+        /// Switch type, as written.
+        ty: String,
+        /// The offending domain value.
+        value: i64,
+        /// The values both the switch and a guard can hold.
+        range: (i64, i64),
+    },
     /// Linking the compiled objects failed.
     Link(String),
     /// Internal assembler failure (a compiler bug).
@@ -69,6 +82,16 @@ impl fmt::Display for CompileError {
                      `multiverse(v1, v2, …)` or bind fewer switches with `bind(…)`"
                 )
             }
+            CompileError::SwitchDomain {
+                switch,
+                ty,
+                value,
+                range: (lo, hi),
+            } => write!(
+                f,
+                "configuration switch `{switch}` ({ty}) cannot hold domain value {value}: \
+                 its variants' guards can only admit {lo}..={hi}"
+            ),
             CompileError::Link(msg) => write!(f, "link error: {msg}"),
             CompileError::Asm(msg) => write!(f, "internal assembler error: {msg}"),
         }

@@ -12,10 +12,16 @@
 //! normal form; two variants whose keys match are *structurally identical
 //! after optimization* and are merged by the multiverse pass, exactly like
 //! the body merge of Fig. 2.
+//!
+//! Temps, slots and blocks are dense ids, so per-function analyses keep
+//! their facts in [`IdMap`] tables indexed by id rather than in hash
+//! maps. A [`Scratch`] holds every table the optimizer, the canonical
+//! key and the validator use; reused across functions, it makes them
+//! allocate nothing once its tables have grown to the largest function.
 
 use mvasm::{AluOp, Cond};
-use std::collections::{HashMap, HashSet};
-use std::fmt::Write as _;
+use std::collections::HashSet;
+use std::fmt::{self, Write as _};
 
 /// Temporary id (block-local, single assignment).
 pub type TempId = u32;
@@ -290,6 +296,17 @@ impl Inst {
         }
     }
 
+    /// A switch read bound to `v` at compile time: `dst ← v + 0`, which
+    /// constant folding dissolves.
+    pub fn bound_read(dst: TempId, v: i64) -> Inst {
+        Inst::Bin {
+            op: IrBin::Add,
+            dst,
+            a: Operand::Const(v),
+            b: Operand::Const(0),
+        }
+    }
+
     /// `true` if removing the instruction (when its result is unused)
     /// changes program behaviour.
     pub fn has_side_effect(&self) -> bool {
@@ -313,17 +330,22 @@ impl Inst {
         }
     }
 
-    /// Operands read by this instruction.
-    pub fn operands(&self) -> Vec<Operand> {
-        match self {
-            Inst::Bin { a, b, .. } => vec![*a, *b],
-            Inst::Un { a, .. } => vec![*a],
-            Inst::LoadGlobal { .. } | Inst::AddrOf { .. } | Inst::LoadLocal { .. } => vec![],
-            Inst::StoreGlobal { src, .. } | Inst::StoreLocal { src, .. } => vec![*src],
-            Inst::LoadMem { addr, .. } => vec![*addr],
-            Inst::StoreMem { addr, src, .. } => vec![*addr, *src],
-            Inst::Call { args, .. } | Inst::Intr { args, .. } => args.clone(),
-        }
+    /// Operands read by this instruction, in evaluation order.
+    pub fn operands(&self) -> impl Iterator<Item = Operand> + '_ {
+        let (fixed, args): ([Option<Operand>; 2], &[Operand]) = match self {
+            Inst::Bin { a, b, .. } => ([Some(*a), Some(*b)], &[]),
+            Inst::Un { a, .. } => ([Some(*a), None], &[]),
+            Inst::LoadGlobal { .. } | Inst::AddrOf { .. } | Inst::LoadLocal { .. } => {
+                ([None, None], &[])
+            }
+            Inst::StoreGlobal { src, .. } | Inst::StoreLocal { src, .. } => {
+                ([Some(*src), None], &[])
+            }
+            Inst::LoadMem { addr, .. } => ([Some(*addr), None], &[]),
+            Inst::StoreMem { addr, src, .. } => ([Some(*addr), Some(*src)], &[]),
+            Inst::Call { args, .. } | Inst::Intr { args, .. } => ([None, None], args),
+        };
+        fixed.into_iter().flatten().chain(args.iter().copied())
     }
 
     /// Applies `f` to every operand in place.
@@ -369,13 +391,15 @@ pub enum Term {
 }
 
 impl Term {
-    /// Successor block ids.
-    pub fn succs(&self) -> Vec<BlockId> {
-        match self {
-            Term::Jmp(b) => vec![*b],
-            Term::Br { t, f, .. } => vec![*t, *f],
-            Term::Ret(_) => vec![],
+    /// Successor block ids (taken successor first).
+    pub fn succs(&self) -> impl DoubleEndedIterator<Item = BlockId> {
+        match *self {
+            Term::Jmp(b) => [Some(b), None],
+            Term::Br { t, f, .. } => [Some(t), Some(f)],
+            Term::Ret(_) => [None, None],
         }
+        .into_iter()
+        .flatten()
     }
 }
 
@@ -406,7 +430,7 @@ pub struct FnAttrs {
 }
 
 /// A function in IR form.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct FuncIr {
     /// Function name (variants get mangled names like `f.A=1`).
     pub name: String,
@@ -480,133 +504,150 @@ impl FuncIr {
     /// first-definition order. Two functions with equal keys compute the
     /// same thing instruction-for-instruction.
     pub fn canonical_key(&self) -> String {
-        // DFS block order.
-        let mut order = Vec::new();
-        let mut seen = HashSet::new();
-        let mut stack = vec![0 as BlockId];
-        while let Some(b) = stack.pop() {
-            if !seen.insert(b) {
-                continue;
-            }
-            order.push(b);
-            // Push successors in reverse so the first successor is visited
-            // first (stable order).
-            for s in self.blocks[b as usize].term.succs().into_iter().rev() {
-                stack.push(s);
+        let mut key = String::new();
+        self.write_canonical_key(&mut key, &mut Scratch::default());
+        key
+    }
+
+    /// Fills `s.order` with the blocks reachable from the entry in DFS
+    /// order, first successor first, and `s.seen` with the same set.
+    pub(crate) fn walk_blocks(&self, s: &mut Scratch) {
+        s.seen.clear();
+        s.order.clear();
+        s.stack.clear();
+        s.stack.push(0);
+        while let Some(b) = s.stack.pop() {
+            if s.seen.insert(b, ()) {
+                s.order.push(b);
+                // Reversed, so the first successor is popped first.
+                s.stack.extend(self.blocks[b as usize].term.succs().rev());
             }
         }
-        let block_rank: HashMap<BlockId, usize> =
-            order.iter().enumerate().map(|(i, &b)| (b, i)).collect();
+    }
 
-        let mut temp_rank: HashMap<TempId, usize> = HashMap::new();
-        let rank = |t: TempId, map: &mut HashMap<TempId, usize>| -> usize {
-            let next = map.len();
-            *map.entry(t).or_insert(next)
-        };
-        let fmt_op = |o: Operand, map: &mut HashMap<TempId, usize>| match o {
-            Operand::Temp(t) => {
-                let next = map.len();
-                format!("t{}", *map.entry(t).or_insert(next))
+    /// Appends [`FuncIr::canonical_key`] to `out`, ranking blocks and
+    /// temps in `s`'s tables.
+    pub(crate) fn write_canonical_key(&self, out: &mut String, s: &mut Scratch) {
+        self.walk_blocks(s);
+        s.blocks.clear();
+        for (i, &b) in s.order.iter().enumerate() {
+            s.blocks.insert(b, i as u32);
+        }
+        let block = |b: BlockId| s.blocks.get(b).expect("successors are reachable");
+
+        // Temps are ranked in first-mention order: an instruction's
+        // operands, then its destination.
+        s.temps.clear();
+        let mut next = 0;
+        let mut rank = |temps: &mut IdMap<i64>, t: TempId| {
+            if temps.insert(t, next) {
+                next += 1;
             }
-            Operand::Const(c) => format!("{c}"),
         };
-
-        let mut s = String::new();
-        let _ = writeln!(s, "fn[{} params, ret={}]", self.n_params, self.has_ret);
-        for &b in &order {
-            let _ = writeln!(s, "b{}:", block_rank[&b]);
-            for inst in &self.blocks[b as usize].insts {
-                let line = match inst {
+        let _ = writeln!(out, "fn[{} params, ret={}]", self.n_params, self.has_ret);
+        for &b in &s.order {
+            let _ = writeln!(out, "b{}:", block(b));
+            let blk = &self.blocks[b as usize];
+            for inst in &blk.insts {
+                for o in inst.operands() {
+                    if let Operand::Temp(t) = o {
+                        rank(&mut s.temps, t);
+                    }
+                }
+                if let Some(d) = inst.dst() {
+                    rank(&mut s.temps, d);
+                }
+                let r = Ranked(&s.temps);
+                let _ = match inst {
                     Inst::Bin { op, dst, a, b } => {
-                        let (a, b) = (fmt_op(*a, &mut temp_rank), fmt_op(*b, &mut temp_rank));
-                        format!("t{} = {op:?} {a}, {b}", rank(*dst, &mut temp_rank))
+                        writeln!(out, "  {} = {op:?} {}, {}", r.t(*dst), r.o(*a), r.o(*b))
                     }
                     Inst::Un { op, dst, a } => {
-                        let a = fmt_op(*a, &mut temp_rank);
-                        format!("t{} = {op:?} {a}", rank(*dst, &mut temp_rank))
+                        writeln!(out, "  {} = {op:?} {}", r.t(*dst), r.o(*a))
                     }
                     Inst::LoadGlobal {
                         dst,
                         global,
                         width,
                         signed,
-                    } => format!(
-                        "t{} = ldg {global} w{width} s{signed}",
-                        rank(*dst, &mut temp_rank)
-                    ),
+                    } => writeln!(out, "  {} = ldg {global} w{width} s{signed}", r.t(*dst)),
                     Inst::StoreGlobal { global, src, width } => {
-                        format!("stg {global} w{width}, {}", fmt_op(*src, &mut temp_rank))
+                        writeln!(out, "  stg {global} w{width}, {}", r.o(*src))
                     }
                     Inst::AddrOf { dst, symbol } => {
-                        format!("t{} = addr {symbol}", rank(*dst, &mut temp_rank))
+                        writeln!(out, "  {} = addr {symbol}", r.t(*dst))
                     }
-                    Inst::LoadLocal { dst, slot } => {
-                        format!("t{} = ldl s{slot}", rank(*dst, &mut temp_rank))
-                    }
-                    Inst::StoreLocal { slot, src } => {
-                        format!("stl s{slot}, {}", fmt_op(*src, &mut temp_rank))
-                    }
+                    Inst::LoadLocal { dst, slot } => writeln!(out, "  {} = ldl s{slot}", r.t(*dst)),
+                    Inst::StoreLocal { slot, src } => writeln!(out, "  stl s{slot}, {}", r.o(*src)),
                     Inst::LoadMem {
                         dst,
                         addr,
                         width,
                         signed,
-                    } => {
-                        let a = fmt_op(*addr, &mut temp_rank);
-                        format!(
-                            "t{} = ldm [{a}] w{width} s{signed}",
-                            rank(*dst, &mut temp_rank)
-                        )
-                    }
+                    } => writeln!(
+                        out,
+                        "  {} = ldm [{}] w{width} s{signed}",
+                        r.t(*dst),
+                        r.o(*addr)
+                    ),
                     Inst::StoreMem { addr, src, width } => {
-                        let a = fmt_op(*addr, &mut temp_rank);
-                        let v = fmt_op(*src, &mut temp_rank);
-                        format!("stm [{a}] w{width}, {v}")
+                        writeln!(out, "  stm [{}] w{width}, {}", r.o(*addr), r.o(*src))
                     }
                     Inst::Call { dst, callee, args } => {
-                        let args: Vec<String> =
-                            args.iter().map(|&a| fmt_op(a, &mut temp_rank)).collect();
-                        let d = dst.map(|d| format!("t{} = ", rank(d, &mut temp_rank)));
-                        format!(
-                            "{}call {callee:?}({})",
-                            d.unwrap_or_default(),
-                            args.join(",")
-                        )
+                        out.push_str("  ");
+                        if let Some(d) = dst {
+                            let _ = write!(out, "{} = ", r.t(*d));
+                        }
+                        let _ = write!(out, "call {callee:?}(");
+                        r.args(out, args)
                     }
                     Inst::Intr { dst, kind, args } => {
-                        let args: Vec<String> =
-                            args.iter().map(|&a| fmt_op(a, &mut temp_rank)).collect();
-                        let d = dst.map(|d| format!("t{} = ", rank(d, &mut temp_rank)));
-                        format!("{}{kind:?}({})", d.unwrap_or_default(), args.join(","))
+                        out.push_str("  ");
+                        if let Some(d) = dst {
+                            let _ = write!(out, "{} = ", r.t(*d));
+                        }
+                        let _ = write!(out, "{kind:?}(");
+                        r.args(out, args)
                     }
                 };
-                let _ = writeln!(s, "  {line}");
             }
-            let term = match &self.blocks[b as usize].term {
-                Term::Jmp(t) => format!("jmp b{}", block_rank[t]),
+            if let Term::Br {
+                cond: Operand::Temp(t),
+                ..
+            }
+            | Term::Ret(Some(Operand::Temp(t))) = blk.term
+            {
+                rank(&mut s.temps, t);
+            }
+            let r = Ranked(&s.temps);
+            let _ = match blk.term {
+                Term::Jmp(t) => writeln!(out, "  jmp b{}", block(t)),
                 Term::Br { cond, t, f } => {
-                    let c = fmt_op(*cond, &mut temp_rank);
-                    format!("br {c} ? b{} : b{}", block_rank[t], block_rank[f])
+                    writeln!(out, "  br {} ? b{} : b{}", r.o(cond), block(t), block(f))
                 }
-                Term::Ret(Some(v)) => format!("ret {}", fmt_op(*v, &mut temp_rank)),
-                Term::Ret(None) => "ret".to_string(),
+                Term::Ret(Some(v)) => writeln!(out, "  ret {}", r.o(v)),
+                Term::Ret(None) => writeln!(out, "  ret"),
             };
-            let _ = writeln!(s, "  {term}");
         }
-        s
     }
 
     /// Checks structural invariants: temps defined before use and not
     /// crossing blocks, block references in range. Panics on violation
     /// (compiler bug).
     pub fn validate(&self) {
+        self.validate_in(&mut IdMap::default());
+    }
+
+    /// [`FuncIr::validate`], with `defined` as the per-block table of
+    /// defined temps.
+    pub(crate) fn validate_in(&self, defined: &mut IdMap<()>) {
         for (bi, b) in self.blocks.iter().enumerate() {
-            let mut defined: HashSet<TempId> = HashSet::new();
+            defined.clear();
             for inst in &b.insts {
                 for op in inst.operands() {
                     if let Operand::Temp(t) = op {
                         assert!(
-                            defined.contains(&t),
+                            defined.contains(t),
                             "{}: t{t} used before def in block {bi}",
                             self.name
                         );
@@ -614,7 +655,7 @@ impl FuncIr {
                 }
                 if let Some(d) = inst.dst() {
                     assert!(
-                        defined.insert(d),
+                        defined.insert(d, ()),
                         "{}: t{d} defined twice in block {bi}",
                         self.name
                     );
@@ -626,14 +667,14 @@ impl FuncIr {
             } = b.term
             {
                 assert!(
-                    defined.contains(&t),
+                    defined.contains(t),
                     "{}: branch cond t{t} undefined in block {bi}",
                     self.name
                 );
             }
             if let Term::Ret(Some(Operand::Temp(t))) = b.term {
                 assert!(
-                    defined.contains(&t),
+                    defined.contains(t),
                     "{}: ret value t{t} undefined in block {bi}",
                     self.name
                 );
@@ -647,6 +688,138 @@ impl FuncIr {
             }
         }
     }
+}
+
+/// Renders operands with the temp ranks of [`FuncIr::write_canonical_key`].
+struct Ranked<'a>(&'a IdMap<i64>);
+
+impl Ranked<'_> {
+    fn t(&self, t: TempId) -> impl fmt::Display {
+        RankedOp::Temp(self.0.get(t).expect("ranked before rendering"))
+    }
+
+    fn o(&self, o: Operand) -> impl fmt::Display {
+        match o {
+            Operand::Temp(t) => RankedOp::Temp(self.0.get(t).expect("ranked before rendering")),
+            Operand::Const(c) => RankedOp::Const(c),
+        }
+    }
+
+    /// Writes `args` comma-separated, then `)` and the line end.
+    fn args(&self, out: &mut String, args: &[Operand]) -> fmt::Result {
+        for (i, &a) in args.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write!(out, "{}", self.o(a))?;
+        }
+        out.push_str(")\n");
+        Ok(())
+    }
+}
+
+enum RankedOp {
+    Temp(i64),
+    Const(i64),
+}
+
+impl fmt::Display for RankedOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RankedOp::Temp(r) => write!(f, "t{r}"),
+            RankedOp::Const(c) => write!(f, "{c}"),
+        }
+    }
+}
+
+/// A map from dense ids (temps, slots, blocks) to values, emptied in
+/// O(1): an entry is present only while its stamp equals the map's
+/// generation, and [`IdMap::clear`] starts a new generation. The table
+/// grows to the largest id it has seen and keeps that capacity.
+#[derive(Clone, Debug)]
+pub struct IdMap<V> {
+    generation: u32,
+    entries: Vec<(u32, V)>,
+}
+
+impl<V> Default for IdMap<V> {
+    fn default() -> IdMap<V> {
+        IdMap {
+            generation: 1,
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<V: Copy + Default> IdMap<V> {
+    /// Removes every entry.
+    pub fn clear(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Stamps of the old generations could come back: forget them.
+            self.entries.clear();
+            self.generation = 1;
+        }
+    }
+
+    /// The value of `id`, if present.
+    pub fn get(&self, id: u32) -> Option<V> {
+        match self.entries.get(id as usize) {
+            Some(&(stamp, v)) if stamp == self.generation => Some(v),
+            _ => None,
+        }
+    }
+
+    /// `true` if `id` is present.
+    pub fn contains(&self, id: u32) -> bool {
+        self.get(id).is_some()
+    }
+
+    /// Sets `id` to `v`; returns `true` if `id` was absent.
+    pub fn insert(&mut self, id: u32, v: V) -> bool {
+        let i = id as usize;
+        if i >= self.entries.len() {
+            self.entries.resize(i + 1, (0, V::default()));
+        }
+        let fresh = self.entries[i].0 != self.generation;
+        self.entries[i] = (self.generation, v);
+        fresh
+    }
+
+    /// Removes `id`.
+    pub fn remove(&mut self, id: u32) {
+        if let Some(e) = self.entries.get_mut(id as usize) {
+            e.0 = 0;
+        }
+    }
+}
+
+/// The tables of one optimizer worker: what the passes, the canonical
+/// key and the validator know about the function at hand, plus the
+/// blocks the CFG cleanup dropped, kept for the next function to fill.
+/// Every table is emptied by whoever starts using it.
+#[derive(Default)]
+pub struct Scratch {
+    /// Temps: a block's known constants (constant folding), the temps
+    /// any instruction reads (dead-code elimination), first-mention
+    /// ranks (canonical key).
+    pub(crate) temps: IdMap<i64>,
+    /// Slots: a block's known constants (constant folding), the slots
+    /// any load reads (dead-code elimination).
+    pub(crate) slots: IdMap<i64>,
+    /// Blocks: jump-threading targets, predecessor counts, new ids,
+    /// canonical ranks.
+    pub(crate) blocks: IdMap<u32>,
+    /// Blocks visited by a walk.
+    pub(crate) seen: IdMap<()>,
+    /// A walk's pending blocks.
+    pub(crate) stack: Vec<BlockId>,
+    /// A walk's blocks in visiting order.
+    pub(crate) order: Vec<BlockId>,
+    /// Validation's defined temps.
+    pub(crate) defined: IdMap<()>,
+    /// Blocks removed from a function, with their instruction buffers.
+    pub(crate) spare: Vec<Block>,
 }
 
 #[cfg(test)]
@@ -715,6 +888,27 @@ mod tests {
         f.blocks[b1 as usize].term = Term::Ret(Some(Operand::Temp(t)));
         let r = std::panic::catch_unwind(|| f.validate());
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn id_map_clear_forgets_every_entry() {
+        let mut m = IdMap::default();
+        assert!(m.insert(3, 7i64));
+        assert!(!m.insert(3, 8), "present already");
+        assert_eq!(m.get(3), Some(8));
+        assert_eq!(m.get(4), None);
+        m.remove(3);
+        assert!(!m.contains(3));
+        m.insert(3, 1);
+        m.clear();
+        assert_eq!(m.get(3), None);
+        // Across a generation wrap, stale stamps never come back.
+        m.generation = u32::MAX;
+        m.insert(5, 2);
+        m.clear();
+        assert!(!m.contains(5) && !m.contains(3));
+        m.insert(5, 3);
+        assert_eq!(m.get(5), Some(3));
     }
 
     #[test]

@@ -91,6 +91,45 @@ fn sema_err<T>(msg: impl Into<String>) -> Result<T, CompileError> {
     Err(CompileError::Sema { msg: msg.into() })
 }
 
+/// Rejects a value of switch `g`'s domain (explicit, or its enum's
+/// enumerators) that `g` cannot hold or a descriptor guard's `i32`
+/// bounds cannot express: the variant specialized for it could never be
+/// selected, and two such values can even collide in one variant name.
+fn check_domain(g: &Global, ctx: &Ctx) -> Result<(), CompileError> {
+    let (lo, hi) = match &g.ty {
+        Type::Bool => (0, 1),
+        Type::Int { width, signed } => {
+            let bits = u32::from(*width) * 8;
+            if *signed {
+                (i64::MIN >> (64 - bits), i64::MAX >> (64 - bits))
+            } else {
+                (0, (u64::MAX >> (64 - bits)).min(i64::MAX as u64) as i64)
+            }
+        }
+        Type::Enum(_) => (i32::MIN.into(), i32::MAX.into()),
+        // Function-pointer switches have no value domain.
+        _ => return Ok(()),
+    };
+    let range = (lo.max(i32::MIN.into()), hi.min(i32::MAX.into()));
+    // The domain `Ctx::switch_domain` will give it.
+    let enumerators = match (&g.attrs.domain, &g.ty) {
+        (None, Type::Enum(e)) => ctx.enums.get(e).map_or(&[][..], |def| &def.items[..]),
+        _ => &[],
+    };
+    let domain = g.attrs.domain.iter().flatten().copied();
+    for value in domain.chain(enumerators.iter().map(|&(_, v)| v)) {
+        if !(range.0..=range.1).contains(&value) {
+            return Err(CompileError::SwitchDomain {
+                switch: g.name.clone(),
+                ty: g.ty.to_string(),
+                value,
+                range,
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Evaluates a constant initializer expression.
 fn const_eval(e: &Expr, ctx: &Ctx) -> Result<ConstInit, CompileError> {
     match e {
@@ -157,6 +196,7 @@ pub fn lower_unit(unit: &Unit) -> Result<Lowered, CompileError> {
                             g.name, g.ty
                         ));
                     }
+                    check_domain(g, &ctx)?;
                 }
                 let (mut init_const, mut init_addr_of) = (None, None);
                 if let Some(init) = &g.init {
@@ -854,6 +894,77 @@ mod tests {
         assert_eq!(l.ctx.switch_domain("a"), vec![0, 1]);
         assert_eq!(l.ctx.switch_domain("b"), vec![2, 4, 6]);
         assert_eq!(l.ctx.switch_domain("c"), vec![0, 7]);
+    }
+
+    /// Builds `decl` plus a multiversed reader of switch `s` and returns
+    /// the domain error it must fail with.
+    fn domain_error(decl: &str) -> (String, String, i64) {
+        let src = format!("{decl} multiverse i64 f(void) {{ if (s) {{ return 1; }} return 0; }}");
+        match crate::driver::compile(&src, "t.c", &crate::driver::Options::default()) {
+            Err(CompileError::SwitchDomain {
+                switch, ty, value, ..
+            }) => (switch, ty, value),
+            other => panic!("{decl}: expected a domain error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn i64_domain_beyond_guard_range_is_rejected() {
+        // Used to fail at link: 0 and 2^32 both named the variant `f.s=0`.
+        let e = domain_error("multiverse(0, 4294967296) i64 s;");
+        assert_eq!(e, ("s".into(), "i64".into(), 4294967296));
+    }
+
+    #[test]
+    fn u32_domain_beyond_guard_range_is_rejected() {
+        let e = domain_error("multiverse(0, 3000000000) u32 s;");
+        assert_eq!(e, ("s".into(), "u32".into(), 3000000000));
+    }
+
+    #[test]
+    fn u8_domain_beyond_its_width_is_rejected() {
+        let e = domain_error("multiverse(0, 300) u8 s;");
+        assert_eq!(e, ("s".into(), "u8".into(), 300));
+    }
+
+    #[test]
+    fn i8_domain_beyond_its_width_is_rejected() {
+        let e = domain_error("multiverse(0, 200) i8 s;");
+        assert_eq!(e, ("s".into(), "i8".into(), 200));
+    }
+
+    #[test]
+    fn negative_domain_of_unsigned_switch_is_rejected() {
+        let e = domain_error("multiverse(0, -1) u16 s;");
+        assert_eq!(e, ("s".into(), "u16".into(), -1));
+        let msg = CompileError::SwitchDomain {
+            switch: "s".into(),
+            ty: "u16".into(),
+            value: -1,
+            range: (0, 65535),
+        }
+        .to_string();
+        assert!(
+            msg.contains("`s` (u16) cannot hold domain value -1"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn domains_at_the_limits_compile() {
+        for decl in [
+            "multiverse(0, 255) u8 s;",
+            "multiverse(-128, 127) i8 s;",
+            "multiverse(0, 65535) u16 s;",
+            "multiverse(-2147483648, 2147483647) i64 s;",
+            "multiverse(0, 2147483647) u32 s;",
+            "multiverse(0, 1) bool s;",
+        ] {
+            let src =
+                format!("{decl} multiverse i64 f(void) {{ if (s) {{ return 1; }} return 0; }}");
+            crate::driver::compile(&src, "t.c", &crate::driver::Options::default())
+                .unwrap_or_else(|e| panic!("{decl}: {e}"));
+        }
     }
 
     #[test]

@@ -16,11 +16,11 @@
 //!    entry per assignment when the merged set is not a contiguous box.
 
 use crate::error::{CompileError, Warning};
-use crate::ir::{FuncIr, Inst, IrBin, Operand};
+use crate::ir::{FuncIr, Inst, Scratch};
 use crate::lower::Ctx;
 use crate::passes;
 use mvobj::descriptor::GuardSym;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 /// One specialized variant body with its descriptor guard sets.
 #[derive(Clone, Debug)]
@@ -169,17 +169,26 @@ pub fn plan_expansion(
         });
     }
 
-    let mut assignments: Vec<Vec<(String, i64)>> = vec![vec![]];
-    for (s, dom) in switches.iter().zip(&domains) {
-        let mut next = Vec::with_capacity(assignments.len() * dom.len());
-        for a in &assignments {
-            for &v in dom {
-                let mut a2 = a.clone();
-                a2.push((s.clone(), v));
-                next.push(a2);
+    // The cross product, last switch varying fastest.
+    let n: usize = domains.iter().map(Vec::len).product();
+    let mut assignments = Vec::with_capacity(n);
+    let mut digits = vec![0; switches.len()];
+    for _ in 0..n {
+        assignments.push(
+            switches
+                .iter()
+                .zip(&domains)
+                .zip(&digits)
+                .map(|((s, dom), &d)| (s.clone(), dom[d]))
+                .collect(),
+        );
+        for (d, dom) in digits.iter_mut().zip(&domains).rev() {
+            *d += 1;
+            if *d < dom.len() {
+                break;
             }
+            *d = 0;
         }
-        assignments = next;
     }
 
     Ok(Some(ExpandPlan {
@@ -192,18 +201,75 @@ pub fn plan_expansion(
 
 /// One specialized, optimized clone plus its canonical merge key. The
 /// per-assignment work unit of the pipeline's optimize stage.
-pub type SpecializedBody = (Vec<(String, i64)>, FuncIr, String);
+#[derive(Clone, Debug)]
+pub struct SpecializedBody {
+    /// The optimized body, unnamed until [`assemble_variants`] names it.
+    pub ir: FuncIr,
+    /// `ir`'s [`FuncIr::canonical_key`], which the merge stage buckets on.
+    pub key: String,
+}
 
-/// Stage "optimize", one item: clone `f`, bind `assign`'s constants,
-/// run the regular pass pipeline, and compute the canonical key the
-/// merge stage buckets on. Pure (no shared state), hence trivially
-/// parallel across assignments.
-pub fn specialize_clone(f: &FuncIr, assign: Vec<(String, i64)>) -> SpecializedBody {
-    let mut clone = f.clone();
-    specialize(&mut clone, &assign);
-    passes::optimize(&mut clone);
-    let key = clone.canonical_key();
-    (assign, clone, key)
+/// One optimize worker: the body each clone is specialized and folded
+/// in, the passes' tables and the key buffer, all reused from clone to
+/// clone. What a clone allocates is what it keeps: its folded body,
+/// sized exactly, and its key.
+#[derive(Default)]
+pub struct Specializer {
+    work: FuncIr,
+    pub(crate) scratch: Scratch,
+    key: String,
+}
+
+impl Specializer {
+    /// Stage "optimize", one item: copy `f` with every read of a switch
+    /// in `assign` replaced by its constant, run the regular pass
+    /// pipeline, and compute the canonical key the merge stage buckets
+    /// on. The result depends on `f` and `assign` alone, hence trivially
+    /// parallel across assignments.
+    pub fn specialize(&mut self, f: &FuncIr, assign: &[(String, i64)]) -> SpecializedBody {
+        let w = &mut self.work;
+        w.name.clone_from(&f.name);
+        w.n_params = f.n_params;
+        w.n_slots = f.n_slots;
+        w.n_temps = f.n_temps;
+        w.has_ret = f.has_ret;
+        let spare = &mut self.scratch.spare;
+        if w.blocks.len() > f.blocks.len() {
+            spare.extend(w.blocks.drain(f.blocks.len()..));
+        }
+        while w.blocks.len() < f.blocks.len() {
+            w.blocks.push(spare.pop().unwrap_or_default());
+        }
+        for (b, src) in w.blocks.iter_mut().zip(&f.blocks) {
+            b.insts.clear();
+            b.insts
+                .extend(src.insts.iter().map(|inst| specialized(inst, assign)));
+            b.term = src.term.clone();
+        }
+        passes::optimize(w, &mut self.scratch);
+        self.key.clear();
+        w.write_canonical_key(&mut self.key, &mut self.scratch);
+        SpecializedBody {
+            ir: FuncIr {
+                name: String::new(),
+                blocks: w.blocks.clone(),
+                attrs: f.attrs.clone(),
+                ..*w
+            },
+            key: self.key.clone(),
+        }
+    }
+}
+
+/// `inst` with a read of a switch in `assign` replaced by its constant —
+/// *before* optimization, exactly as in the plugin.
+fn specialized(inst: &Inst, assign: &[(String, i64)]) -> Inst {
+    if let Inst::LoadGlobal { dst, global, .. } = inst {
+        if let Some(&(_, v)) = assign.iter().find(|(s, _)| s == global) {
+            return Inst::bound_read(*dst, v);
+        }
+    }
+    inst.clone()
 }
 
 /// 64-bit FNV-1a — the content address of a canonicalized body.
@@ -226,12 +292,12 @@ pub fn merge_clones(bodies: &[SpecializedBody]) -> Vec<Vec<usize>> {
     let mut groups: Vec<Vec<usize>> = Vec::new();
     // hash → indices into `groups` whose key has that hash.
     let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (i, (_, _, key)) in bodies.iter().enumerate() {
+    for (i, SpecializedBody { key, .. }) in bodies.iter().enumerate() {
         let h = fnv1a(key.as_bytes());
         let bucket = buckets.entry(h).or_default();
         match bucket
             .iter()
-            .find(|&&g| bodies[groups[g][0]].2 == *key)
+            .find(|&&g| bodies[groups[g][0]].key == *key)
             .copied()
         {
             Some(g) => groups[g].push(i),
@@ -245,22 +311,29 @@ pub fn merge_clones(bodies: &[SpecializedBody]) -> Vec<Vec<usize>> {
 }
 
 /// Stage "merge" part two: turns merge groups into named, guarded
-/// variants. `base` is the generic function's symbol; passing it
-/// separately keeps the merge result reusable under any name (the
-/// compile cache stores name-independent variants).
+/// variants, moving each group's first body and every assignment
+/// (`assignments[i]` is `bodies[i]`'s) into them. `base` is the generic
+/// function's symbol; passing it separately keeps the merge result
+/// reusable under any name (the compile cache stores name-independent
+/// variants).
 pub fn assemble_variants(
     base: &str,
     switches: &[String],
-    bodies: &[SpecializedBody],
+    assignments: Vec<Vec<(String, i64)>>,
+    mut bodies: Vec<SpecializedBody>,
     groups: &[Vec<usize>],
 ) -> Vec<VariantInfo> {
+    let mut assignments: Vec<Option<Vec<(String, i64)>>> =
+        assignments.into_iter().map(Some).collect();
     let mut variants = Vec::with_capacity(groups.len());
     for idxs in groups {
-        let group_assignments: Vec<Vec<(String, i64)>> =
-            idxs.iter().map(|&i| bodies[i].0.clone()).collect();
+        let group_assignments: Vec<Vec<(String, i64)>> = idxs
+            .iter()
+            .map(|&i| assignments[i].take().expect("each clone is in one group"))
+            .collect();
         let guard_sets = synthesize_guards(switches, &group_assignments);
         let name = variant_name(base, switches, &group_assignments, &guard_sets);
-        let mut ir = bodies[idxs[0]].1.clone();
+        let mut ir = std::mem::take(&mut bodies[idxs[0]].ir);
         ir.name = name.clone();
         variants.push(VariantInfo {
             name,
@@ -294,39 +367,19 @@ pub fn generate_variants(
             warnings: plan.warnings,
         }));
     }
+    let mut specializer = Specializer::default();
     let bodies: Vec<SpecializedBody> = plan
         .assignments
         .iter()
-        .map(|a| specialize_clone(f, a.clone()))
+        .map(|a| specializer.specialize(f, a))
         .collect();
     let groups = merge_clones(&bodies);
-    let variants = assemble_variants(&f.name, &plan.switches, &bodies, &groups);
+    let variants = assemble_variants(&f.name, &plan.switches, plan.assignments, bodies, &groups);
     Ok(Some(MvResult {
         switches: plan.switches,
         variants,
         warnings: plan.warnings,
     }))
-}
-
-/// Replaces every read of an assigned switch with its constant value. The
-/// replacement happens *before* optimization, exactly as in the plugin.
-fn specialize(f: &mut FuncIr, assign: &[(String, i64)]) {
-    let map: BTreeMap<&str, i64> = assign.iter().map(|(s, v)| (s.as_str(), *v)).collect();
-    for b in &mut f.blocks {
-        for inst in &mut b.insts {
-            if let Inst::LoadGlobal { dst, global, .. } = inst {
-                if let Some(&v) = map.get(global.as_str()) {
-                    // `dst ← v + 0`; constant folding dissolves it.
-                    *inst = Inst::Bin {
-                        op: IrBin::Add,
-                        dst: *dst,
-                        a: Operand::Const(v),
-                        b: Operand::Const(0),
-                    };
-                }
-            }
-        }
-    }
 }
 
 /// Expresses the merged assignment set as range-guard conjunctions.
@@ -617,5 +670,49 @@ mod tests {
         let r = gen(src, "f", 32).unwrap().unwrap();
         assert_eq!(r.switches, vec!["A".to_string()]);
         assert_eq!(r.variants.len(), 2);
+    }
+
+    #[test]
+    fn a_reused_specializer_folds_like_a_fresh_one() {
+        // Functions of different block counts, specialized in turn by
+        // one worker: its work body, spare blocks and tables carry
+        // nothing from one clone into the next.
+        let src = r#"
+            multiverse bool A;
+            multiverse(0, 1, 2) i32 B;
+            i64 g;
+            void calc(void) { __out(1); }
+            multiverse void small(void) { if (A) { calc(); } }
+            multiverse i64 loops(i64 n) {
+                i64 acc = 0;
+                for (i64 i = 0; i < n; i++) {
+                    if (B == 1) { acc = acc + i; } else { g = g + 1; }
+                    if (A) { while (acc > 100) { acc = acc - 7; } }
+                }
+                if (B) { return acc * 2; }
+                return acc;
+            }
+        "#;
+        let l = lower_unit(&parse(&lex(src).unwrap()).unwrap()).unwrap();
+        let mut shared = Specializer::default();
+        for _ in 0..2 {
+            for f in &l.funcs {
+                let Some(plan) = plan_expansion(f, &l.ctx, 32).unwrap() else {
+                    continue;
+                };
+                for a in &plan.assignments {
+                    let got = shared.specialize(f, a);
+                    let fresh = Specializer::default().specialize(f, a);
+                    assert_eq!(got.ir, fresh.ir, "{} {a:?}", f.name);
+                    assert_eq!(got.key, fresh.key);
+                    assert_eq!(got.key, got.ir.canonical_key());
+                    // The kept body holds no spare capacity.
+                    assert_eq!(got.ir.blocks.capacity(), got.ir.blocks.len());
+                    for b in &got.ir.blocks {
+                        assert_eq!(b.insts.capacity(), b.insts.len());
+                    }
+                }
+            }
+        }
     }
 }

@@ -5,43 +5,46 @@
 //! propagated within a block only (no join analysis), which is all the
 //! multiverse pipeline needs: switch reads are already constants when the
 //! variant clone reaches this pass.
+//!
+//! The environment is two [`crate::ir::IdMap`]s of the worker's scratch,
+//! emptied per block, and folded instructions are dropped in place.
 
-use crate::ir::{FuncIr, Inst, Operand, Term};
-use std::collections::HashMap;
+use crate::ir::{FuncIr, Inst, Operand, Scratch, Term};
 
 /// Runs the pass; returns `true` if anything changed.
-pub fn run(f: &mut FuncIr) -> bool {
+pub fn run(f: &mut FuncIr, s: &mut Scratch) -> bool {
     let mut changed = false;
+    let (temps, slots) = (&mut s.temps, &mut s.slots);
     for b in &mut f.blocks {
-        let mut temps: HashMap<u32, i64> = HashMap::new();
-        let mut slots: HashMap<u32, i64> = HashMap::new();
-        let mut out = Vec::with_capacity(b.insts.len());
-        for mut inst in std::mem::take(&mut b.insts) {
+        temps.clear();
+        slots.clear();
+        b.insts.retain_mut(|inst| {
             // Substitute known-constant temps in operands.
             inst.map_operands(|op| {
                 if let Operand::Temp(t) = *op {
-                    if let Some(&c) = temps.get(&t) {
+                    if let Some(c) = temps.get(t) {
                         *op = Operand::Const(c);
                         changed = true;
                     }
                 }
             });
-            match &inst {
+            match inst {
                 Inst::Bin {
                     op,
                     dst,
                     a: Operand::Const(a),
                     b: Operand::Const(bb),
-                } => {
-                    if let Some(v) = op.eval(*a, *bb) {
+                } => match op.eval(*a, *bb) {
+                    // The instruction dissolves into the environment.
+                    Some(v) => {
                         temps.insert(*dst, v);
                         changed = true;
-                        continue; // instruction dissolved into the env
+                        false
                     }
-                    // Division by constant zero: keep it to fault at
-                    // run time.
-                    out.push(inst);
-                }
+                    // Division by constant zero: keep it to fault at run
+                    // time.
+                    None => true,
+                },
                 Inst::Un {
                     op,
                     dst,
@@ -49,49 +52,38 @@ pub fn run(f: &mut FuncIr) -> bool {
                 } => {
                     temps.insert(*dst, op.eval(*a));
                     changed = true;
+                    false
                 }
                 Inst::StoreLocal {
                     slot,
                     src: Operand::Const(c),
                 } => {
                     slots.insert(*slot, *c);
-                    out.push(inst);
+                    true
                 }
                 Inst::StoreLocal { slot, .. } => {
-                    slots.remove(slot);
-                    out.push(inst);
+                    slots.remove(*slot);
+                    true
                 }
-                Inst::LoadLocal { dst, slot } => {
-                    if let Some(&c) = slots.get(slot) {
+                Inst::LoadLocal { dst, slot } => match slots.get(*slot) {
+                    Some(c) => {
                         temps.insert(*dst, c);
                         changed = true;
-                    } else {
-                        out.push(inst);
+                        false
                     }
-                }
-                _ => out.push(inst),
+                    None => true,
+                },
+                _ => true,
             }
-        }
-        b.insts = out;
+        });
         // Substitute in the terminator.
-        match &mut b.term {
-            Term::Br { cond, .. } => {
-                if let Operand::Temp(t) = *cond {
-                    if let Some(&c) = temps.get(&t) {
-                        *cond = Operand::Const(c);
-                        changed = true;
-                    }
+        if let Term::Br { cond: v, .. } | Term::Ret(Some(v)) = &mut b.term {
+            if let Operand::Temp(t) = *v {
+                if let Some(c) = temps.get(t) {
+                    *v = Operand::Const(c);
+                    changed = true;
                 }
             }
-            Term::Ret(Some(v)) => {
-                if let Operand::Temp(t) = *v {
-                    if let Some(&c) = temps.get(&t) {
-                        *v = Operand::Const(c);
-                        changed = true;
-                    }
-                }
-            }
-            _ => {}
         }
         // Fold constant branches.
         if let Term::Br {

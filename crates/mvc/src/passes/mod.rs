@@ -8,26 +8,32 @@
 //! constants". [`optimize`] runs the pipeline to a fixpoint, after which
 //! variants whose bodies collapsed to the same shape compare equal under
 //! [`crate::ir::FuncIr::canonical_key`].
+//!
+//! The passes keep their facts in the dense tables of a
+//! [`crate::ir::Scratch`], which a worker reuses across every function
+//! it optimizes.
 
 pub mod cfg;
 pub mod constfold;
 pub mod dce;
 pub mod inline;
 
-use crate::ir::FuncIr;
+use crate::ir::{FuncIr, Scratch};
 
-/// Runs all passes to a (bounded) fixpoint.
-pub fn optimize(f: &mut FuncIr) {
+/// Runs all passes to a (bounded) fixpoint, keeping their tables in
+/// `s`. Folded instructions are dropped in place, so `f`'s blocks keep
+/// their capacity.
+pub fn optimize(f: &mut FuncIr, s: &mut Scratch) {
     for _ in 0..16 {
         let mut changed = false;
-        changed |= constfold::run(f);
-        changed |= cfg::run(f);
-        changed |= dce::run(f);
+        changed |= constfold::run(f, s);
+        changed |= cfg::run(f, s);
+        changed |= dce::run(f, s);
         if !changed {
             break;
         }
     }
-    f.validate();
+    f.validate_in(&mut s.defined);
 }
 
 #[cfg(test)]
@@ -46,7 +52,7 @@ mod tests {
                 .position(|f| f.name == name)
                 .expect("function present"),
         );
-        optimize(&mut f);
+        optimize(&mut f, &mut Scratch::default());
         f
     }
 

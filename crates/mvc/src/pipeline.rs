@@ -36,10 +36,10 @@
 use crate::codegen::{gen_function, GenFn};
 use crate::driver::Options;
 use crate::error::{CompileError, Warning};
-use crate::ir::{FuncIr, Inst, IrBin, Operand};
+use crate::ir::{FuncIr, Inst};
 use crate::lexer::lex;
 use crate::lower::{lower_unit, Ctx, Lowered};
-use crate::mv::{self, ExpandPlan, SpecializedBody, VariantInfo};
+use crate::mv::{self, ExpandPlan, SpecializedBody, Specializer, VariantInfo};
 use crate::parser::parse;
 use crate::passes::optimize;
 use crate::types::Type;
@@ -211,38 +211,43 @@ pub fn compile_cache_len() -> usize {
 // Parallel map
 // ---------------------------------------------------------------------
 
-/// Maps `f` over `items` on `workers` scoped threads.
+/// Maps `f` over `items` on `workers` scoped threads, each with its own
+/// state from `init`, which `f` gets with every item the worker claims.
 ///
 /// Work is claimed by a shared atomic index and each result lands in
 /// the slot of its input, so the returned vector is in input order —
 /// callers observe identical results for any worker count, which is
 /// what makes `-j N` byte-identical to `-j 1`.
-fn parallel_map<T, R, F>(workers: usize, items: Vec<T>, f: F) -> Vec<R>
+fn parallel_map<T, R, S, F>(workers: usize, items: Vec<T>, init: fn() -> S, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
-    F: Fn(T) -> R + Sync,
+    F: Fn(&mut S, T) -> R + Sync,
 {
     let n = items.len();
     if workers <= 1 || n <= 1 {
-        return items.into_iter().map(f).collect();
+        let mut state = init();
+        return items.into_iter().map(|t| f(&mut state, t)).collect();
     }
     let input: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let output: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..workers.min(n) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
+            s.spawn(|| {
+                let mut state = init();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let item = input[i]
+                        .lock()
+                        .unwrap()
+                        .take()
+                        .expect("each index is claimed exactly once");
+                    *output[i].lock().unwrap() = Some(f(&mut state, item));
                 }
-                let item = input[i]
-                    .lock()
-                    .unwrap()
-                    .take()
-                    .expect("each index is claimed exactly once");
-                *output[i].lock().unwrap() = Some(f(item));
             });
         }
     });
@@ -284,12 +289,7 @@ fn apply_static_config(f: &mut FuncIr, config: &HashMap<String, i64>) {
         for inst in &mut b.insts {
             if let Inst::LoadGlobal { dst, global, .. } = inst {
                 if let Some(&v) = config.get(global) {
-                    *inst = Inst::Bin {
-                        op: IrBin::Add,
-                        dst: *dst,
-                        a: Operand::Const(v),
-                        b: Operand::Const(0),
-                    };
+                    *inst = Inst::bound_read(*dst, v);
                 }
             }
         }
@@ -318,6 +318,9 @@ enum MvWork {
 /// The merge stage's per-function output.
 struct FnVariants {
     variants: Vec<VariantInfo>,
+    /// The compile-cache key the variants are stored under once object
+    /// assembly is done with them (a miss with the cache on).
+    cache_key: Option<CacheKey>,
 }
 
 /// Per-function state threaded between stages.
@@ -519,7 +522,8 @@ impl Pipeline {
 
         // Stage 3: optimize — the expensive middle. One work item per
         // generic body plus one per assignment clone, fanned out over
-        // the thread pool and collected by index.
+        // the thread pool and collected by index. Each worker folds in
+        // one `Specializer`, reused across its items.
         enum Job {
             Generic(usize),
             Clone(usize, usize),
@@ -552,21 +556,20 @@ impl Pipeline {
             let outs: Vec<(Job, JobOut)> = self.run_stage(
                 "optimize",
                 move |_| {
-                    parallel_map(jobs, job_list, |job| {
+                    parallel_map(jobs, job_list, Specializer::default, |sp, job| {
                         let out = match &job {
                             Job::Generic(i) => {
                                 let mut g = work_ref[*i].generic.clone();
-                                optimize(&mut g);
+                                optimize(&mut g, &mut sp.scratch);
                                 JobOut::Generic(g)
                             }
                             Job::Clone(i, a) => {
                                 let MvWork::Expand { plan, .. } = &work_ref[*i].mv else {
                                     unreachable!("clone job for non-expand function")
                                 };
-                                JobOut::Clone(mv::specialize_clone(
-                                    &work_ref[*i].generic,
-                                    plan.assignments[*a].clone(),
-                                ))
+                                JobOut::Clone(
+                                    sp.specialize(&work_ref[*i].generic, &plan.assignments[*a]),
+                                )
                             }
                         };
                         (job, out)
@@ -586,50 +589,39 @@ impl Pipeline {
             }
         }
 
-        // Stage 4: merge — content-addressed dedup + guard synthesis,
-        // and cache population on misses.
+        // Stage 4: merge — content-addressed dedup + guard synthesis.
         let merged: Vec<FnVariants> = self.run_stage(
             "merge",
             |p| {
                 let mut out = Vec::with_capacity(work.len());
-                for (i, f) in work.iter().enumerate() {
-                    let variants = match &f.mv {
-                        MvWork::None => Vec::new(),
-                        MvWork::Cached(vs) => vs.clone(),
+                for (i, f) in work.iter_mut().enumerate() {
+                    let (variants, cache_key) = match &mut f.mv {
+                        MvWork::None => (Vec::new(), None),
+                        MvWork::Cached(vs) => (std::mem::take(vs), None),
                         MvWork::Expand { plan, cache_key } => {
                             let bodies: Vec<SpecializedBody> = clone_results[i]
                                 .iter_mut()
                                 .map(|s| s.take().expect("optimize stage filled every slot"))
                                 .collect();
                             let groups = mv::merge_clones(&bodies);
-                            let variants =
-                                mv::assemble_variants(&f.name, &plan.switches, &bodies, &groups);
-                            if let Some(key) = cache_key {
-                                let entry = CacheEntry {
-                                    variants: variants
-                                        .iter()
-                                        .map(|v| CachedVariant {
-                                            suffix: v.name[f.name.len()..].to_string(),
-                                            ir: {
-                                                let mut ir = v.ir.clone();
-                                                ir.name.clear();
-                                                ir
-                                            },
-                                            guard_sets: v.guard_sets.clone(),
-                                            assignments: v.assignments.clone(),
-                                        })
-                                        .collect(),
-                                };
-                                global_cache().lock().unwrap().insert(key.clone(), entry);
-                            }
-                            variants
+                            let variants = mv::assemble_variants(
+                                &f.name,
+                                &plan.switches,
+                                std::mem::take(&mut plan.assignments),
+                                bodies,
+                                &groups,
+                            );
+                            (variants, cache_key.take())
                         }
                     };
                     p.stats.variants += variants.len() as u64;
                     if !variants.is_empty() {
                         p.stats.mv_functions += 1;
                     }
-                    out.push(FnVariants { variants });
+                    out.push(FnVariants {
+                        variants,
+                        cache_key,
+                    });
                 }
                 out
             },
@@ -637,7 +629,8 @@ impl Pipeline {
         );
 
         // Stage 5: codegen — machine code for generics and variants
-        // (parallel, pure), then sequential object assembly.
+        // (parallel, pure), then sequential object assembly; a cache
+        // miss then stores its variants.
         let obj = self.run_stage(
             "codegen",
             |_| -> Result<Object, CompileError> {
@@ -653,13 +646,18 @@ impl Pipeline {
                 let merged_ref = &merged;
                 let ctx_ref = &ctx;
                 type GenResult = ((usize, Option<usize>), Result<GenFn, CompileError>);
-                let results: Vec<GenResult> = parallel_map(jobs, gen_jobs, |(i, v)| {
-                    let ir = match v {
-                        None => &work_ref[i].generic,
-                        Some(v) => &merged_ref[i].variants[v].ir,
-                    };
-                    ((i, v), gen_function(ir, ctx_ref, opts.multiverse))
-                });
+                let results: Vec<GenResult> = parallel_map(
+                    jobs,
+                    gen_jobs,
+                    || (),
+                    |_, (i, v)| {
+                        let ir = match v {
+                            None => &work_ref[i].generic,
+                            Some(v) => &merged_ref[i].variants[v].ir,
+                        };
+                        ((i, v), gen_function(ir, ctx_ref, opts.multiverse))
+                    },
+                );
                 let mut generics: Vec<Option<GenFn>> = (0..work.len()).map(|_| None).collect();
                 let mut vgens: Vec<Vec<Option<GenFn>>> = merged
                     .iter()
@@ -673,7 +671,7 @@ impl Pipeline {
                     }
                 }
 
-                assemble_object(
+                let obj = assemble_object(
                     unit_name,
                     &ctx,
                     &work,
@@ -681,7 +679,31 @@ impl Pipeline {
                     &generics,
                     &vgens,
                     opts.multiverse,
-                )
+                )?;
+
+                // Cache population on misses: the variants move into the
+                // cache, stored name-independently.
+                for (f, m) in work.iter().zip(merged) {
+                    let Some(key) = m.cache_key else { continue };
+                    let variants = m
+                        .variants
+                        .into_iter()
+                        .map(|v| CachedVariant {
+                            suffix: v.name[f.name.len()..].to_string(),
+                            ir: FuncIr {
+                                name: String::new(),
+                                ..v.ir
+                            },
+                            guard_sets: v.guard_sets,
+                            assignments: v.assignments,
+                        })
+                        .collect();
+                    global_cache()
+                        .lock()
+                        .unwrap()
+                        .insert(key, CacheEntry { variants });
+                }
+                Ok(obj)
             },
             |r| r.as_ref().map(|o| o.symbols.len() as u64).unwrap_or(0),
         )?;

@@ -72,10 +72,41 @@ pub(crate) struct SiteState {
 #[derive(Clone, Debug)]
 pub(crate) struct FnState {
     pub(crate) desc: FnDesc,
+    /// The switch (index into `Runtime::vars`) each guard reads, variant
+    /// by variant, resolved at attach; `None` for a guard on an address
+    /// no variable descriptor names, which fails the first selection
+    /// that reaches it.
+    pub(crate) guard_vars: Vec<Option<usize>>,
     pub(crate) binding: FnBinding,
     /// The generic entry's first call-site's worth of bytes, saved by the
     /// first entry jump and restored by a revert.
     pub(crate) saved_prologue: Option<Span>,
+}
+
+/// Switch values read during one plan, by variable index.
+#[derive(Default)]
+pub(crate) struct SwitchValues(Vec<Option<i64>>);
+
+impl SwitchValues {
+    pub(crate) fn new(vars: usize) -> SwitchValues {
+        SwitchValues(vec![None; vars])
+    }
+
+    /// Forgets every value: a new plan reads afresh.
+    pub(crate) fn clear(&mut self) {
+        self.0.fill(None);
+    }
+
+    /// The value of variable `i`, read from guest memory the first time.
+    fn read(&mut self, m: &Machine, vars: &[VarDesc], i: usize) -> Result<i64, RtError> {
+        if let Some(v) = self.0[i] {
+            return Ok(v);
+        }
+        let var = &vars[i];
+        let v = m.mem.read_int(var.addr, var.width as usize, var.signed)?;
+        self.0[i] = Some(v);
+        Ok(v)
+    }
 }
 
 /// Outcome of a commit operation.
@@ -106,6 +137,9 @@ pub struct CommitReport {
 pub struct Runtime {
     pub(crate) vars: Vec<VarDesc>,
     pub(crate) var_by_addr: FxHashMap<u64, usize>,
+    /// The switch values the current plan has read, by variable index,
+    /// so selection reads each switch at most once per plan.
+    pub(crate) switch_values: SwitchValues,
     pub(crate) fns: Vec<FnState>,
     pub(crate) fn_by_addr: FxHashMap<u64, usize>,
     pub(crate) sites: Vec<SiteState>,
@@ -222,16 +256,23 @@ impl Runtime {
         }
 
         Ok(Runtime {
-            vars,
-            var_by_addr,
+            switch_values: SwitchValues::new(vars.len()),
             fns: fn_descs
                 .into_iter()
                 .map(|desc| FnState {
+                    guard_vars: desc
+                        .variants
+                        .iter()
+                        .flat_map(|v| &v.guards)
+                        .map(|g| var_by_addr.get(&g.var_addr).copied())
+                        .collect(),
                     desc,
                     binding: FnBinding::Generic,
                     saved_prologue: None,
                 })
                 .collect(),
+            vars,
+            var_by_addr,
             fn_by_addr,
             sites,
             sites_of,
@@ -398,20 +439,29 @@ impl Runtime {
         Ok(m.mem.write_int(v.addr, value as u64, v.width as usize)?)
     }
 
-    pub(crate) fn select_variant(&self, m: &Machine, fi: usize) -> Result<Option<usize>, RtError> {
+    /// The first variant of function `fi` whose guards all admit the
+    /// current switch values, or `None` (the generic fallback). A
+    /// switch is read when a guard first needs it and remembered in
+    /// `values`, so an unreadable or unknown switch fails at the first
+    /// guard that reads it.
+    pub(crate) fn select_variant(
+        &self,
+        m: &Machine,
+        fi: usize,
+        values: &mut SwitchValues,
+    ) -> Result<Option<usize>, RtError> {
         let f = &self.fns[fi];
+        let mut at = 0;
         'variants: for (vi, v) in f.desc.variants.iter().enumerate() {
-            for g in &v.guards {
-                let &var_i =
-                    self.var_by_addr
-                        .get(&g.var_addr)
-                        .ok_or(RtError::UnknownGuardVariable {
-                            function: f.desc.generic,
-                            var_addr: g.var_addr,
-                        })?;
-                let var = &self.vars[var_i];
-                let value = m.mem.read_int(var.addr, var.width as usize, var.signed)?;
-                if !g.admits(value) {
+            // Each variant's guards own the next `guards.len()` entries.
+            let vars = &f.guard_vars[at..at + v.guards.len()];
+            at += v.guards.len();
+            for (g, &var) in v.guards.iter().zip(vars) {
+                let var = var.ok_or(RtError::UnknownGuardVariable {
+                    function: f.desc.generic,
+                    var_addr: g.var_addr,
+                })?;
+                if !g.admits(values.read(m, &self.vars, var)?) {
                     continue 'variants;
                 }
             }

@@ -30,7 +30,7 @@
 use crate::error::{CommitPhase, RtError};
 use crate::journal::{Span, MAX_SPAN};
 use crate::patch::pages_of;
-use crate::runtime::{CommitReport, FnBinding, PatchStrategy, Runtime, SiteBinding};
+use crate::runtime::{CommitReport, FnBinding, PatchStrategy, Runtime, SiteBinding, SwitchValues};
 use crate::stats::PatchTiming;
 use mvasm::MV64;
 use mvobj::descriptor::NOT_INLINABLE;
@@ -550,7 +550,14 @@ impl Runtime {
     /// switches select, or restores it when none does (Fig. 3 d), and
     /// binds a switch to its target; `None` when there is nothing to
     /// bind. A revert restores. Selection failures come back raw.
-    fn intent(&self, m: &Machine, unit: Unit, commit: bool) -> Result<Option<Action>, RtError> {
+    /// Selection reads switches through `values`, the plan's memo.
+    fn intent(
+        &self,
+        m: &Machine,
+        unit: Unit,
+        commit: bool,
+        values: &mut SwitchValues,
+    ) -> Result<Option<Action>, RtError> {
         Ok(match unit {
             _ if !commit => Some(Action::Restore {
                 unit,
@@ -564,7 +571,7 @@ impl Runtime {
             }),
             Unit::Func(fi) => {
                 let f = &self.fns[fi];
-                Some(match self.select_variant(m, fi)? {
+                Some(match self.select_variant(m, fi, values)? {
                     Some(variant) => Action::Bind {
                         unit,
                         variant,
@@ -625,15 +632,32 @@ impl Runtime {
     /// restore unconditionally. Selection failures are wrapped with
     /// [`CommitPhase::Plan`].
     fn plan(&mut self, m: &Machine, units: &Units) -> Result<TxnPlan, RtError> {
+        // Guest memory is read-only while planning, so each switch is
+        // read at most once per plan.
+        let mut values = std::mem::take(&mut self.switch_values);
+        values.clear();
+        let plan = self.plan_units(m, units, &mut values);
+        self.switch_values = values;
+        plan
+    }
+
+    fn plan_units(
+        &mut self,
+        m: &Machine,
+        units: &Units,
+        values: &mut SwitchValues,
+    ) -> Result<TxnPlan, RtError> {
         let commit = units.op.commits();
         let mut plan = TxnPlan::default();
         let mut units = units.clone();
         while let Some(unit) = units.next(self) {
-            let intent = self.intent(m, unit, commit).map_err(|e| RtError::Commit {
-                phase: CommitPhase::Plan,
-                function: unit.function(self),
-                source: Box::new(e),
-            })?;
+            let intent = self
+                .intent(m, unit, commit, values)
+                .map_err(|e| RtError::Commit {
+                    phase: CommitPhase::Plan,
+                    function: unit.function(self),
+                    source: Box::new(e),
+                })?;
             let Some(action) = intent else { continue };
             if !commit || !self.already_done(m, action) {
                 plan.actions.push(action);
@@ -1125,8 +1149,9 @@ impl Runtime {
         let mut units = self
             .units(TxnOp::CommitAll)
             .expect("the whole-image scope names no address");
+        let mut values = SwitchValues::new(self.vars.len());
         while let Some(unit) = units.next(self) {
-            let (action, issue) = match self.intent(m, unit, true) {
+            let (action, issue) = match self.intent(m, unit, true, &mut values) {
                 Ok(action) => (action, action.and_then(|a| self.check(m, a).err())),
                 Err(e) => (None, Some(e)),
             };

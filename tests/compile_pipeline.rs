@@ -346,3 +346,172 @@ proptest! {
         }
     }
 }
+
+/// The E14 compile-cost grids (`(functions, switches, domain width)`),
+/// plus mvbench's `variant_grid` shape, 16 × 3^4.
+const GOLDEN_GRIDS: [(usize, usize, usize); 5] =
+    [(4, 3, 2), (4, 5, 2), (4, 4, 3), (8, 6, 2), (16, 4, 3)];
+
+/// The compile-cost grid source: `n_funcs` multiversed functions, each
+/// adding a distinct constant per switch it finds non-zero. A fixed
+/// copy of `mv_bench::compile_cost_src`'s shape, so the golden pins the
+/// compiler, not the generator.
+fn grid_src(n_funcs: usize, n_switches: usize, domain: usize) -> String {
+    let mut src = String::new();
+    for s in 0..n_switches {
+        let dom: Vec<String> = (0..domain).map(|v| v.to_string()).collect();
+        src += &format!("multiverse({}) i32 s{s};\n", dom.join(", "));
+    }
+    for f in 0..n_funcs {
+        src += &format!("multiverse i64 f{f}(void) {{\n    i64 acc = {f};\n");
+        for s in 0..n_switches {
+            src += &format!("    if (s{s}) {{ acc = acc + {}; }}\n", (f + 1) << s);
+        }
+        src += "    return acc;\n}\n";
+    }
+    let calls: Vec<String> = (0..n_funcs).map(|f| format!("f{f}()")).collect();
+    src + &format!("i64 main(void) {{ return {}; }}\n", calls.join(" + "))
+}
+
+/// Every workload source and grid of the golden, as (unit name, source,
+/// variant limit).
+fn golden_units() -> Vec<(String, String, usize)> {
+    use mv_workloads::{
+        alternative, commit_storm, cpython, grep, musl, pvops, smp_contention, spinlock,
+    };
+    let mut units: Vec<(String, String, usize)> = [
+        ("musl.c", musl::SRC),
+        ("grep.c", grep::SRC),
+        ("alternative.c", alternative::SRC),
+        ("commit_storm.c", commit_storm::SRC),
+        ("cpython.c", cpython::SRC),
+        ("pvops_current.c", pvops::SRC_CURRENT),
+        ("pvops_multiverse.c", pvops::SRC_MULTIVERSE),
+        ("pvops_ifdef.c", pvops::SRC_IFDEF),
+        ("smp_contention.c", smp_contention::SRC),
+        ("spinlock.c", spinlock::SRC),
+    ]
+    .into_iter()
+    .map(|(name, src)| (name.to_string(), src.to_string(), 64))
+    .collect();
+    for (n_funcs, n_switches, domain) in GOLDEN_GRIDS {
+        units.push((
+            format!("grid_{n_funcs}x{domain}^{n_switches}.c"),
+            grid_src(n_funcs, n_switches, domain),
+            domain.pow(n_switches as u32) * 2,
+        ));
+    }
+    units
+}
+
+/// The `#ifdef` build of the golden: every integer switch of `src`
+/// fixed at the last value of its domain.
+fn static_options(src: &str) -> Options {
+    use multiverse::mvc::{lexer::lex, lower::lower_unit, parser::parse, types::Type};
+    let ctx = lower_unit(&parse(&lex(src).unwrap()).unwrap()).unwrap().ctx;
+    let mut config: Vec<(&str, i64)> = ctx
+        .globals
+        .iter()
+        .filter(|(_, g)| g.is_switch() && g.ty != Type::Fnptr)
+        .map(|(name, _)| (name.as_str(), *ctx.switch_domain(name).last().unwrap()))
+        .collect();
+    config.sort_unstable();
+    Options::static_build(&config)
+}
+
+/// `Object::fingerprint()` of every golden unit under each binding
+/// mode, recorded before the optimizer's allocation-free rewrite. The
+/// optimizer must not change a single emitted byte, so a mismatch is an
+/// output change, never noise.
+const FINGERPRINTS: &[(&str, &str, u64)] = &[
+    ("musl.c", "default", 0x26e97010462f4f51),
+    ("musl.c", "dynamic", 0xa81d35ad79de8f0a),
+    ("musl.c", "static", 0x71b67b5559c7ae5d),
+    ("grep.c", "default", 0xb181577a4b057a4f),
+    ("grep.c", "dynamic", 0xa5a8fe2f24740db8),
+    ("grep.c", "static", 0x5a71838147119633),
+    ("alternative.c", "default", 0x127106288b5bf98e),
+    ("alternative.c", "dynamic", 0x85e7fc1d9a9cba67),
+    ("alternative.c", "static", 0x52ac78d0724c8d62),
+    ("commit_storm.c", "default", 0x98288c2883f3954c),
+    ("commit_storm.c", "dynamic", 0xdbdd0ddc6d8ab698),
+    ("commit_storm.c", "static", 0x2b4f3e3c5f0437dd),
+    ("cpython.c", "default", 0x5641633e7ba1d56c),
+    ("cpython.c", "dynamic", 0xca0caf5e162f7586),
+    ("cpython.c", "static", 0xeb62b93bb2bd68a1),
+    ("pvops_current.c", "default", 0xc070251120a9f603),
+    ("pvops_current.c", "dynamic", 0x5e00e91f4b070d67),
+    ("pvops_current.c", "static", 0x5e00e91f4b070d67),
+    ("pvops_multiverse.c", "default", 0x17cc645652034d43),
+    ("pvops_multiverse.c", "dynamic", 0x49b33a94bb8824e8),
+    ("pvops_multiverse.c", "static", 0xdf49fc565d9c653c),
+    ("pvops_ifdef.c", "default", 0x3f46f83bc1f16dee),
+    ("pvops_ifdef.c", "dynamic", 0x3f46f83bc1f16dee),
+    ("pvops_ifdef.c", "static", 0x3f46f83bc1f16dee),
+    ("smp_contention.c", "default", 0x002a22c5d51a76fc),
+    ("smp_contention.c", "dynamic", 0x7947547e4b19f619),
+    ("smp_contention.c", "static", 0xdf3a7b366f79c5b5),
+    ("spinlock.c", "default", 0x8df389ad5027df69),
+    ("spinlock.c", "dynamic", 0x24697a14c1c6db93),
+    ("spinlock.c", "static", 0x9e288bf2f8b34946),
+    ("grid_4x2^3.c", "default", 0xfc7969e1b821bacc),
+    ("grid_4x2^3.c", "dynamic", 0xea7ff448ad1c5f3e),
+    ("grid_4x2^3.c", "static", 0x71d8c91983e5020d),
+    ("grid_4x2^5.c", "default", 0xc0738a0df6d40af4),
+    ("grid_4x2^5.c", "dynamic", 0xd8f66d91bfa49b8b),
+    ("grid_4x2^5.c", "static", 0xe544e1efd6f1f2aa),
+    ("grid_4x3^4.c", "default", 0xcf62f3a7bf0688b5),
+    ("grid_4x3^4.c", "dynamic", 0x32716f3756c0af17),
+    ("grid_4x3^4.c", "static", 0x2a89960c23b8e72e),
+    ("grid_8x2^6.c", "default", 0xc33b02b68fceeb40),
+    ("grid_8x2^6.c", "dynamic", 0x71456b9913bab806),
+    ("grid_8x2^6.c", "static", 0x153d2c571c1605d6),
+    ("grid_16x3^4.c", "default", 0x727a5c64a3cede17),
+    ("grid_16x3^4.c", "dynamic", 0xef2057dec6ce353d),
+    ("grid_16x3^4.c", "static", 0xea1ed86d44394034),
+];
+
+/// Every workload source and E14 grid compiles to the recorded object,
+/// under `Options::default()`, `Options::dynamic()` and a static build,
+/// at `-j 1` and `-j 4`. The compile cache is off, so every build runs
+/// the optimizer.
+#[test]
+fn objects_match_the_fingerprint_golden() {
+    let mut got = Vec::new();
+    for (unit, src, limit) in golden_units() {
+        let modes = [
+            ("default", Options::default()),
+            ("dynamic", Options::dynamic()),
+            ("static", static_options(&src)),
+        ];
+        for (mode, base) in modes {
+            let fps = [1usize, 4].map(|jobs| {
+                let opts = Options {
+                    variant_limit: limit,
+                    jobs,
+                    cache: false,
+                    ..base.clone()
+                };
+                let (obj, _) = Pipeline::new(opts)
+                    .compile_unit(&src, &unit)
+                    .unwrap_or_else(|e| panic!("{unit} ({mode}): {e}"));
+                obj.fingerprint()
+            });
+            assert_eq!(fps[0], fps[1], "{unit} ({mode}): -j 4 differs from -j 1");
+            got.push((unit.clone(), mode, fps[0]));
+        }
+    }
+    let table: String = got
+        .iter()
+        .map(|(unit, mode, fp)| format!("    (\"{unit}\", \"{mode}\", {fp:#018x}),\n"))
+        .collect();
+    assert_eq!(got.len(), FINGERPRINTS.len(), "golden rows:\n{table}");
+    for ((unit, mode, fp), &(g_unit, g_mode, g_fp)) in got.iter().zip(FINGERPRINTS) {
+        assert_eq!(
+            (unit.as_str(), *mode),
+            (g_unit, g_mode),
+            "golden rows:\n{table}"
+        );
+        assert_eq!(*fp, g_fp, "{unit} ({mode}): object changed; rows:\n{table}");
+    }
+}
