@@ -1,11 +1,11 @@
 //! E14 — staged-pipeline compile cost: sequential vs parallel clone+fold
-//! and cold vs cached builds as the switch count / domain width scales
-//! (§7.1's combinatorial explosion, made measurable). The table printed
-//! here backs the EXPERIMENTS.md entry; the Criterion groups measure the
-//! same three paths for regression tracking.
+//! as the switch count / domain width scales (§7.1's combinatorial
+//! explosion, made measurable). The table printed here backs the
+//! EXPERIMENTS.md entry; the Criterion groups measure the same two paths
+//! for regression tracking.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use multiverse::mvc::{pipeline, Options, Pipeline};
+use multiverse::mvc::{Options, Pipeline};
 use mv_bench::{compile_cost_data, compile_cost_src, render_compile_cost_table};
 
 fn bench(c: &mut Criterion) {
@@ -15,7 +15,7 @@ fn bench(c: &mut Criterion) {
         .map(|n| n.get())
         .unwrap_or(4)
         .max(2);
-    println!("## compile cost: sequential vs -j{jobs}, cold vs cached");
+    println!("## compile cost: sequential vs -j{jobs}");
     let configs = [
         (4usize, 3usize, 2usize), // 4 fns × 2^3  = 32 clones
         (4, 5, 2),                // 4 fns × 2^5  = 128 clones
@@ -27,46 +27,30 @@ fn bench(c: &mut Criterion) {
     println!();
 
     let src = compile_cost_src(4, 5, 2);
-    let opts = |jobs: usize, cache: bool| Options {
+    let opts = |jobs: usize| Options {
         variant_limit: 64,
         jobs,
-        cache,
         ..Options::default()
     };
     let mut g = c.benchmark_group("compile_cost");
-    g.bench_with_input(
-        BenchmarkId::new("sequential_cold", "4x2^5"),
-        &src,
-        |b, s| {
-            b.iter(|| {
-                Pipeline::new(opts(1, false))
-                    .compile_unit(s, "cost.c")
-                    .expect("build")
-            })
-        },
-    );
-    g.bench_with_input(
-        BenchmarkId::new(format!("parallel_cold_j{jobs}"), "4x2^5"),
-        &src,
-        |b, s| {
-            b.iter(|| {
-                Pipeline::new(opts(jobs, false))
-                    .compile_unit(s, "cost.c")
-                    .expect("build")
-            })
-        },
-    );
-    pipeline::clear_compile_cache();
-    Pipeline::new(opts(1, true))
-        .compile_unit(&src, "cost.c")
-        .expect("populate cache");
-    g.bench_with_input(BenchmarkId::new("cached", "4x2^5"), &src, |b, s| {
+    g.bench_with_input(BenchmarkId::new("sequential", "4x2^5"), &src, |b, s| {
         b.iter(|| {
-            Pipeline::new(opts(1, true))
+            Pipeline::new(opts(1))
                 .compile_unit(s, "cost.c")
                 .expect("build")
         })
     });
+    g.bench_with_input(
+        BenchmarkId::new(format!("parallel_j{jobs}"), "4x2^5"),
+        &src,
+        |b, s| {
+            b.iter(|| {
+                Pipeline::new(opts(jobs))
+                    .compile_unit(s, "cost.c")
+                    .expect("build")
+            })
+        },
+    );
     g.finish();
 }
 

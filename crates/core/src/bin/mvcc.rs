@@ -9,9 +9,9 @@
 //!                                   --timings/--stats print the staged
 //!                                   pipeline's wall-time / counter report
 //!                                   (--timings additionally records
-//!                                   stage_begin/stage_end/cache_query
-//!                                   events — exported with --out/--format
-//!                                   like `mvcc trace`)
+//!                                   stage_begin/stage_end events —
+//!                                   exported with --out/--format like
+//!                                   `mvcc trace`)
 //! mvcc compile <file.c> -o out.mvo  separate compilation: write one
 //!                                   relocatable MVO object
 //! mvcc link   <file.mvo>… [--run]   link MVO objects (and optionally run
@@ -111,7 +111,6 @@
 //!   --static VAR=V       fix a switch at compile time (binding A)
 //!   --variant-limit N    override the variant-explosion limit
 //!   -j / --jobs N        pipeline worker threads (default 1, 0 = cores)
-//!   --no-cache           disable the in-process compile cache
 //!   --smp N              run/verify on an N-vCPU SMP machine
 //!   --strategy S         concurrent-commit protocol for --smp commits:
 //!                        stop-machine (default) or breakpoint
@@ -229,7 +228,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "bad worker count")?;
             }
-            "--no-cache" => args.opts.cache = false,
             "--smp" => {
                 args.smp = it
                     .next()

@@ -4,7 +4,7 @@
 //! Since the staged-pipeline refactor this module is a thin façade: it
 //! owns [`Options`] and forwards to [`crate::pipeline::Pipeline`], which
 //! runs the lower → mv-expand → optimize → merge → codegen stages with
-//! timing, tracing, parallelism and the compile cache.
+//! timing, tracing and parallelism.
 
 use crate::error::{CompileError, Warning};
 use crate::pipeline::Pipeline;
@@ -25,18 +25,14 @@ pub struct Options {
     /// Maximum variants per function before
     /// [`CompileError::VariantExplosion`].
     pub variant_limit: usize,
-    /// Run the optimizer (constant folding, DCE, CFG cleanup).
-    pub optimize: bool,
-    /// Inline small non-multiverse functions (§7.1: multiversed
+    /// Run the optimizer (constant folding, DCE, CFG cleanup) and
+    /// inline small non-multiverse functions (§7.1: multiversed
     /// functions are never inlined; everything else may be).
-    pub inline: bool,
+    pub optimize: bool,
     /// Worker threads for the optimize/codegen pipeline stages: 1 =
     /// sequential, 0 = all available cores. Output is byte-identical
     /// for every value.
     pub jobs: usize,
-    /// Consult (and populate) the process-wide compile cache keyed by
-    /// (pre-expand body hash, switch-domain signature).
-    pub cache: bool,
 }
 
 impl Default for Options {
@@ -46,9 +42,7 @@ impl Default for Options {
             static_config: HashMap::new(),
             variant_limit: 64,
             optimize: true,
-            inline: true,
             jobs: 1,
-            cache: true,
         }
     }
 }

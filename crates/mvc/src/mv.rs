@@ -56,34 +56,10 @@ pub struct ExpandPlan {
     /// Switch names the function specializes over, in deterministic
     /// (sorted, bind-filtered) order.
     pub switches: Vec<String>,
-    /// The value domain of each switch, positionally matching
-    /// `switches`.
-    pub domains: Vec<Vec<i64>>,
     /// The full cross product of assignments, in domain-major order.
     pub assignments: Vec<Vec<(String, i64)>>,
     /// Warnings produced during planning (switch writes, no reads).
     pub warnings: Vec<Warning>,
-}
-
-impl ExpandPlan {
-    /// A stable textual signature of the specialization domain: switch
-    /// names, their domains, and nothing else. Two functions with equal
-    /// pre-expand bodies and equal domain signatures generate identical
-    /// variant sets (modulo the base name), which is what makes the
-    /// compile cache sound.
-    pub fn domain_signature(&self) -> String {
-        let mut sig = String::new();
-        for (s, dom) in self.switches.iter().zip(&self.domains) {
-            sig.push_str(s);
-            sig.push('=');
-            for v in dom {
-                sig.push_str(&v.to_string());
-                sig.push(',');
-            }
-            sig.push(';');
-        }
-        sig
-    }
 }
 
 /// Plans the expansion of `f`, or `None` if `f` is not multiversed.
@@ -147,7 +123,6 @@ pub fn plan_expansion(
         });
         return Ok(Some(ExpandPlan {
             switches,
-            domains: Vec::new(),
             assignments: Vec::new(),
             warnings,
         }));
@@ -193,7 +168,6 @@ pub fn plan_expansion(
 
     Ok(Some(ExpandPlan {
         switches,
-        domains,
         assignments,
         warnings,
     }))
@@ -313,9 +287,7 @@ pub fn merge_clones(bodies: &[SpecializedBody]) -> Vec<Vec<usize>> {
 /// Stage "merge" part two: turns merge groups into named, guarded
 /// variants, moving each group's first body and every assignment
 /// (`assignments[i]` is `bodies[i]`'s) into them. `base` is the generic
-/// function's symbol; passing it separately keeps the merge result
-/// reusable under any name (the compile cache stores name-independent
-/// variants).
+/// function's symbol, which each variant's name extends.
 pub fn assemble_variants(
     base: &str,
     switches: &[String],

@@ -7,14 +7,19 @@
 //!   lower ──► mv-expand ──► optimize ──► merge ──► codegen
 //!   parse,    switch          clone+fold   content-    generic +
 //!   lower,    discovery,      per assign-  addressed   variant
-//!   inline    cross product,  ment (par-   dedup +     machine code,
-//!             cache lookup    allel, -j)   guards      object assembly
+//!   inline    cross product   ment (par-   dedup +     machine code,
+//!                             allel, -j)   guards      object assembly
 //! ```
+//!
+//! Every build runs all five stages: the object depends only on the
+//! source and the [`Options`], and nothing survives from one
+//! [`Pipeline::compile_unit`] call to the next but the counters and the
+//! trace.
 //!
 //! The [`Pipeline`] owns per-stage wall-clock timing and counters
 //! ([`PipelineStats`]), an optional [`TraceRing`] that receives
-//! `stage_begin`/`stage_end`/`cache_query` events for mvtrace's sinks,
-//! and the knobs from [`Options`]:
+//! `stage_begin`/`stage_end` events for mvtrace's sinks, and the knobs
+//! from [`Options`]:
 //!
 //! * **Parallelism** (`Options::jobs`): the optimize and codegen stages
 //!   fan their per-function / per-assignment work items out over a
@@ -25,13 +30,6 @@
 //!   clones are bucketed by the FNV-1a hash of their canonical key
 //!   (full-key compare within a bucket), replacing the seed's pairwise
 //!   O(n²) scan. See [`crate::mv::merge_clones`].
-//! * **Compile cache** (`Options::cache`): a process-wide map keyed by
-//!   (pre-expand canonical body key, switch-domain signature). The
-//!   canonical key excludes the function name, so the cached variant
-//!   set is stored name-independently (suffix + name-cleared IR) and a
-//!   hit re-binds it to the requesting function — re-lowered bodies and
-//!   repeated driver invocations skip the whole expand/optimize/merge
-//!   middle of the pipeline.
 
 use crate::codegen::{gen_function, GenFn};
 use crate::driver::Options;
@@ -44,14 +42,14 @@ use crate::parser::parse;
 use crate::passes::optimize;
 use crate::types::Type;
 use mvobj::descriptor::{
-    emit_callsite, emit_function, emit_variable, CallsiteDescSym, FnDescSym, GuardSym, VarDescSym,
+    emit_callsite, emit_function, emit_variable, CallsiteDescSym, FnDescSym, VarDescSym,
     VariantDescSym,
 };
 use mvobj::{link, Executable, Layout, Object};
 use mvtrace::{Event, EventKind, TraceRing};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Accumulated wall time and item count for one named stage.
@@ -75,17 +73,10 @@ pub struct PipelineStats {
     pub functions: u64,
     /// Of those, functions that produced at least one variant.
     pub mv_functions: u64,
-    /// Raw specialized clones materialized (pre-merge; cache hits
-    /// materialize none).
+    /// Raw specialized clones materialized (pre-merge).
     pub clones: u64,
-    /// Variants emitted post-merge (including cache-replayed ones).
+    /// Variants emitted post-merge.
     pub variants: u64,
-    /// Compile-cache hits.
-    pub cache_hits: u64,
-    /// Compile-cache misses (entry inserted after merge).
-    pub cache_misses: u64,
-    /// Variants replayed from the cache instead of re-specialized.
-    pub cached_variants: u64,
     /// Effective worker count of the parallel stages.
     pub jobs: usize,
 }
@@ -113,14 +104,10 @@ impl PipelineStats {
     /// Fraction of materialized clones eliminated by the merge stage
     /// (Fig. 2's sharing); 0 when nothing was cloned.
     pub fn merge_rate(&self) -> f64 {
-        let merged_from = self.clones + self.cached_variants;
-        if merged_from == 0 || self.variants >= self.clones {
-            // All-cached builds have no meaningful clone count.
-            if self.clones == 0 {
-                return 0.0;
-            }
+        if self.clones == 0 {
+            return 0.0;
         }
-        1.0 - self.variants.saturating_sub(self.cached_variants) as f64 / self.clones.max(1) as f64
+        1.0 - self.variants as f64 / self.clones as f64
     }
 
     /// Human-readable multi-line report (the `mvcc build --stats` body).
@@ -158,54 +145,15 @@ impl PipelineStats {
             self.variants,
             self.merge_rate() * 100.0
         ));
-        out.push_str(&format!(
-            "cache: {} hit(s), {} miss(es), {} variant(s) replayed\n",
-            self.cache_hits, self.cache_misses, self.cached_variants
-        ));
         out
     }
 }
 
-// ---------------------------------------------------------------------
-// Compile cache
-// ---------------------------------------------------------------------
-
-/// (pre-expand canonical body key, switch-domain signature).
-type CacheKey = (String, String);
-
-/// One variant stored name-independently: the mangled suffix (e.g.
-/// `.A=0.B=0-1`) plus the body with its name cleared. A hit re-binds
-/// both to the requesting function's symbol.
-#[derive(Clone)]
-struct CachedVariant {
-    suffix: String,
-    ir: FuncIr,
-    guard_sets: Vec<Vec<GuardSym>>,
-    assignments: Vec<Vec<(String, i64)>>,
-}
-
-#[derive(Clone, Default)]
-struct CacheEntry {
-    variants: Vec<CachedVariant>,
-}
-
-/// The process-wide compile cache. Keyed by content, so it is safe to
-/// share across units, drivers, and threads; entries are never
-/// invalidated (a changed body is a different key).
-fn global_cache() -> &'static Mutex<HashMap<CacheKey, CacheEntry>> {
-    static CACHE: OnceLock<Mutex<HashMap<CacheKey, CacheEntry>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Drops every cached entry (test isolation / memory pressure).
-pub fn clear_compile_cache() {
-    global_cache().lock().unwrap().clear();
-}
-
-/// Number of entries currently cached (tests/tooling).
-pub fn compile_cache_len() -> usize {
-    global_cache().lock().unwrap().len()
-}
+/// Does nothing: the pipeline keeps no state between compiles. Kept
+/// only because the benchmark harness under `mvbench/` still calls it;
+/// ROADMAP item 9 drops that call and then this function.
+#[doc(hidden)]
+pub fn clear_compile_cache() {}
 
 // ---------------------------------------------------------------------
 // Parallel map
@@ -300,36 +248,15 @@ fn apply_static_config(f: &mut FuncIr, config: &HashMap<String, i64>) {
 // The pipeline
 // ---------------------------------------------------------------------
 
-/// How the mv middle stages handle one function.
-enum MvWork {
-    /// Not multiversed, or no switches referenced: generic body only.
-    None,
-    /// Needs clone + fold + merge; `cache_key` is `Some` when the
-    /// result should be inserted into the compile cache afterwards.
-    Expand {
-        plan: ExpandPlan,
-        cache_key: Option<CacheKey>,
-    },
-    /// Compile-cache hit: variants replayed, expand/optimize/merge
-    /// skipped for this function.
-    Cached(Vec<VariantInfo>),
-}
-
-/// The merge stage's per-function output.
-struct FnVariants {
-    variants: Vec<VariantInfo>,
-    /// The compile-cache key the variants are stored under once object
-    /// assembly is done with them (a miss with the cache on).
-    cache_key: Option<CacheKey>,
-}
-
 /// Per-function state threaded between stages.
 struct FnWork {
     name: String,
     /// Pre-optimize body (post static-config); replaced by the
     /// optimized body after the optimize stage.
     generic: FuncIr,
-    mv: MvWork,
+    /// The clones to fold and merge; `None` when the function is not
+    /// multiversed or reads no switch (generic body only).
+    plan: Option<ExpandPlan>,
 }
 
 /// The staged compiler. One instance accumulates stats (and optionally
@@ -355,8 +282,8 @@ impl Pipeline {
     }
 
     /// Installs a bounded event ring; subsequent compiles emit
-    /// `stage_begin`/`stage_end`/`cache_query` events into it (only
-    /// while [`mvtrace::enabled`] is on, mirroring the runtime).
+    /// `stage_begin`/`stage_end` events into it (only while
+    /// [`mvtrace::enabled`] is on, mirroring the runtime).
     pub fn enable_tracing(&mut self, cap: usize) {
         self.tracer = Some(TraceRing::new(cap));
     }
@@ -417,7 +344,7 @@ impl Pipeline {
             |_| -> Result<Lowered, CompileError> {
                 let unit = parse(&lex(source)?)?;
                 let mut lowered = lower_unit(&unit)?;
-                if opts.inline && opts.optimize {
+                if opts.optimize {
                     crate::passes::inline::run_unit(&mut lowered.funcs);
                 }
                 Ok(lowered)
@@ -428,80 +355,26 @@ impl Pipeline {
         self.stats.functions += lowered.funcs.len() as u64;
 
         // Stage 2: mv-expand — static config, switch discovery, cross
-        // product, cache lookup. Sequential: this is the cheap,
-        // error-reporting part.
+        // product. Sequential: this is the cheap, error-reporting part.
         let mut work: Vec<FnWork> = self.run_stage(
             "mv-expand",
-            |p| -> Result<Vec<FnWork>, CompileError> {
+            |_| -> Result<Vec<FnWork>, CompileError> {
                 let mut out = Vec::with_capacity(lowered.funcs.len());
                 for f in &lowered.funcs {
                     let mut generic = f.clone();
                     apply_static_config(&mut generic, &opts.static_config);
-                    let plan = if opts.multiverse {
+                    let mut plan = if opts.multiverse {
                         mv::plan_expansion(&generic, &ctx, opts.variant_limit)?
                     } else {
                         None
                     };
-                    let mv_work = match plan {
-                        None => MvWork::None,
-                        Some(plan) => {
-                            warnings.extend(plan.warnings.iter().cloned());
-                            if plan.switches.is_empty() {
-                                MvWork::None
-                            } else if opts.cache {
-                                let key = (generic.canonical_key(), plan.domain_signature());
-                                let hit = global_cache().lock().unwrap().get(&key).cloned();
-                                match hit {
-                                    Some(entry) => {
-                                        let n = entry.variants.len() as u64;
-                                        p.emit(|| EventKind::CacheQuery {
-                                            hit: true,
-                                            variants: n,
-                                        });
-                                        p.stats.cache_hits += 1;
-                                        p.stats.cached_variants += n;
-                                        let variants = entry
-                                            .variants
-                                            .into_iter()
-                                            .map(|cv| {
-                                                let name = format!("{}{}", generic.name, cv.suffix);
-                                                let mut ir = cv.ir;
-                                                ir.name = name.clone();
-                                                ir.attrs = generic.attrs.clone();
-                                                VariantInfo {
-                                                    name,
-                                                    ir,
-                                                    guard_sets: cv.guard_sets,
-                                                    assignments: cv.assignments,
-                                                }
-                                            })
-                                            .collect();
-                                        MvWork::Cached(variants)
-                                    }
-                                    None => {
-                                        p.emit(|| EventKind::CacheQuery {
-                                            hit: false,
-                                            variants: 0,
-                                        });
-                                        p.stats.cache_misses += 1;
-                                        MvWork::Expand {
-                                            plan,
-                                            cache_key: Some(key),
-                                        }
-                                    }
-                                }
-                            } else {
-                                MvWork::Expand {
-                                    plan,
-                                    cache_key: None,
-                                }
-                            }
-                        }
-                    };
+                    if let Some(plan) = &mut plan {
+                        warnings.append(&mut plan.warnings);
+                    }
                     out.push(FnWork {
                         name: f.name.clone(),
                         generic,
-                        mv: mv_work,
+                        plan: plan.filter(|p| !p.switches.is_empty()),
                     });
                 }
                 Ok(out)
@@ -510,10 +383,8 @@ impl Pipeline {
                 r.as_ref()
                     .map(|w| {
                         w.iter()
-                            .map(|f| match &f.mv {
-                                MvWork::Expand { plan, .. } => plan.assignments.len() as u64,
-                                _ => 0,
-                            })
+                            .flat_map(|f| &f.plan)
+                            .map(|plan| plan.assignments.len() as u64)
                             .sum()
                     })
                     .unwrap_or(0)
@@ -534,9 +405,9 @@ impl Pipeline {
         }
         let mut clone_results: Vec<Vec<Option<SpecializedBody>>> = work
             .iter()
-            .map(|f| match &f.mv {
-                MvWork::Expand { plan, .. } => (0..plan.assignments.len()).map(|_| None).collect(),
-                _ => Vec::new(),
+            .map(|f| match &f.plan {
+                Some(plan) => (0..plan.assignments.len()).map(|_| None).collect(),
+                None => Vec::new(),
             })
             .collect();
         {
@@ -545,7 +416,7 @@ impl Pipeline {
                 if opts.optimize {
                     job_list.push(Job::Generic(i));
                 }
-                if let MvWork::Expand { plan, .. } = &f.mv {
+                if let Some(plan) = &f.plan {
                     for a in 0..plan.assignments.len() {
                         job_list.push(Job::Clone(i, a));
                     }
@@ -564,9 +435,8 @@ impl Pipeline {
                                 JobOut::Generic(g)
                             }
                             Job::Clone(i, a) => {
-                                let MvWork::Expand { plan, .. } = &work_ref[*i].mv else {
-                                    unreachable!("clone job for non-expand function")
-                                };
+                                let plan =
+                                    work_ref[*i].plan.as_ref().expect("clone job has a plan");
                                 JobOut::Clone(
                                     sp.specialize(&work_ref[*i].generic, &plan.assignments[*a]),
                                 )
@@ -590,55 +460,50 @@ impl Pipeline {
         }
 
         // Stage 4: merge — content-addressed dedup + guard synthesis.
-        let merged: Vec<FnVariants> = self.run_stage(
+        // One variant list per function, empty when it has no plan.
+        let merged: Vec<Vec<VariantInfo>> = self.run_stage(
             "merge",
             |p| {
                 let mut out = Vec::with_capacity(work.len());
                 for (i, f) in work.iter_mut().enumerate() {
-                    let (variants, cache_key) = match &mut f.mv {
-                        MvWork::None => (Vec::new(), None),
-                        MvWork::Cached(vs) => (std::mem::take(vs), None),
-                        MvWork::Expand { plan, cache_key } => {
+                    let variants = match f.plan.take() {
+                        None => Vec::new(),
+                        Some(plan) => {
                             let bodies: Vec<SpecializedBody> = clone_results[i]
                                 .iter_mut()
                                 .map(|s| s.take().expect("optimize stage filled every slot"))
                                 .collect();
                             let groups = mv::merge_clones(&bodies);
-                            let variants = mv::assemble_variants(
+                            mv::assemble_variants(
                                 &f.name,
                                 &plan.switches,
-                                std::mem::take(&mut plan.assignments),
+                                plan.assignments,
                                 bodies,
                                 &groups,
-                            );
-                            (variants, cache_key.take())
+                            )
                         }
                     };
                     p.stats.variants += variants.len() as u64;
                     if !variants.is_empty() {
                         p.stats.mv_functions += 1;
                     }
-                    out.push(FnVariants {
-                        variants,
-                        cache_key,
-                    });
+                    out.push(variants);
                 }
                 out
             },
-            |r| r.iter().map(|f| f.variants.len() as u64).sum(),
+            |r| r.iter().map(|v| v.len() as u64).sum(),
         );
 
         // Stage 5: codegen — machine code for generics and variants
-        // (parallel, pure), then sequential object assembly; a cache
-        // miss then stores its variants.
+        // (parallel, pure), then sequential object assembly.
         let obj = self.run_stage(
             "codegen",
             |_| -> Result<Object, CompileError> {
                 // (fn index, None = generic | Some(variant index)).
                 let mut gen_jobs: Vec<(usize, Option<usize>)> = Vec::new();
-                for (i, f) in merged.iter().enumerate() {
+                for (i, variants) in merged.iter().enumerate() {
                     gen_jobs.push((i, None));
-                    for v in 0..f.variants.len() {
+                    for v in 0..variants.len() {
                         gen_jobs.push((i, Some(v)));
                     }
                 }
@@ -653,7 +518,7 @@ impl Pipeline {
                     |_, (i, v)| {
                         let ir = match v {
                             None => &work_ref[i].generic,
-                            Some(v) => &merged_ref[i].variants[v].ir,
+                            Some(v) => &merged_ref[i][v].ir,
                         };
                         ((i, v), gen_function(ir, ctx_ref, opts.multiverse))
                     },
@@ -661,7 +526,7 @@ impl Pipeline {
                 let mut generics: Vec<Option<GenFn>> = (0..work.len()).map(|_| None).collect();
                 let mut vgens: Vec<Vec<Option<GenFn>>> = merged
                     .iter()
-                    .map(|f| (0..f.variants.len()).map(|_| None).collect())
+                    .map(|variants| (0..variants.len()).map(|_| None).collect())
                     .collect();
                 for ((i, v), r) in results {
                     let g = r?;
@@ -671,7 +536,7 @@ impl Pipeline {
                     }
                 }
 
-                let obj = assemble_object(
+                assemble_object(
                     unit_name,
                     &ctx,
                     &work,
@@ -679,37 +544,13 @@ impl Pipeline {
                     &generics,
                     &vgens,
                     opts.multiverse,
-                )?;
-
-                // Cache population on misses: the variants move into the
-                // cache, stored name-independently.
-                for (f, m) in work.iter().zip(merged) {
-                    let Some(key) = m.cache_key else { continue };
-                    let variants = m
-                        .variants
-                        .into_iter()
-                        .map(|v| CachedVariant {
-                            suffix: v.name[f.name.len()..].to_string(),
-                            ir: FuncIr {
-                                name: String::new(),
-                                ..v.ir
-                            },
-                            guard_sets: v.guard_sets,
-                            assignments: v.assignments,
-                        })
-                        .collect();
-                    global_cache()
-                        .lock()
-                        .unwrap()
-                        .insert(key, CacheEntry { variants });
-                }
-                Ok(obj)
+                )
             },
             |r| r.as_ref().map(|o| o.symbols.len() as u64).unwrap_or(0),
         )?;
 
         // Unit-level, order-preserving warning dedup: a diagnostic is
-        // reported once no matter how many clones or replays touch it.
+        // reported once no matter how many clones touch it.
         let mut seen: HashSet<Warning> = HashSet::new();
         warnings.retain(|w| seen.insert(w.clone()));
 
@@ -742,7 +583,7 @@ fn assemble_object(
     unit_name: &str,
     ctx: &Ctx,
     work: &[FnWork],
-    merged: &[FnVariants],
+    merged: &[Vec<VariantInfo>],
     generics: &[Option<GenFn>],
     vgens: &[Vec<Option<GenFn>>],
     multiverse: bool,
@@ -810,7 +651,7 @@ fn assemble_object(
         for (off, ptr) in &gen.ptr_callsites {
             all_ptr_sites.push((f.name.clone(), *off, ptr.clone()));
         }
-        for (v, variant) in merged[i].variants.iter().enumerate() {
+        for (v, variant) in merged[i].iter().enumerate() {
             let vgen = vgens[i][v].as_ref().expect("variant codegen ran");
             obj.add_code(&variant.name, &vgen.blob);
             for (off, callee) in &vgen.mv_callsites {
@@ -844,7 +685,7 @@ fn assemble_object(
         // Function descriptors: multiversed functions (with variants) and
         // address-taken pointer targets (registration only).
         for (i, f) in work.iter().enumerate() {
-            let is_mv = !merged[i].variants.is_empty();
+            let is_mv = !merged[i].is_empty();
             if !is_mv && !addr_taken.contains(&f.name) {
                 continue;
             }
@@ -858,7 +699,6 @@ fn assemble_object(
                     generic_inline_len: gen.inline_len,
                     name_sym: Some(name_sym),
                     variants: merged[i]
-                        .variants
                         .iter()
                         .enumerate()
                         .flat_map(|(v, variant)| {

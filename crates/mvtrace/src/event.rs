@@ -149,17 +149,6 @@ pub enum EventKind {
         /// whatever the stage iterates over).
         items: u64,
     },
-    /// The compile cache resolved one multiversed function: on a hit the
-    /// expand/optimize/merge stages were skipped for its whole variant
-    /// cross product.
-    CacheQuery {
-        /// `true` if the pre-expand body + switch-domain signature was
-        /// already cached.
-        hit: bool,
-        /// Variants reused (hit) or later inserted (miss: 0 at query
-        /// time).
-        variants: u64,
-    },
     /// A concurrent commit began quiescing the SMP machine.
     QuiesceBegin {
         /// Protocol name: `stop-machine` or `breakpoint`.
@@ -293,7 +282,6 @@ impl EventKind {
             EventKind::PageBatch { .. } => "page_batch",
             EventKind::StageBegin { .. } => "stage_begin",
             EventKind::StageEnd { .. } => "stage_end",
-            EventKind::CacheQuery { .. } => "cache_query",
             EventKind::QuiesceBegin { .. } => "quiesce_begin",
             EventKind::QuiesceEnd { .. } => "quiesce_end",
             EventKind::VcpuParked { .. } => "vcpu_parked",

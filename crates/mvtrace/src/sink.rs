@@ -67,9 +67,6 @@ fn kind_fields(kind: &EventKind) -> String {
         EventKind::StageEnd { stage, items } => {
             format!(r#","stage":"{stage}","items":{items}"#)
         }
-        EventKind::CacheQuery { hit, variants } => {
-            format!(r#","hit":{hit},"variants":{variants}"#)
-        }
         EventKind::QuiesceBegin { strategy, vcpus } => {
             format!(r#","strategy":"{strategy}","vcpus":{vcpus}"#)
         }
@@ -279,16 +276,6 @@ impl TraceSink for TextSink {
                 s.items,
                 if s.items == 1 { "" } else { "s" }
             )?;
-            for e in &s.events {
-                if let EventKind::CacheQuery { hit, variants } = e.kind {
-                    writeln!(
-                        w,
-                        "      cache {} ({variants} variant{})",
-                        if hit { "hit" } else { "miss" },
-                        if variants == 1 { "" } else { "s" }
-                    )?;
-                }
-            }
         }
         for c in &forest.commits {
             writeln!(

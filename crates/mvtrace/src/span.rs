@@ -99,8 +99,6 @@ pub struct StageSpan {
     pub end_ns: u64,
     /// Work items the stage reported on `stage_end`.
     pub items: u64,
-    /// Point events recorded inside the stage (cache queries, …).
-    pub events: Vec<Event>,
 }
 
 impl StageSpan {
@@ -178,7 +176,6 @@ pub fn build_spans(events: &[Event]) -> SpanForest {
                         begin_ns: e.ts_ns,
                         end_ns: e.ts_ns,
                         items: 0,
-                        events: Vec::new(),
                     });
                 }
                 EventKind::StageEnd { stage, items } => {
@@ -193,10 +190,7 @@ pub fn build_spans(events: &[Event]) -> SpanForest {
                         forest.orphaned += 1;
                     }
                 }
-                _ => match open_stage.as_mut() {
-                    Some(s) => s.events.push(e),
-                    None => forest.orphaned += 1,
-                },
+                _ => forest.orphaned += 1,
             }
             continue;
         };
@@ -307,22 +301,14 @@ mod tests {
             ev(3, 60, StageBegin { stage: "mv-expand" }),
             ev(
                 4,
-                70,
-                CacheQuery {
-                    hit: true,
-                    variants: 4,
-                },
-            ),
-            ev(
-                5,
                 90,
                 StageEnd {
                     stage: "mv-expand",
                     items: 8,
                 },
             ),
-            ev(6, 100, CommitBegin { op: "commit" }),
-            ev(7, 200, CommitEnd { ok: true }),
+            ev(5, 100, CommitBegin { op: "commit" }),
+            ev(6, 200, CommitEnd { ok: true }),
         ];
         let forest = build_spans(&events);
         assert_eq!(forest.orphaned, 0);
@@ -330,7 +316,7 @@ mod tests {
         assert_eq!(forest.stages[0].stage, "lower");
         assert_eq!(forest.stages[0].duration_ns(), 50);
         assert_eq!(forest.stages[0].items, 3);
-        assert_eq!(forest.stages[1].events.len(), 1);
+        assert_eq!(forest.stages[1].duration_ns(), 30);
         assert_eq!(forest.commits.len(), 1);
     }
 

@@ -56,20 +56,10 @@ use crate::config::{ConfigSpace, LeafSet};
 use crate::overlay::{Byte, Load, Overlay};
 use crate::value::{NeedSplit, Val};
 
-/// Tuning knobs for a vexec pass.
-#[derive(Clone, Copy, Debug)]
-pub struct VexecOptions {
-    /// Maximum *shared* steps before the pass gives up with
-    /// [`VexecError::Fuel`]. One shared step may stand for thousands of
-    /// per-configuration instructions.
-    pub fuel: u64,
-}
-
-impl Default for VexecOptions {
-    fn default() -> VexecOptions {
-        VexecOptions { fuel: 50_000_000 }
-    }
-}
+/// Maximum *shared* steps before a pass gives up with
+/// [`VexecError::Fuel`]. One shared step may stand for thousands of
+/// per-configuration instructions.
+const FUEL: u64 = 50_000_000;
 
 /// Work accounting for one pass.
 #[derive(Clone, Copy, Default, Debug)]
@@ -281,7 +271,6 @@ pub struct Vexec<'a> {
     mem: &'a Memory,
     space: &'a ConfigSpace,
     platform: Platform,
-    opts: VexecOptions,
     trace: Option<&'a mut TraceRing>,
     decode_cache: FxHashMap<u64, Insn>,
     /// The first and last byte of the switch cells, if any: an access
@@ -341,19 +330,12 @@ impl<'a> Vexec<'a> {
             mem,
             space,
             platform,
-            opts: VexecOptions::default(),
             trace: None,
             decode_cache: FxHashMap::default(),
             cells,
             stats: VexecStats::default(),
             live: 0,
         }
-    }
-
-    /// Replaces the tuning options.
-    pub fn with_options(mut self, opts: VexecOptions) -> Vexec<'a> {
-        self.opts = opts;
-        self
     }
 
     /// Attaches a trace ring; split/join/leaf events land there.
@@ -464,7 +446,7 @@ impl<'a> Vexec<'a> {
     /// configurations: execute, or turn an [`Abort`] into a
     /// materializing split / pass error.
     fn step(&mut self, ctx: &mut Ctx, weight: u64) -> Result<Step, VexecError> {
-        if self.stats.steps >= self.opts.fuel {
+        if self.stats.steps >= FUEL {
             return Err(VexecError::Fuel {
                 steps: self.stats.steps,
             });

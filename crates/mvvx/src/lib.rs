@@ -51,6 +51,6 @@ mod overlay;
 pub mod value;
 
 pub use config::{ConfigSpace, LeafSet, SpaceError, SwitchDomain};
-pub use engine::{Vexec, VexecError, VexecLeaf, VexecOptions, VexecReport, VexecStats};
+pub use engine::{Vexec, VexecError, VexecLeaf, VexecReport, VexecStats};
 pub use metrics::VexecMetrics;
 pub use value::Val;

@@ -1,14 +1,14 @@
 //! The staged compile pipeline (§3): parallel clone+fold must be
-//! *byte-identical* to the sequential build, the compile cache must
-//! replay — not re-derive — variants, and the content-addressed merge
-//! must keep guards covering exactly the assignments it merged.
+//! *byte-identical* to the sequential build, a second build in the same
+//! process must re-derive — not replay — every variant, and the
+//! content-addressed merge must keep guards covering exactly the
+//! assignments it merged.
 //!
 //! The differential tests serialize whole `.mvo` objects and compare the
 //! bytes; the property tests drive random switch domains (contiguous and
 //! not) through build → commit and through the merge/guard synthesis
 //! directly.
 
-use multiverse::mvc::pipeline::{self};
 use multiverse::mvc::{CompileError, Options, Pipeline};
 use multiverse::mvobj::write_object;
 use multiverse::Program;
@@ -46,11 +46,10 @@ fn units() -> Vec<(&'static str, &'static str)> {
     vec![("config.c", CONFIG), ("lib.c", LIB), ("main.c", MAIN)]
 }
 
-fn opts(jobs: usize, cache: bool) -> Options {
+fn opts(jobs: usize) -> Options {
     Options {
         variant_limit: 64,
         jobs,
-        cache,
         ..Options::default()
     }
 }
@@ -62,14 +61,14 @@ fn opts(jobs: usize, cache: bool) -> Options {
 fn parallel_objects_are_byte_identical() {
     let mut baseline = Vec::new();
     for (name, src) in units() {
-        let (obj, warn) = Pipeline::new(opts(1, false))
+        let (obj, warn) = Pipeline::new(opts(1))
             .compile_unit(src, name)
             .expect("sequential build");
         baseline.push((name, write_object(&obj), obj.fingerprint(), warn));
     }
     for jobs in [2usize, 4, 8] {
         for (i, (name, src)) in units().into_iter().enumerate() {
-            let (obj, warn) = Pipeline::new(opts(jobs, false))
+            let (obj, warn) = Pipeline::new(opts(jobs))
                 .compile_unit(src, name)
                 .expect("parallel build");
             let (bname, bbytes, bfp, bwarn) = &baseline[i];
@@ -81,29 +80,31 @@ fn parallel_objects_are_byte_identical() {
     }
 }
 
-/// A warm build replays every variant from the compile cache (no clones
-/// re-specialized) and still serializes to the cold build's exact bytes —
-/// even when the warm build is parallel.
+/// A build keeps nothing for the next one: compiling the same units a
+/// second time in one process, in parallel, clones every assignment
+/// again (`get`: 2 × 3, `pick`: 3) and serializes to the first build's
+/// exact bytes.
 #[test]
-fn cached_build_is_byte_identical_and_skips_cloning() {
-    pipeline::clear_compile_cache();
-    let mut cold = Pipeline::new(opts(1, true));
-    let mut cold_bytes = Vec::new();
+fn second_build_reclones_and_is_byte_identical() {
+    let mut first = Pipeline::new(opts(1));
+    let mut first_bytes = Vec::new();
     for (name, src) in units() {
-        let (obj, _) = cold.compile_unit(src, name).expect("cold build");
-        cold_bytes.push(write_object(&obj));
+        let (obj, _) = first.compile_unit(src, name).expect("first build");
+        first_bytes.push(write_object(&obj));
     }
-    assert!(cold.stats().cache_misses > 0, "cold build must miss");
-    assert_eq!(cold.stats().cache_hits, 0);
+    assert_eq!(first.stats().clones, 9);
 
-    let mut warm = Pipeline::new(opts(4, true));
+    let mut second = Pipeline::new(opts(4));
     for (i, (name, src)) in units().into_iter().enumerate() {
-        let (obj, _) = warm.compile_unit(src, name).expect("warm build");
-        assert_eq!(write_object(&obj), cold_bytes[i], "{name}: warm .mvo bytes");
+        let (obj, _) = second.compile_unit(src, name).expect("second build");
+        assert_eq!(
+            write_object(&obj),
+            first_bytes[i],
+            "{name}: second .mvo bytes"
+        );
     }
-    assert_eq!(warm.stats().cache_hits, cold.stats().cache_misses);
-    assert_eq!(warm.stats().clones, 0, "hits must not re-specialize");
-    assert!(warm.stats().cached_variants > 0);
+    assert_eq!(second.stats().clones, 9, "every assignment is cloned again");
+    assert_eq!(second.stats().variants, first.stats().variants);
 }
 
 /// The whole-program entry points agree too: `Program` built through an
@@ -111,7 +112,7 @@ fn cached_build_is_byte_identical_and_skips_cloning() {
 #[test]
 fn program_through_pipeline_matches_default_build() {
     let p_default = Program::build(&units()).expect("default build");
-    let mut pl = Pipeline::new(opts(4, false));
+    let mut pl = Pipeline::new(opts(4));
     let p_pipe = Program::build_with_pipeline(&units(), &mut pl, true).expect("pipeline build");
     let mut wd = p_default.boot();
     let mut wp = p_pipe.boot();
@@ -194,7 +195,7 @@ fn repeated_warnings_are_deduplicated() {
         }
         i64 main(void) { return 0; }
     "#;
-    let (_, warnings) = Pipeline::new(opts(1, false))
+    let (_, warnings) = Pipeline::new(opts(1))
         .compile_unit(src, "t.c")
         .expect("build");
     let writes: Vec<_> = warnings
@@ -265,7 +266,7 @@ proptest! {
         );
         let dynamic =
             Program::build_with(&[("t.c", &src)], &Options::dynamic()).unwrap();
-        let mv = Program::build_with(&[("t.c", &src)], &opts(2, false)).unwrap();
+        let mv = Program::build_with(&[("t.c", &src)], &opts(2)).unwrap();
         let mut wd = dynamic.boot();
         let mut wm = mv.boot();
         for &a in &d0 {
@@ -473,8 +474,7 @@ const FINGERPRINTS: &[(&str, &str, u64)] = &[
 
 /// Every workload source and E14 grid compiles to the recorded object,
 /// under `Options::default()`, `Options::dynamic()` and a static build,
-/// at `-j 1` and `-j 4`. The compile cache is off, so every build runs
-/// the optimizer.
+/// at `-j 1` and `-j 4`.
 #[test]
 fn objects_match_the_fingerprint_golden() {
     let mut got = Vec::new();
@@ -489,7 +489,6 @@ fn objects_match_the_fingerprint_golden() {
                 let opts = Options {
                     variant_limit: limit,
                     jobs,
-                    cache: false,
                     ..base.clone()
                 };
                 let (obj, _) = Pipeline::new(opts)
