@@ -62,11 +62,12 @@
 //!                                   document instead of text
 //! mvcc metrics [<file.c>…] [--smoke] [--set VAR=V]… [--commit] [--call F]
 //!             [--prom|--json] [--out PATH]
-//!                                   run main (or F) with the mvmetrics
-//!                                   registry attached and export every
-//!                                   mv_vm_*/mv_rt_* metric — Prometheus
-//!                                   text exposition by default (--prom),
-//!                                   or the versioned JSON snapshot with
+//!                                   run main (or F), then export every
+//!                                   mv_vm_*/mv_rt_* metric, read from
+//!                                   the machine's and the runtime's
+//!                                   counters — Prometheus text
+//!                                   exposition by default (--prom), or
+//!                                   the versioned JSON snapshot with
 //!                                   --json; --smoke uses the built-in
 //!                                   storm kernel (no input files)
 //! mvcc vexec  [<file.c>…] [--smoke] [--call F] [--configs all|sampled]
@@ -101,8 +102,8 @@
 //!                                   counters; --smoke uses a built-in
 //!                                   kernel (no input files), checks the
 //!                                   workers stayed exact and reconciles
-//!                                   the metrics registry against the
-//!                                   daemon counters; --history writes the
+//!                                   the exported mv_mvd_* metrics with
+//!                                   the daemon counters; --history writes the
 //!                                   versioned switch-history JSON (flip
 //!                                   timeline + variant residency)
 //!
@@ -160,7 +161,10 @@ fn parse_args() -> Result<Args, String> {
     let mut it = std::env::args().skip(1);
     let cmd = it
         .next()
-        .ok_or("missing command (build|compile|link|dump|disasm|run|verify|trace|stats)")?;
+        .ok_or_else(|| format!("missing command ({})", command_names()))?;
+    if !COMMANDS.iter().any(|(name, _)| *name == cmd) {
+        return Err(format!("unknown command `{cmd}`"));
+    }
     let mut args = Args {
         cmd,
         files: Vec::new(),
@@ -327,7 +331,6 @@ fn cmd_build(args: &Args) -> Result<(), String> {
         .collect();
     let mut pipeline = multiverse::mvc::Pipeline::new(args.opts.clone());
     if args.timings {
-        multiverse::mvtrace::set_enabled(true);
         pipeline.enable_tracing(65536);
     }
     let p = Program::build_with_pipeline(&refs, &mut pipeline, args.opts.multiverse)
@@ -943,11 +946,11 @@ fn stats_json(prof: &multiverse::mvvm::Profiler, result: u64) -> String {
     doc.finish()
 }
 
-/// `mvcc metrics`: run main (or `--call F`) with the mvmetrics registry
-/// attached and export every registered metric — Prometheus text by
-/// default, the versioned JSON snapshot with `--json`.
+/// `mvcc metrics`: run main (or `--call F`), then export every metric of
+/// the world — Prometheus text by default, the versioned JSON snapshot
+/// with `--json`.
 fn cmd_metrics(args: &Args) -> Result<(), String> {
-    use multiverse::mvmetrics::{export, Registry};
+    use multiverse::mvmetrics::export;
     if args.prom && args.json {
         return Err("--prom and --json are mutually exclusive".into());
     }
@@ -957,9 +960,7 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
     } else {
         build(args)?
     };
-    let registry = Registry::new();
     let mut world = p.boot();
-    world.enable_metrics(&registry);
     for (k, v) in &args.sets {
         world.set(k, *v).map_err(|e| e.to_string())?;
     }
@@ -976,8 +977,7 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
             world.machine.call(entry, &[]).map_err(|e| e.to_string())?
         }
     };
-    world.sync_metrics();
-    let snap = registry.snapshot();
+    let snap = world.metrics();
     eprintln!("result: {result} ({} metrics)", snap.len());
     let text = if args.json {
         let mut s = export::json(&snap);
@@ -1112,9 +1112,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         strategy: args.strategy,
         ..mvrt::MvdConfig::default()
     });
-    let registry = multiverse::mvmetrics::Registry::new();
-    w.enable_metrics(&registry);
-    daemon.enable_metrics(&registry);
     let exe = p.exe();
     println!(
         "serving {} vCPUs, strategy {}; commands: flip VAR V | prio VAR V | commit | revert | pump [N] | stats | metrics [json] | release VAR | quit",
@@ -1166,8 +1163,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 Ok(())
             }
             ["metrics", rest @ ..] if matches!(rest, [] | ["json"]) => {
-                w.sync_metrics();
-                let snap = registry.snapshot();
+                let mut snap = w.metrics();
+                snap.extend(multiverse::telemetry::daemon_metrics(&daemon));
                 if rest.is_empty() {
                     print!("{}", multiverse::mvmetrics::export::prometheus(&snap));
                 } else {
@@ -1240,9 +1237,6 @@ fn cmd_storm(args: &Args) -> Result<(), String> {
         strategy: args.strategy,
         ..mvrt::MvdConfig::default()
     });
-    let registry = multiverse::mvmetrics::Registry::new();
-    w.enable_metrics(&registry);
-    daemon.enable_metrics(&registry);
     daemon.enable_history(w.switch_history());
     w.smp.machine.enable_profile(p.exe());
     // Deterministic xorshift64 request stream over the seed.
@@ -1316,7 +1310,6 @@ fn cmd_storm(args: &Args) -> Result<(), String> {
         "trace: {} events kept, {dropped} dropped by the ring",
         rt.take_trace().len()
     );
-    w.sync_metrics();
     let history = daemon.take_history().expect("history enabled");
     let prof = w.smp.machine.take_profile().expect("profiler installed");
     let residency = multiverse::telemetry::residency_rows(&prof);
@@ -1344,10 +1337,8 @@ fn cmd_storm(args: &Args) -> Result<(), String> {
         if s.committed == 0 {
             return Err("smoke: no commit ever landed".into());
         }
-        // Reconcile the registry against the daemon's own counters:
-        // both are fed from MvdStats with store_max at every
-        // submit/step, so any disagreement is a sync bug.
-        let snap = registry.snapshot();
+        // Reconcile the exported series with the daemon's own counters.
+        let snap = multiverse::telemetry::daemon_metrics(&daemon);
         let counter = |name: &str| -> u64 {
             snap.iter()
                 .find(|smp| smp.name == name)
@@ -1555,34 +1546,45 @@ fn cmd_link(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// A subcommand's entry point.
+type Command = fn(&Args) -> Result<(), String>;
+
+/// Every subcommand, in usage order.
+const COMMANDS: [(&str, Command); 13] = [
+    ("build", cmd_build),
+    ("compile", cmd_compile),
+    ("link", cmd_link),
+    ("dump", cmd_dump),
+    ("disasm", cmd_disasm),
+    ("run", cmd_run),
+    ("vexec", cmd_vexec),
+    ("verify", cmd_verify),
+    ("trace", cmd_trace),
+    ("stats", cmd_stats),
+    ("metrics", cmd_metrics),
+    ("serve", cmd_serve),
+    ("storm", cmd_storm),
+];
+
+/// The subcommand names as `build|compile|…`.
+fn command_names() -> String {
+    COMMANDS.map(|(name, _)| name).join("|")
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("mvcc: {e}");
-            eprintln!(
-                "usage: mvcc build|dump|disasm|run|vexec|verify|trace|stats|metrics|serve|storm <file.c>… [flags]"
-            );
+            eprintln!("usage: mvcc {} <file.c>… [flags]", command_names());
             return ExitCode::FAILURE;
         }
     };
-    let r = match args.cmd.as_str() {
-        "build" => cmd_build(&args),
-        "compile" => cmd_compile(&args),
-        "link" => cmd_link(&args),
-        "dump" => cmd_dump(&args),
-        "disasm" => cmd_disasm(&args),
-        "run" => cmd_run(&args),
-        "vexec" => cmd_vexec(&args),
-        "verify" => cmd_verify(&args),
-        "trace" => cmd_trace(&args),
-        "stats" => cmd_stats(&args),
-        "metrics" => cmd_metrics(&args),
-        "serve" => cmd_serve(&args),
-        "storm" => cmd_storm(&args),
-        other => Err(format!("unknown command `{other}`")),
-    };
-    match r {
+    let (_, run) = COMMANDS
+        .iter()
+        .find(|(name, _)| *name == args.cmd)
+        .expect("parse_args accepts only listed commands");
+    match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("mvcc: {e}");

@@ -143,7 +143,6 @@ impl Program {
             machine,
             rt,
             exe: self.exe.clone(),
-            vm_metrics: None,
         }
     }
 
@@ -162,7 +161,6 @@ impl Program {
             smp,
             rt,
             exe: self.exe.clone(),
-            vm_metrics: None,
         }
     }
 }
@@ -174,7 +172,6 @@ pub struct World {
     /// The multiverse runtime (absent in dynamic/static builds).
     pub rt: Option<Runtime>,
     exe: Executable,
-    pub(crate) vm_metrics: Option<mvvm::VmMetrics>,
 }
 
 /// Timing result from [`World::time_calls`].
@@ -337,7 +334,6 @@ pub struct SmpWorld {
     /// The multiverse runtime (absent in dynamic/static builds).
     pub rt: Option<Runtime>,
     exe: Executable,
-    pub(crate) vm_metrics: Option<mvvm::VmMetrics>,
 }
 
 impl SmpWorld {

@@ -1,77 +1,32 @@
-//! Snapshot exporters: Prometheus text exposition and a versioned
-//! JSON document. Both operate on the `Vec<Sample>` returned by
-//! [`Registry::snapshot`](crate::Registry::snapshot), so an export is
-//! always a consistent point-in-time view.
+//! Sample exporters: Prometheus text exposition and a versioned JSON
+//! document. Both render a `&[Sample]` read at one point, so an export
+//! is always a consistent view.
 
-use crate::json::{array, number, string, Obj};
-use crate::{Sample, SampleValue};
+use crate::json::{array, string, Obj};
+use crate::{Label, Sample, SampleValue};
+use std::fmt::Write as _;
 
 /// Schema version of the JSON snapshot document.
 pub const JSON_SNAPSHOT_VERSION: u32 = 1;
 
-/// Renders samples in the Prometheus text exposition format. `# HELP`
-/// and `# TYPE` headers are emitted once per metric family, before its
-/// first sample; label sets render in registration order.
+/// Renders samples in the Prometheus text exposition format. Each
+/// metric family prints as one group — its `# HELP` and `# TYPE` lines,
+/// then every sample of that name in input order — and families appear
+/// in the order of their first sample.
 pub fn prometheus(samples: &[Sample]) -> String {
     let mut out = String::new();
-    let mut seen: Vec<&str> = Vec::new();
-    for s in samples {
-        if !seen.contains(&s.name.as_str()) {
-            seen.push(&s.name);
-            let ty = match &s.value {
-                SampleValue::Counter(_) => "counter",
-                SampleValue::Gauge(_) => "gauge",
-                SampleValue::Histogram { .. } => "histogram",
-            };
-            out.push_str(&format!("# HELP {} {}\n", s.name, s.help));
-            out.push_str(&format!("# TYPE {} {}\n", s.name, ty));
+    for (i, s) in samples.iter().enumerate() {
+        if samples[..i].iter().any(|p| p.name == s.name) {
+            continue; // its family is already printed
         }
-        match &s.value {
-            SampleValue::Counter(v) => {
-                out.push_str(&format!("{}{} {}\n", s.name, label_set(s, &[]), v));
-            }
-            SampleValue::Gauge(v) => {
-                out.push_str(&format!(
-                    "{}{} {}\n",
-                    s.name,
-                    label_set(s, &[]),
-                    prom_f64(*v)
-                ));
-            }
-            SampleValue::Histogram {
-                bounds,
-                counts,
-                count,
-                sum,
-            } => {
-                let mut cum = 0u64;
-                for (i, c) in counts.iter().enumerate() {
-                    cum += c;
-                    let le = if i < bounds.len() {
-                        prom_f64(bounds[i])
-                    } else {
-                        "+Inf".to_string()
-                    };
-                    out.push_str(&format!(
-                        "{}_bucket{} {}\n",
-                        s.name,
-                        label_set(s, &[("le", &le)]),
-                        cum
-                    ));
-                }
-                out.push_str(&format!(
-                    "{}_sum{} {}\n",
-                    s.name,
-                    label_set(s, &[]),
-                    prom_f64(*sum)
-                ));
-                out.push_str(&format!(
-                    "{}_count{} {}\n",
-                    s.name,
-                    label_set(s, &[]),
-                    count
-                ));
-            }
+        let _ = writeln!(out, "# HELP {} {}", s.name, s.help);
+        let _ = writeln!(out, "# TYPE {} {}", s.name, s.value.kind());
+        for m in samples[i..].iter().filter(|m| m.name == s.name) {
+            let value = match m.value {
+                SampleValue::Counter(v) => v.to_string(),
+                SampleValue::Gauge(v) => prom_f64(v),
+            };
+            let _ = writeln!(out, "{}{} {}", m.name, label_set(m.labels()), value);
         }
     }
     out
@@ -82,39 +37,18 @@ pub fn prometheus(samples: &[Sample]) -> String {
 pub fn json(samples: &[Sample]) -> String {
     let metrics = samples.iter().map(|s| {
         let mut o = Obj::new();
-        o.str("name", &s.name);
-        let ty = match &s.value {
-            SampleValue::Counter(_) => "counter",
-            SampleValue::Gauge(_) => "gauge",
-            SampleValue::Histogram { .. } => "histogram",
-        };
-        o.str("type", ty);
-        if !s.labels.is_empty() {
+        o.str("name", s.name).str("type", s.value.kind());
+        if !s.labels().is_empty() {
             let mut lo = Obj::new();
-            for (k, v) in &s.labels {
+            for (k, v) in s.labels() {
                 lo.str(k, v);
             }
             o.raw("labels", lo.finish());
         }
-        match &s.value {
-            SampleValue::Counter(v) => {
-                o.u64("value", *v);
-            }
-            SampleValue::Gauge(v) => {
-                o.f64("value", *v);
-            }
-            SampleValue::Histogram {
-                bounds,
-                counts,
-                count,
-                sum,
-            } => {
-                o.raw("bounds", array(bounds.iter().map(|b| number(*b))));
-                o.raw("counts", array(counts.iter().map(|c| c.to_string())));
-                o.u64("count", *count);
-                o.f64("sum", *sum);
-            }
-        }
+        match s.value {
+            SampleValue::Counter(v) => o.u64("value", v),
+            SampleValue::Gauge(v) => o.f64("value", v),
+        };
         o.finish()
     });
     let mut doc = Obj::new();
@@ -124,15 +58,13 @@ pub fn json(samples: &[Sample]) -> String {
     doc.finish()
 }
 
-fn label_set(s: &Sample, extra: &[(&str, &str)]) -> String {
-    if s.labels.is_empty() && extra.is_empty() {
+fn label_set(labels: &[Label]) -> String {
+    if labels.is_empty() {
         return String::new();
     }
-    let pairs: Vec<String> = s
-        .labels
+    let pairs: Vec<String> = labels
         .iter()
         .map(|(k, v)| format!("{}={}", k, string(v)))
-        .chain(extra.iter().map(|(k, v)| format!("{}={}", k, string(v))))
         .collect();
     format!("{{{}}}", pairs.join(","))
 }
@@ -152,40 +84,32 @@ fn prom_f64(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Registry;
 
-    fn demo_registry() -> Registry {
-        let r = Registry::new();
-        let c = r.counter_with("mv_ops_total", "Operations", &[("op", "flip")]);
-        c.add(3);
-        let g = r.gauge("mv_depth", "Queue depth");
-        g.set(2.0);
-        let h = r.histogram("mv_lat", "Latency", &[1.0, 10.0]);
-        h.observe(0.5);
-        h.observe(5.0);
-        h.observe(50.0);
-        r
+    fn demo() -> Vec<Sample> {
+        vec![
+            Sample::counter("mv_ops_total", "Operations", 3).with_labels([("op", "flip".into())]),
+            Sample::gauge("mv_depth", "Queue depth", 2.0),
+            Sample::counter("mv_ops_total", "Operations", 1).with_labels([("op", "nop".into())]),
+        ]
     }
 
     #[test]
     fn prometheus_families() {
-        let text = prometheus(&demo_registry().snapshot());
+        let text = prometheus(&demo());
         assert!(text.contains("# TYPE mv_ops_total counter"));
         assert!(text.contains("mv_ops_total{op=\"flip\"} 3"));
         assert!(text.contains("mv_depth 2"));
-        // Cumulative buckets: 1, 2, 3.
-        assert!(text.contains("mv_lat_bucket{le=\"1\"} 1"));
-        assert!(text.contains("mv_lat_bucket{le=\"10\"} 2"));
-        assert!(text.contains("mv_lat_bucket{le=\"+Inf\"} 3"));
-        assert!(text.contains("mv_lat_count 3"));
+        // The family's second sample joins its group, not the gauge's.
+        assert!(text.contains("mv_ops_total{op=\"flip\"} 3\nmv_ops_total{op=\"nop\"} 1\n"));
+        assert_eq!(text.matches("# HELP mv_ops_total").count(), 1);
     }
 
     #[test]
     fn json_snapshot_shape() {
-        let doc = json(&demo_registry().snapshot());
+        let doc = json(&demo());
         assert!(doc.starts_with("{\"version\":1,\"kind\":\"mv-metrics-snapshot\""));
         assert!(doc.contains("\"name\":\"mv_ops_total\""));
         assert!(doc.contains("\"labels\":{\"op\":\"flip\"}"));
-        assert!(doc.contains("\"counts\":[1,1,1]"));
+        assert!(doc.contains("{\"name\":\"mv_depth\",\"type\":\"gauge\",\"value\":2}"));
     }
 }

@@ -1,484 +1,101 @@
 //! Runtime telemetry for the Multiverse stack.
 //!
 //! This crate is the metrics counterpart of `mvtrace`: where traces
-//! record *what happened in which order*, metrics record *how much of
-//! it happened*, cheaply enough to leave on in production. It has no
-//! dependencies and three layers:
+//! record *what happened in which order*, metrics report *how much of
+//! it happened*. It holds data and its writers, no state and no
+//! dependencies:
 //!
-//! * a [`Registry`] of named [`Counter`]s, [`Gauge`]s and fixed-bucket
-//!   [`Histogram`]s, all plain atomics. Every handle carries a shared
-//!   enabled flag; when the registry is disabled a recording call is a
-//!   single relaxed load and **no** store, allocation or event occurs.
-//! * exporters ([`export`]) that render a [`snapshot`](Registry::snapshot)
-//!   as Prometheus text exposition or a versioned JSON document, built
-//!   on the dependency-free writer helpers in [`json`].
+//! * [`Sample`] — one exported series: a name, help text, labels and a
+//!   counter or gauge value. The layers keep their own counters
+//!   (`PatchStats`, `MvdStats`, the VM's `Stats`); the `multiverse`
+//!   crate's `telemetry` module reads them into samples at export time,
+//!   so an exported number is the source counter itself, never a copy
+//!   that could lag it.
+//! * exporters ([`export`]) that render samples as Prometheus text
+//!   exposition or a versioned JSON document, built on the
+//!   dependency-free writer helpers in [`json`].
 //! * the variant-residency layer ([`residency`]): a per-switch flip
 //!   timeline ([`residency::SwitchHistory`]) joined with profiler cycle
 //!   attribution into per-(function, variant) resident-cycle rows and a
 //!   switch-transition matrix, serialized as a versioned "switch
 //!   history" file for profile-guided tooling (`mvc --variant-budget`).
-//!
-//! # Consistency with source counters
-//!
-//! Subsystems that already maintain monotone counters (`PatchStats`,
-//! `MvdStats`, the VM's `Stats`) mirror them into the registry with
-//! [`Counter::store_max`] — an absolute, idempotent sync rather than a
-//! second increment path. The registry value is therefore *defined* to
-//! equal the source counter at the last sync point; the two can never
-//! drift apart.
 
 pub mod export;
 pub mod json;
 pub mod residency;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::borrow::Cow;
 
-/// One label pair attached to a metric, e.g. `("op", "flip")`.
-pub type Label = (String, String);
+/// One label pair attached to a sample, e.g. `("op", "flip")`. Values
+/// borrow where they are static names and own where they are computed.
+pub type Label = (&'static str, Cow<'static, str>);
 
-/// A monotone counter. Cloning shares the underlying cell.
-#[derive(Clone)]
-pub struct Counter {
-    enabled: Arc<AtomicBool>,
-    cell: Arc<AtomicU64>,
-}
-
-impl Counter {
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`. A no-op while the registry is disabled.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Raises the counter to `v` if below it. This is the sync
-    /// primitive for mirroring an external monotone counter: storing
-    /// the source's absolute value is idempotent and keeps the registry
-    /// exactly equal to the source instead of maintaining a parallel
-    /// increment stream that could drift.
-    #[inline]
-    pub fn store_max(&self, v: u64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cell.fetch_max(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge: an f64 that can move both ways, stored as bits.
-#[derive(Clone)]
-pub struct Gauge {
-    enabled: Arc<AtomicBool>,
-    cell: Arc<AtomicU64>,
-}
-
-impl Gauge {
-    /// Sets the gauge. A no-op while the registry is disabled.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cell.store(v.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.cell.load(Ordering::Relaxed))
-    }
-}
-
-struct HistogramState {
-    /// Upper bounds of the finite buckets, ascending. An implicit
-    /// +Inf bucket follows.
-    bounds: Vec<f64>,
-    /// One cell per finite bound plus the overflow bucket.
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    /// Sum of observations, f64 bits updated by CAS.
-    sum: AtomicU64,
-}
-
-/// A histogram with bucket bounds fixed at registration time.
-#[derive(Clone)]
-pub struct Histogram {
-    enabled: Arc<AtomicBool>,
-    state: Arc<HistogramState>,
-}
-
-impl Histogram {
-    /// Records one observation. A no-op while the registry is disabled.
-    pub fn observe(&self, v: f64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
-        let idx = self
-            .state
-            .bounds
-            .iter()
-            .position(|b| v <= *b)
-            .unwrap_or(self.state.bounds.len());
-        self.state.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.state.count.fetch_add(1, Ordering::Relaxed);
-        let mut cur = self.state.sum.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self.state.sum.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Number of observations recorded.
-    pub fn count(&self) -> u64 {
-        self.state.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of observations recorded.
-    pub fn sum(&self) -> f64 {
-        f64::from_bits(self.state.sum.load(Ordering::Relaxed))
-    }
-}
-
-enum Cell {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
-}
-
-struct Entry {
-    name: String,
-    help: String,
-    labels: Vec<Label>,
-    cell: Cell,
-}
-
-struct RegistryInner {
-    enabled: Arc<AtomicBool>,
-    entries: Mutex<Vec<Entry>>,
-}
-
-/// A registry of named metrics. Cloning shares the underlying store;
-/// handles registered through any clone appear in every snapshot.
-#[derive(Clone)]
-pub struct Registry {
-    inner: Arc<RegistryInner>,
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Registry {
-    /// A new, enabled registry.
-    pub fn new() -> Self {
-        Registry {
-            inner: Arc::new(RegistryInner {
-                enabled: Arc::new(AtomicBool::new(true)),
-                entries: Mutex::new(Vec::new()),
-            }),
-        }
-    }
-
-    /// A new registry that starts disabled: handles can be registered
-    /// and passed around, but recording through them does nothing.
-    pub fn disabled() -> Self {
-        let r = Self::new();
-        r.set_enabled(false);
-        r
-    }
-
-    /// Flips recording on or off for every handle of this registry.
-    pub fn set_enabled(&self, on: bool) {
-        self.inner.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether recording is currently on.
-    pub fn enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Registers (or retrieves) an unlabeled counter.
-    pub fn counter(&self, name: &str, help: &str) -> Counter {
-        self.counter_with(name, help, &[])
-    }
-
-    /// Registers a counter with labels. Re-registering the same
-    /// (name, labels) pair returns a handle to the same cell.
-    pub fn counter_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-        let labels = own_labels(labels);
-        let mut entries = self.inner.entries.lock().unwrap();
-        if let Some(e) = find(&entries, name, &labels) {
-            match &e.cell {
-                Cell::Counter(c) => return c.clone(),
-                _ => panic!("metric `{name}` re-registered with a different type"),
-            }
-        }
-        let c = Counter {
-            enabled: self.inner.enabled.clone(),
-            cell: Arc::new(AtomicU64::new(0)),
-        };
-        entries.push(Entry {
-            name: name.to_string(),
-            help: help.to_string(),
-            labels,
-            cell: Cell::Counter(c.clone()),
-        });
-        c
-    }
-
-    /// Registers (or retrieves) an unlabeled gauge.
-    pub fn gauge(&self, name: &str, help: &str) -> Gauge {
-        self.gauge_with(name, help, &[])
-    }
-
-    /// Registers a gauge with labels; dedup as for counters.
-    pub fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        let labels = own_labels(labels);
-        let mut entries = self.inner.entries.lock().unwrap();
-        if let Some(e) = find(&entries, name, &labels) {
-            match &e.cell {
-                Cell::Gauge(g) => return g.clone(),
-                _ => panic!("metric `{name}` re-registered with a different type"),
-            }
-        }
-        let g = Gauge {
-            enabled: self.inner.enabled.clone(),
-            cell: Arc::new(AtomicU64::new(0f64.to_bits())),
-        };
-        entries.push(Entry {
-            name: name.to_string(),
-            help: help.to_string(),
-            labels,
-            cell: Cell::Gauge(g.clone()),
-        });
-        g
-    }
-
-    /// Registers (or retrieves) a histogram with the given finite
-    /// bucket bounds (ascending); an overflow bucket is implicit.
-    pub fn histogram(&self, name: &str, help: &str, bounds: &[f64]) -> Histogram {
-        self.histogram_with(name, help, bounds, &[])
-    }
-
-    /// Labeled histogram; dedup as for counters. Bounds are fixed by
-    /// the first registration.
-    pub fn histogram_with(
-        &self,
-        name: &str,
-        help: &str,
-        bounds: &[f64],
-        labels: &[(&str, &str)],
-    ) -> Histogram {
-        let labels = own_labels(labels);
-        let mut entries = self.inner.entries.lock().unwrap();
-        if let Some(e) = find(&entries, name, &labels) {
-            match &e.cell {
-                Cell::Histogram(h) => return h.clone(),
-                _ => panic!("metric `{name}` re-registered with a different type"),
-            }
-        }
-        let h = Histogram {
-            enabled: self.inner.enabled.clone(),
-            state: Arc::new(HistogramState {
-                bounds: bounds.to_vec(),
-                buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0f64.to_bits()),
-            }),
-        };
-        entries.push(Entry {
-            name: name.to_string(),
-            help: help.to_string(),
-            labels,
-            cell: Cell::Histogram(h.clone()),
-        });
-        h
-    }
-
-    /// A point-in-time copy of every registered metric, in
-    /// registration order.
-    pub fn snapshot(&self) -> Vec<Sample> {
-        let entries = self.inner.entries.lock().unwrap();
-        entries
-            .iter()
-            .map(|e| Sample {
-                name: e.name.clone(),
-                help: e.help.clone(),
-                labels: e.labels.clone(),
-                value: match &e.cell {
-                    Cell::Counter(c) => SampleValue::Counter(c.get()),
-                    Cell::Gauge(g) => SampleValue::Gauge(g.get()),
-                    Cell::Histogram(h) => SampleValue::Histogram {
-                        bounds: h.state.bounds.clone(),
-                        counts: h
-                            .state
-                            .buckets
-                            .iter()
-                            .map(|b| b.load(Ordering::Relaxed))
-                            .collect(),
-                        count: h.count(),
-                        sum: h.sum(),
-                    },
-                },
-            })
-            .collect()
-    }
-
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.inner.entries.lock().unwrap().len()
-    }
-
-    /// True when nothing has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-fn own_labels(labels: &[(&str, &str)]) -> Vec<Label> {
-    labels
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect()
-}
-
-fn find<'a>(entries: &'a [Entry], name: &str, labels: &[Label]) -> Option<&'a Entry> {
-    entries
-        .iter()
-        .find(|e| e.name == name && e.labels == labels)
-}
-
-/// One exported metric value.
+/// One exported series.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Sample {
-    pub name: String,
-    pub help: String,
-    pub labels: Vec<Label>,
+    /// Family name, e.g. `mv_rt_commits_total`.
+    pub name: &'static str,
+    /// One-line description, printed as the family's `# HELP`.
+    pub help: &'static str,
+    /// Label pairs, fixed when the sample is made; `None` when there
+    /// are none, so an unlabeled sample is as cheap to make and drop as
+    /// its name and value (see [`Sample::labels`]).
+    labels: Option<Box<[Label]>>,
+    /// The value.
     pub value: SampleValue,
 }
 
-/// The value part of a [`Sample`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum SampleValue {
-    Counter(u64),
-    Gauge(f64),
-    /// `counts` has one entry per finite bound plus the overflow
-    /// bucket; `count`/`sum` aggregate all observations.
-    Histogram {
-        bounds: Vec<f64>,
-        counts: Vec<u64>,
-        count: u64,
-        sum: f64,
-    },
+impl Sample {
+    /// An unlabeled counter sample.
+    #[inline]
+    pub fn counter(name: &'static str, help: &'static str, value: u64) -> Sample {
+        Sample {
+            name,
+            help,
+            labels: None,
+            value: SampleValue::Counter(value),
+        }
+    }
+
+    /// An unlabeled gauge sample.
+    #[inline]
+    pub fn gauge(name: &'static str, help: &'static str, value: f64) -> Sample {
+        Sample {
+            name,
+            help,
+            labels: None,
+            value: SampleValue::Gauge(value),
+        }
+    }
+
+    /// Sets the label pairs.
+    #[inline]
+    pub fn with_labels<const N: usize>(mut self, labels: [Label; N]) -> Sample {
+        self.labels = Some(Box::new(labels));
+        self
+    }
+
+    /// The label pairs, in the order they render.
+    pub fn labels(&self) -> &[Label] {
+        self.labels.as_deref().unwrap_or_default()
+    }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// The value part of a [`Sample`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum SampleValue {
+    /// A monotone count.
+    Counter(u64),
+    /// A value that can move both ways.
+    Gauge(f64),
+}
 
-    #[test]
-    fn counter_basics() {
-        let r = Registry::new();
-        let c = r.counter("x_total", "an x");
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        // Dedup: same handle back.
-        let c2 = r.counter("x_total", "an x");
-        c2.inc();
-        assert_eq!(c.get(), 6);
-        assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn store_max_is_idempotent() {
-        let r = Registry::new();
-        let c = r.counter("y_total", "a y");
-        c.store_max(10);
-        c.store_max(10);
-        c.store_max(7);
-        assert_eq!(c.get(), 10);
-        c.store_max(12);
-        assert_eq!(c.get(), 12);
-    }
-
-    #[test]
-    fn disabled_registry_records_nothing() {
-        let r = Registry::disabled();
-        let c = r.counter("c_total", "c");
-        let g = r.gauge("g", "g");
-        let h = r.histogram("h", "h", &[1.0, 2.0]);
-        c.inc();
-        c.add(100);
-        c.store_max(100);
-        g.set(3.5);
-        h.observe(1.5);
-        assert_eq!(c.get(), 0);
-        assert_eq!(g.get(), 0.0);
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.sum(), 0.0);
-        // Re-enabling makes the same handles live.
-        r.set_enabled(true);
-        c.inc();
-        assert_eq!(c.get(), 1);
-    }
-
-    #[test]
-    fn labeled_metrics_are_distinct() {
-        let r = Registry::new();
-        let a = r.counter_with("ops_total", "ops", &[("op", "flip")]);
-        let b = r.counter_with("ops_total", "ops", &[("op", "nop")]);
-        a.inc();
-        a.inc();
-        b.inc();
-        assert_eq!(a.get(), 2);
-        assert_eq!(b.get(), 1);
-        assert_eq!(r.len(), 2);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let r = Registry::new();
-        let h = r.histogram("lat", "latency", &[1.0, 10.0, 100.0]);
-        for v in [0.5, 5.0, 50.0, 500.0, 0.9] {
-            h.observe(v);
+impl SampleValue {
+    /// The metric type as both exporters spell it.
+    pub fn kind(self) -> &'static str {
+        match self {
+            SampleValue::Counter(_) => "counter",
+            SampleValue::Gauge(_) => "gauge",
         }
-        assert_eq!(h.count(), 5);
-        assert!((h.sum() - 556.4).abs() < 1e-9);
-        let snap = r.snapshot();
-        match &snap[0].value {
-            SampleValue::Histogram { counts, .. } => {
-                assert_eq!(counts, &vec![2, 1, 1, 1]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "different type")]
-    fn type_mismatch_panics() {
-        let r = Registry::new();
-        let _ = r.counter("m", "m");
-        let _ = r.gauge("m", "m");
     }
 }

@@ -1,54 +1,38 @@
 //! Golden-file tests for the metrics exporters.
 //!
-//! The fixture registry is populated with fixed values, so both the
-//! Prometheus text and the JSON snapshot are byte-deterministic.
-//! Regenerate after an intended format change with:
+//! The fixture samples hold fixed values, so both the Prometheus text
+//! and the JSON snapshot are byte-deterministic. Regenerate after an
+//! intended format change with:
 //!
 //! ```sh
 //! BLESS=1 cargo test -p mvmetrics --test golden
 //! ```
 
-use mvmetrics::{export, Registry};
+use mvmetrics::{export, Sample};
 use std::path::PathBuf;
 
-/// A small cross-section of the real metric families: labeled
-/// counters, a gauge, and a histogram with an overflow observation.
-fn fixture() -> Registry {
-    let r = Registry::new();
-    r.counter_with(
-        "mv_rt_commits_total",
-        "Commits by operation and outcome",
-        &[("op", "commit"), ("outcome", "ok")],
-    )
-    .add(7);
-    r.counter_with(
-        "mv_rt_commits_total",
-        "Commits by operation and outcome",
-        &[("op", "revert"), ("outcome", "ok")],
-    )
-    .add(2);
-    r.counter_with(
-        "mv_rt_commits_total",
-        "Commits by operation and outcome",
-        &[("op", "commit"), ("outcome", "err")],
-    )
-    .inc();
-    r.counter(
-        "mv_rt_bytes_written_total",
-        "Text bytes written by the patcher",
-    )
-    .add(4096);
-    r.gauge("mv_mvd_queue_depth", "Entries waiting in the daemon queues")
-        .set(3.0);
-    let h = r.histogram(
-        "mv_mvd_commit_latency_epochs",
-        "Submit-to-commit latency in daemon epochs",
-        &[1.0, 2.0, 4.0, 8.0],
-    );
-    for v in [0.5, 1.5, 1.5, 3.0, 9.0] {
-        h.observe(v);
-    }
-    r
+/// A small cross-section of the real metric families: labeled counters
+/// and a gauge.
+fn fixture() -> Vec<Sample> {
+    let commits = |op: &'static str, outcome: &'static str, n| {
+        Sample::counter("mv_rt_commits_total", "Commits by operation and outcome", n)
+            .with_labels([("op", op.into()), ("outcome", outcome.into())])
+    };
+    vec![
+        commits("commit", "ok", 7),
+        commits("revert", "ok", 2),
+        commits("commit", "err", 1),
+        Sample::counter(
+            "mv_rt_bytes_written_total",
+            "Text bytes written by the patcher",
+            4096,
+        ),
+        Sample::gauge(
+            "mv_mvd_queue_depth",
+            "Entries waiting in the daemon queues",
+            3.0,
+        ),
+    ]
 }
 
 fn check_golden(name: &str, actual: &str) {
@@ -71,10 +55,10 @@ fn check_golden(name: &str, actual: &str) {
 
 #[test]
 fn prometheus_golden() {
-    check_golden("snapshot.prom", &export::prometheus(&fixture().snapshot()));
+    check_golden("snapshot.prom", &export::prometheus(&fixture()));
 }
 
 #[test]
 fn json_golden() {
-    check_golden("snapshot.json", &export::json(&fixture().snapshot()));
+    check_golden("snapshot.json", &export::json(&fixture()));
 }

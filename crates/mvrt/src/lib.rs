@@ -55,7 +55,6 @@
 pub mod error;
 pub mod fnptr;
 pub mod journal;
-pub mod metrics;
 pub mod mvd;
 pub mod patch;
 pub mod quiesce;
@@ -65,18 +64,17 @@ pub mod txn;
 
 pub use error::{CommitPhase, RtError};
 pub use journal::{Journal, JournalEntry};
-pub use metrics::RtMetrics;
 pub use mvd::{
-    CommitDaemon, Completion, Lane, MvdConfig, MvdMetrics, MvdOp, MvdOutcome, MvdStats,
-    QuarantineEntry, RequestId,
+    CommitDaemon, Completion, Lane, MvdConfig, MvdOp, MvdOutcome, MvdStats, QuarantineEntry,
+    RequestId,
 };
 pub use quiesce::{CommitStrategy, QuiesceReport};
 pub use runtime::{CommitReport, FnBinding, PatchStrategy, Runtime};
-pub use stats::{PatchStats, PatchTiming};
+pub use stats::{OpTally, PatchStats, PatchTiming};
 pub use txn::{FnHealth, RetryPolicy, SiteHealth, TxnOp, ValidationReport};
 
 // Re-exported so downstream code can consume traces (sinks, span
-// reconstruction) and metrics (registry, exporters, residency)
+// reconstruction) and metrics (samples, exporters, residency)
 // without naming the crates separately.
 pub use mvmetrics;
 pub use mvtrace;

@@ -58,7 +58,6 @@ use crate::quiesce::{CommitStrategy, QuiesceReport};
 use crate::runtime::Runtime;
 use crate::txn::{RetryPolicy, TxnOp};
 use mvmetrics::residency::SwitchHistory;
-use mvmetrics::{Counter, Gauge, Registry};
 use mvtrace::EventKind;
 use mvvm::SmpMachine;
 use std::collections::{HashMap, VecDeque};
@@ -256,121 +255,6 @@ pub struct MvdStats {
     pub attempts: u64,
 }
 
-/// A registered counter plus the `MvdStats` field it mirrors.
-type StatCounter = (Counter, fn(&MvdStats) -> u64);
-
-/// Registered handles for the `mv_mvd_*` metric family: one counter
-/// per [`MvdStats`] field, a queue-depth gauge and a coalescing-ratio
-/// gauge.
-///
-/// The counters are synced from the daemon's own [`MvdStats`] with
-/// `store_max` after every submit and step — the registry mirrors the
-/// single source of truth instead of maintaining a second increment
-/// stream, so the two can never disagree.
-pub struct MvdMetrics {
-    counters: [StatCounter; 13],
-    queue_depth: Gauge,
-    coalesce_ratio: Gauge,
-}
-
-impl std::fmt::Debug for MvdMetrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MvdMetrics").finish_non_exhaustive()
-    }
-}
-
-impl MvdMetrics {
-    /// Registers the control-plane metric family in `registry`.
-    pub fn new(registry: &Registry) -> MvdMetrics {
-        let c =
-            |name: &str, help: &str, get: fn(&MvdStats) -> u64| (registry.counter(name, help), get);
-        MvdMetrics {
-            counters: [
-                c("mv_mvd_submitted_total", "Requests submitted", |s| {
-                    s.submitted
-                }),
-                c(
-                    "mv_mvd_admitted_total",
-                    "Requests that created a queue entry",
-                    |s| s.admitted,
-                ),
-                c(
-                    "mv_mvd_coalesced_total",
-                    "Requests merged into a queued entry",
-                    |s| s.coalesced,
-                ),
-                c("mv_mvd_shed_total", "Entries shed by backpressure", |s| {
-                    s.shed
-                }),
-                c(
-                    "mv_mvd_expired_total",
-                    "Entries expired past their deadline",
-                    |s| s.expired,
-                ),
-                c(
-                    "mv_mvd_rejected_total",
-                    "Requests rejected by a priority-full queue",
-                    |s| s.rejected,
-                ),
-                c(
-                    "mv_mvd_fast_failed_total",
-                    "Requests failed fast against quarantine",
-                    |s| s.fast_failed,
-                ),
-                c("mv_mvd_committed_total", "Entries committed", |s| {
-                    s.committed
-                }),
-                c(
-                    "mv_mvd_failed_total",
-                    "Entries that exhausted their attempts",
-                    |s| s.failed,
-                ),
-                c(
-                    "mv_mvd_quarantined_total",
-                    "Operations parked in quarantine",
-                    |s| s.quarantined,
-                ),
-                c(
-                    "mv_mvd_degraded_total",
-                    "Breakpoint-to-stop-machine fallbacks",
-                    |s| s.degraded,
-                ),
-                c(
-                    "mv_mvd_healed_total",
-                    "Degraded-mode exits by probe success",
-                    |s| s.healed,
-                ),
-                c("mv_mvd_attempts_total", "Commit attempts run", |s| {
-                    s.attempts
-                }),
-            ],
-            queue_depth: registry.gauge(
-                "mv_mvd_queue_depth",
-                "Entries waiting across both daemon lanes",
-            ),
-            coalesce_ratio: registry.gauge(
-                "mv_mvd_coalesce_ratio",
-                "Fraction of submitted requests merged into queued entries",
-            ),
-        }
-    }
-
-    /// Syncs the registry to the daemon's counters (absolute,
-    /// idempotent).
-    fn sync(&self, stats: &MvdStats, pending: usize) {
-        for (counter, get) in &self.counters {
-            counter.store_max(get(stats));
-        }
-        self.queue_depth.set(pending as f64);
-        let ratio = if stats.submitted == 0 {
-            0.0
-        } else {
-            stats.coalesced as f64 / stats.submitted as f64
-        };
-        self.coalesce_ratio.set(ratio);
-    }
-}
-
 /// A queued entry: one pending commit and everyone waiting on it.
 #[derive(Clone, Debug)]
 struct Entry {
@@ -402,9 +286,6 @@ pub struct CommitDaemon {
     /// Set while breakpoint quiesce is considered broken; cleared by a
     /// successful breakpoint probe.
     degraded: bool,
-    /// Registry mirror of [`MvdStats`], synced after every submit and
-    /// step (see [`CommitDaemon::enable_metrics`]).
-    metrics: Option<MvdMetrics>,
     /// Switch flip timeline, recorded at the single point an entry
     /// commits (see [`CommitDaemon::enable_history`]).
     history: Option<SwitchHistory>,
@@ -469,16 +350,6 @@ impl CommitDaemon {
         std::mem::take(&mut self.completions)
     }
 
-    /// Registers the `mv_mvd_*` metric family in `registry` and keeps
-    /// it synced with [`MvdStats`] after every submit and step. The
-    /// sync stores absolute values, so the registry and
-    /// [`CommitDaemon::stats`] can never disagree.
-    pub fn enable_metrics(&mut self, registry: &Registry) {
-        let m = MvdMetrics::new(registry);
-        m.sync(&self.stats, self.pending());
-        self.metrics = Some(m);
-    }
-
     /// Installs a [`SwitchHistory`] (with its switches already
     /// registered). From now on every *committed* flip entry records
     /// one timeline event — coalesced waiters share the single entry,
@@ -512,18 +383,6 @@ impl CommitDaemon {
     /// Submits with an explicit per-request ttl (`None` = never
     /// expires), overriding [`MvdConfig::default_ttl`].
     pub fn submit_with_ttl(
-        &mut self,
-        rt: &mut Runtime,
-        op: MvdOp,
-        lane: Lane,
-        ttl: Option<u64>,
-    ) -> RequestId {
-        let id = self.submit_inner(rt, op, lane, ttl);
-        self.sync_metrics();
-        id
-    }
-
-    fn submit_inner(
         &mut self,
         rt: &mut Runtime,
         op: MvdOp,
@@ -636,14 +495,6 @@ impl CommitDaemon {
     /// `false` when both lanes are empty. One call advances the epoch
     /// by one.
     pub fn step(&mut self, rt: &mut Runtime, smp: &mut SmpMachine) -> bool {
-        let progressed = self.step_inner(rt, smp);
-        if progressed {
-            self.sync_metrics();
-        }
-        progressed
-    }
-
-    fn step_inner(&mut self, rt: &mut Runtime, smp: &mut SmpMachine) -> bool {
         let Some(entry) = self
             .priority
             .pop_front()
@@ -807,13 +658,6 @@ impl CommitDaemon {
         };
         rt.retry = saved;
         result
-    }
-
-    /// Pushes the current counters into the registry, if enabled.
-    fn sync_metrics(&mut self) {
-        if let Some(m) = &self.metrics {
-            m.sync(&self.stats, self.normal.len() + self.priority.len());
-        }
     }
 
     /// Records the same outcome for every waiter of an entry.

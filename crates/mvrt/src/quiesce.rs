@@ -49,8 +49,8 @@
 //! concurrent commit leaves the machine running the old image, unharmed.
 //! Every window, however it ends (a trap unwind that itself fails
 //! included), closes through one path in [`Runtime::run_quiesced`]: it
-//! emits `QuiesceEnd`, records the window in the metrics and builds the
-//! [`QuiesceReport`].
+//! emits `QuiesceEnd`, counts the window in [`Runtime::tally`] and
+//! builds the [`QuiesceReport`].
 //!
 //! A custom [`mvvm::smp::TrapHandler`] that answers
 //! [`mvvm::TrapDisposition::Skip`] would step a vCPU *past* a planted
@@ -78,13 +78,13 @@ pub enum CommitStrategy {
 }
 
 impl CommitStrategy {
-    /// Stable protocol name, as it appears in trace events and CLI
-    /// flags.
+    /// Stable protocol names, as they appear in trace events, metric
+    /// labels and CLI flags, in variant order.
+    pub(crate) const NAMES: [&'static str; 2] = ["stop-machine", "breakpoint"];
+
+    /// This protocol's stable name.
     pub fn name(self) -> &'static str {
-        match self {
-            CommitStrategy::StopMachine => "stop-machine",
-            CommitStrategy::Breakpoint => "breakpoint",
-        }
+        Self::NAMES[self as usize]
     }
 
     /// Parses a CLI spelling (`stop-machine`/`stop`/`breakpoint`/`bp`).
@@ -277,7 +277,7 @@ impl Runtime {
             CommitStrategy::Breakpoint => self.breakpoint(smp, &units, &regions, &mut q),
         };
         // Every window closes here, however its protocol ended, so the
-        // trace, the metrics and the report count the same windows.
+        // trace, the tally and the report count the same windows.
         let (ok, rounds) = (result.is_ok(), q.rounds);
         self.emit(|| EventKind::QuiesceEnd { ok, rounds });
         q.stall_cycles = smp.total_stall_cycles() - stall0;
@@ -285,17 +285,7 @@ impl Runtime {
         if strategy == CommitStrategy::Breakpoint {
             q.trap_hits = smp.trap_hits() - traps0;
         }
-        if let Some(metrics) = self.metrics.as_mut() {
-            let parked = q.parked as u64;
-            metrics.record_quiesce(
-                strategy.name(),
-                ok,
-                rounds,
-                parked,
-                q.trap_hits,
-                q.stall_cycles,
-            );
-        }
+        self.tally.record_quiesce(&q, ok);
         q.commit = result?;
         Ok(q)
     }

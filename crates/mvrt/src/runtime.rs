@@ -10,7 +10,7 @@
 use crate::error::RtError;
 use crate::journal::{Journal, Span};
 use crate::patch::{insn_at, PageBatch};
-use crate::stats::{PatchStats, PatchTiming};
+use crate::stats::{OpTally, PatchStats, PatchTiming};
 use crate::txn::{RetryPolicy, TxnOp};
 use mvasm::{Insn, MV64};
 use mvobj::descriptor::{
@@ -169,10 +169,9 @@ pub struct Runtime {
     /// Timing of the most recent commit/revert operation, with the
     /// per-phase breakdown accumulated across its attempts.
     pub last_timing: PatchTiming,
-    /// Metrics handles, installed by [`Runtime::enable_metrics`]
-    /// (default: off — commits then pay one branch per operation and
-    /// nothing else).
-    pub metrics: Option<crate::metrics::RtMetrics>,
+    /// Per-operation tallies (outcomes, phase times, quiesce windows),
+    /// kept by every transaction and quiesce window.
+    pub tally: OpTally,
 }
 
 // The commit daemon moves whole runtimes across threads.
@@ -285,7 +284,7 @@ impl Runtime {
             retry: RetryPolicy::default(),
             tracer: None,
             last_timing: PatchTiming::default(),
-            metrics: None,
+            tally: OpTally::default(),
         })
     }
 
@@ -318,27 +317,15 @@ impl Runtime {
         }
     }
 
-    /// Registers the `mv_rt_*` metric family in `registry` and starts
-    /// recording per-operation telemetry. Recording is once per
-    /// commit/revert (never per patched byte): an outcome tally, an
-    /// absolute [`PatchStats`] sync, and the phase timing of the
-    /// operation.
-    pub fn enable_metrics(&mut self, registry: &mvmetrics::Registry) {
-        self.metrics = Some(crate::metrics::RtMetrics::new(registry));
-    }
-
     /// Installs a bounded event ring (capacity clamped to
-    /// [`mvtrace::MAX_RING_CAP`]) and globally enables tracing. Every
-    /// subsequent commit/revert emits its span events into the ring.
+    /// [`mvtrace::MAX_RING_CAP`]). Every subsequent commit/revert emits
+    /// its span events into the ring.
     pub fn enable_tracing(&mut self, cap: usize) {
-        mvtrace::set_enabled(true);
         self.tracer = Some(TraceRing::new(cap));
     }
 
     /// Uninstalls the ring and returns everything it buffered (oldest
-    /// first). Returns an empty vec if tracing was never enabled. The
-    /// global enabled flag is left on: other runtimes in the process may
-    /// still be tracing.
+    /// first). Returns an empty vec if tracing was never enabled.
     pub fn take_trace(&mut self) -> Vec<mvtrace::Event> {
         self.tracer.take().map(|r| r.snapshot()).unwrap_or_default()
     }
@@ -359,16 +346,13 @@ impl Runtime {
             .unwrap_or_default()
     }
 
-    /// Records one event if tracing is on. The closure only runs (and
-    /// the event is only constructed) when a ring is installed *and* the
-    /// global flag is set, so with tracing off this inlines to a single
-    /// predictable branch on `self.tracer`.
+    /// Records one event if a ring is installed. The closure only runs
+    /// (and the event is only constructed) then, so with tracing off
+    /// this inlines to a single predictable branch on `self.tracer`.
     #[inline]
     pub(crate) fn emit(&mut self, kind: impl FnOnce() -> EventKind) {
         if let Some(ring) = self.tracer.as_mut() {
-            if mvtrace::enabled() {
-                ring.record(kind());
-            }
+            ring.record(kind());
         }
     }
 

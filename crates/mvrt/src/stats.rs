@@ -1,6 +1,8 @@
 //! Patching statistics — the §6.1 accounting (1161 call sites, ≈16 ms
 //! patch time, descriptor overhead).
 
+use crate::quiesce::{CommitStrategy, QuiesceReport};
+use crate::txn::TxnOp;
 use std::time::Duration;
 
 /// Counters accumulated across commits and reverts.
@@ -99,6 +101,75 @@ pub struct PatchTiming {
     pub retries: u32,
     /// Call sites visited.
     pub sites: u64,
+}
+
+/// Tallies no other counter holds, kept by every transaction and every
+/// quiesce window ([`crate::Runtime::tally`]): operations by kind and
+/// outcome, their phase times, and what the quiesce windows cost. Plain
+/// integers, so keeping them allocates nothing.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OpTally {
+    /// Transactions as `[ok, err]` per operation, indexed like
+    /// `TxnOp::NAMES` (read through [`OpTally::txns`]).
+    pub(crate) txns: [[u64; 2]; 6],
+    /// Nanoseconds spent in plan, validate and apply, summed over every
+    /// attempt of every transaction.
+    pub phase_ns: [u64; 3],
+    /// Nanoseconds slept in retry backoff.
+    pub backoff_ns: u64,
+    /// Quiesce windows as `[ok, err]` per protocol, indexed like
+    /// `CommitStrategy::NAMES` (read through [`OpTally::quiesces`]).
+    pub(crate) quiesces: [[u64; 2]; 2],
+    /// Scheduler rounds spent in rendezvous/drain windows.
+    pub quiesce_rounds: u64,
+    /// vCPUs parked by stop-machine rendezvous.
+    pub quiesce_parked: u64,
+    /// Trap-byte hits absorbed during breakpoint drains.
+    pub quiesce_trap_hits: u64,
+    /// Stall cycles charged to vCPUs inside quiesce windows.
+    pub quiesce_stall_cycles: u64,
+}
+
+impl OpTally {
+    /// The nonzero transaction counts as `(op, ok, count)`.
+    pub fn txns(&self) -> impl Iterator<Item = (&'static str, bool, u64)> + '_ {
+        outcomes(&TxnOp::NAMES, &self.txns)
+    }
+
+    /// The nonzero quiesce-window counts as `(strategy, ok, count)`.
+    pub fn quiesces(&self) -> impl Iterator<Item = (&'static str, bool, u64)> + '_ {
+        outcomes(&CommitStrategy::NAMES, &self.quiesces)
+    }
+
+    /// Counts one finished transaction and its phase split.
+    pub(crate) fn record_txn(&mut self, op: TxnOp, ok: bool, t: &PatchTiming) {
+        self.txns[op.index()][usize::from(!ok)] += 1;
+        for (ns, phase) in self.phase_ns.iter_mut().zip([t.plan, t.validate, t.apply]) {
+            *ns += phase.as_nanos() as u64;
+        }
+        self.backoff_ns += t.backoff.as_nanos() as u64;
+    }
+
+    /// Counts one closed quiesce window, successful or not.
+    pub(crate) fn record_quiesce(&mut self, q: &QuiesceReport, ok: bool) {
+        self.quiesces[q.strategy as usize][usize::from(!ok)] += 1;
+        self.quiesce_rounds += q.rounds;
+        self.quiesce_parked += q.parked as u64;
+        self.quiesce_trap_hits += q.trap_hits;
+        self.quiesce_stall_cycles += q.stall_cycles;
+    }
+}
+
+/// The nonzero cells of an `[ok, err]` table as `(name, ok, count)`.
+fn outcomes<'a>(
+    names: &'a [&'static str],
+    counts: &'a [[u64; 2]],
+) -> impl Iterator<Item = (&'static str, bool, u64)> + 'a {
+    (0..2 * names.len()).filter_map(|cell| {
+        let (i, outcome) = (cell / 2, cell % 2);
+        let n = counts[i][outcome];
+        (n > 0).then_some((names[i], outcome == 0, n))
+    })
 }
 
 #[cfg(test)]

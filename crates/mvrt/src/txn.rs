@@ -170,17 +170,33 @@ pub enum TxnOp {
 }
 
 impl TxnOp {
-    /// Stable operation name, as it appears in trace events (the Table 1
-    /// entry point minus the `multiverse_` prefix).
-    pub(crate) fn name(self) -> &'static str {
+    /// Stable operation names, as they appear in trace events and
+    /// metric labels (the Table 1 entry points minus the `multiverse_`
+    /// prefix), in variant order.
+    pub(crate) const NAMES: [&'static str; 6] = [
+        "commit",
+        "revert",
+        "commit_refs",
+        "revert_refs",
+        "commit_func",
+        "revert_func",
+    ];
+
+    /// This operation's position in [`TxnOp::NAMES`].
+    pub(crate) fn index(self) -> usize {
         match self {
-            TxnOp::CommitAll => "commit",
-            TxnOp::RevertAll => "revert",
-            TxnOp::CommitRefs(_) => "commit_refs",
-            TxnOp::RevertRefs(_) => "revert_refs",
-            TxnOp::CommitFunc(_) => "commit_func",
-            TxnOp::RevertFunc(_) => "revert_func",
+            TxnOp::CommitAll => 0,
+            TxnOp::RevertAll => 1,
+            TxnOp::CommitRefs(_) => 2,
+            TxnOp::RevertRefs(_) => 3,
+            TxnOp::CommitFunc(_) => 4,
+            TxnOp::RevertFunc(_) => 5,
         }
+    }
+
+    /// Stable operation name, as it appears in trace events.
+    pub(crate) fn name(self) -> &'static str {
+        Self::NAMES[self.index()]
     }
 
     /// `true` for the commits, `false` for the reverts.
@@ -1062,10 +1078,7 @@ impl Runtime {
             self.sync_native(m);
         }
         self.emit(|| EventKind::CommitEnd { ok: result.is_ok() });
-        let (stats, timing) = (self.stats, self.last_timing);
-        if let Some(metrics) = self.metrics.as_mut() {
-            metrics.record_txn(op.name(), result.is_ok(), stats, timing);
-        }
+        self.tally.record_txn(op, result.is_ok(), &self.last_timing);
         let elapsed = start.elapsed();
         self.patch_time += elapsed;
         self.last_timing.elapsed = elapsed;

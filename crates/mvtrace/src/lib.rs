@@ -14,8 +14,9 @@
 //!   failure-path events (fault, rollback, retry) the transactional
 //!   engine made possible;
 //! * [`TraceRing`] — a bounded ring with process-wide monotonic sequence
-//!   numbers and per-event host timestamps; disabled tracing costs one
-//!   predictable branch on the emitter's side (see [`enabled`]);
+//!   numbers and per-event host timestamps. An emitter records exactly
+//!   when it holds a ring; without one, a would-be event costs one
+//!   predictable branch on the emitter's side;
 //! * [`span`] — reconstruction of the flat event stream into a span
 //!   tree: commits → attempts → phases → point events, including
 //!   faulted-then-retried shapes;
@@ -37,40 +38,3 @@ pub use event::{Event, EventKind, Phase};
 pub use ring::{TraceRing, MAX_RING_CAP};
 pub use sink::{ChromeSink, JsonlSink, TextSink, TraceSink};
 pub use span::{build_spans, AttemptSpan, CommitSpan, PhaseSpan, SpanForest};
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
-
-/// The process-wide enabled flag, lazily initialized. Emitters check it
-/// (and their own ring handle) before constructing an event, so disabled
-/// tracing compiles down to a branch on this flag — no formatting, no
-/// timestamping, no allocation.
-fn flag() -> &'static AtomicBool {
-    static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    FLAG.get_or_init(|| AtomicBool::new(false))
-}
-
-/// `true` if tracing is globally enabled.
-#[inline]
-pub fn enabled() -> bool {
-    flag().load(Ordering::Relaxed)
-}
-
-/// Globally enables or disables tracing. Emitters that hold a ring only
-/// record while this is `true`.
-pub fn set_enabled(on: bool) {
-    flag().store(on, Ordering::Relaxed);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn flag_toggles() {
-        set_enabled(true);
-        assert!(enabled());
-        set_enabled(false);
-        assert!(!enabled());
-    }
-}

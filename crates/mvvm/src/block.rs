@@ -291,8 +291,8 @@ impl PageGens {
 
 /// Monotone counters of one block cache (see
 /// [`crate::tier0::BlockCache`]): hits, misses (= recordings),
-/// evictions (stale or shot down) and superblock promotions. Mirrored
-/// into the metrics registry as `mv_vm_block_*`.
+/// evictions (stale or shot down) and superblock promotions. Exported
+/// as `mv_vm_block_*`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BlockCacheStats {
     /// Block entries served from the cache (one per replay, not per op).

@@ -35,7 +35,6 @@ pub mod fault;
 pub mod fx;
 pub mod machine;
 pub mod mem;
-pub mod metrics;
 pub mod native;
 pub mod pred;
 pub mod profile;
@@ -49,7 +48,6 @@ pub use cost::CostModel;
 pub use fault::{FaultMode, FaultOp, FaultPlan};
 pub use machine::{CpuContext, Fault, Machine, MachineConfig, MachineMode, Platform};
 pub use mem::{MemError, Memory, PAGE_SIZE};
-pub use metrics::VmMetrics;
 pub use native::NativeStats;
 pub use profile::{FnCounters, FnProfile, FnRange, Profiler};
 pub use smp::{SmpMachine, TrapDisposition, VcpuState};

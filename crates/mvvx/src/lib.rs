@@ -33,8 +33,6 @@
 //!   variational bit per byte, variational values in a side map. An
 //!   access to concrete bytes inside one page costs one check, so code
 //!   that touches no variational data pays no per-byte overhead.
-//! * [`metrics`] — the `mv_vexec_*` counter family for the
-//!   [`mvmetrics::Registry`].
 //!
 //! What is *not* modeled — and why bailing out is sound: cycle costs,
 //! predictor state and `rdtsc` values are configuration-dependent in
@@ -46,11 +44,9 @@
 
 pub mod config;
 pub mod engine;
-pub mod metrics;
 mod overlay;
 pub mod value;
 
 pub use config::{ConfigSpace, LeafSet, SpaceError, SwitchDomain};
 pub use engine::{Vexec, VexecError, VexecLeaf, VexecReport, VexecStats};
-pub use metrics::VexecMetrics;
 pub use value::Val;

@@ -137,6 +137,32 @@ fn program_through_pipeline_matches_default_build() {
     }
 }
 
+/// A pipeline records exactly when it holds a ring: `enable_tracing`
+/// alone yields one `stage_begin`/`stage_end` pair per stage, in
+/// pipeline order, for a compile in a process that never traced a
+/// commit.
+#[test]
+fn pipeline_with_a_ring_traces_every_stage() {
+    use multiverse::mvtrace::EventKind;
+    let mut pl = Pipeline::new(opts(1));
+    pl.enable_tracing(1024);
+    pl.compile_unit(LIB, "lib.c").expect("compile");
+    let events: Vec<_> = pl
+        .take_trace()
+        .into_iter()
+        .map(|e| match e.kind {
+            EventKind::StageBegin { stage } => ("begin", stage),
+            EventKind::StageEnd { stage, .. } => ("end", stage),
+            other => panic!("unexpected {other:?}"),
+        })
+        .collect();
+    let want: Vec<_> = ["lower", "mv-expand", "optimize", "merge", "codegen"]
+        .into_iter()
+        .flat_map(|stage| [("begin", stage), ("end", stage)])
+        .collect();
+    assert_eq!(events, want);
+}
+
 /// The explosion error names every offending switch with its domain
 /// size, so the user knows exactly which factors to restrict.
 #[test]

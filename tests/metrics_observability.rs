@@ -1,10 +1,10 @@
-//! End-to-end metrics: the mvmetrics registry mirrors the runtime,
-//! daemon and VM counters exactly, records nothing while disabled, and
-//! the switch-history/residency join reconciles with the profiler and
-//! the daemon's own bookkeeping.
+//! End-to-end metrics: the export reads the runtime, daemon and VM
+//! counters exactly, prints each family as one group, and the
+//! switch-history/residency join reconciles with the profiler and the
+//! daemon's own bookkeeping.
 
-use multiverse::mvmetrics::{export, Registry, SampleValue};
-use multiverse::mvrt::{CommitDaemon, Lane, MvdConfig};
+use multiverse::mvmetrics::{export, Sample, SampleValue};
+use multiverse::mvrt::{CommitDaemon, CommitStrategy, Lane, MvdConfig};
 use multiverse::{telemetry, Program};
 
 const SRC: &str = r#"
@@ -34,59 +34,28 @@ const SRC: &str = r#"
     i64 main(void) { return worker(8); }
 "#;
 
-fn counter(snap: &[multiverse::mvmetrics::Sample], name: &str) -> u64 {
+fn counter(snap: &[Sample], name: &str) -> u64 {
     snap.iter()
-        .find(|s| s.name == name && s.labels.is_empty())
+        .find(|s| s.name == name && s.labels().is_empty())
         .map(|s| match s.value {
             SampleValue::Counter(v) => v,
             _ => panic!("{name} is not a counter"),
         })
-        .unwrap_or_else(|| panic!("{name} not registered"))
-}
-
-#[test]
-fn disabled_registry_records_no_events() {
-    let program = Program::build(&[("t.c", SRC)]).unwrap();
-    let mut w = program.boot();
-    let registry = Registry::new();
-    w.enable_metrics(&registry);
-    registry.set_enabled(false);
-    let before = registry.snapshot();
-
-    w.set("fast_path", 1).unwrap();
-    w.commit().unwrap();
-    w.call("worker", &[100]).unwrap();
-    w.sync_metrics();
-
-    let after = registry.snapshot();
-    assert_eq!(before.len(), after.len(), "no metrics appeared");
-    for (b, a) in before.iter().zip(after.iter()) {
-        assert_eq!(b.value, a.value, "{} moved while disabled", b.name);
-    }
-
-    // Re-enabling picks the live values straight back up.
-    registry.set_enabled(true);
-    w.commit().unwrap();
-    w.sync_metrics();
-    let snap = registry.snapshot();
-    assert!(counter(&snap, "mv_vm_instructions_total") > 0);
+        .unwrap_or_else(|| panic!("{name} not exported"))
 }
 
 #[test]
 fn registry_mirrors_runtime_and_vm_exactly() {
     let program = Program::build(&[("t.c", SRC)]).unwrap();
     let mut w = program.boot();
-    let registry = Registry::new();
-    w.enable_metrics(&registry);
 
     w.set("fast_path", 1).unwrap();
     w.commit().unwrap();
     w.set("fast_path", 0).unwrap();
     w.commit().unwrap();
     w.call("worker", &[50]).unwrap();
-    w.sync_metrics();
 
-    let snap = registry.snapshot();
+    let snap = w.metrics();
     let rt_stats = w.rt.as_ref().unwrap().stats;
     assert_eq!(
         counter(&snap, "mv_rt_bytes_written_total"),
@@ -112,7 +81,7 @@ fn registry_mirrors_runtime_and_vm_exactly() {
 }
 
 /// The storm acceptance path as a library-level test: a deterministic
-/// flip storm through the daemon, then three reconciliations — registry
+/// flip storm through the daemon, then three reconciliations — exported
 /// counters against `MvdStats`, recorded flips against the committed
 /// counter, and residency cycles against the profiler total.
 #[test]
@@ -122,10 +91,7 @@ fn storm_metrics_reconcile_with_daemon_and_profiler() {
     w.smp.set_seed(7);
     w.spawn_all("worker", &[500]).unwrap();
 
-    let registry = Registry::new();
-    w.enable_metrics(&registry);
     let mut daemon = CommitDaemon::new(MvdConfig::default());
-    daemon.enable_metrics(&registry);
     daemon.enable_history(w.switch_history());
     let exe = w.exe().clone();
     w.smp.machine.enable_profile(&exe);
@@ -155,11 +121,11 @@ fn storm_metrics_reconcile_with_daemon_and_profiler() {
     daemon.take_completions();
     let rets = w.run(10_000_000).unwrap();
     assert!(rets.iter().all(|&r| r == 500), "workers stayed exact");
-    w.sync_metrics();
 
     let s = daemon.stats();
     assert!(s.committed > 0, "the storm landed commits");
-    let snap = registry.snapshot();
+    let mut snap = w.metrics();
+    snap.extend(telemetry::daemon_metrics(&daemon));
     for (name, want) in [
         ("mv_mvd_submitted_total", s.submitted),
         ("mv_mvd_admitted_total", s.admitted),
@@ -197,4 +163,41 @@ fn storm_metrics_reconcile_with_daemon_and_profiler() {
     assert!(doc.starts_with("{\"version\":1,\"kind\":\"mv-switch-history\""));
     assert!(doc.contains(&format!("\"total_flips\":{}", s.committed)));
     assert!(doc.contains(&format!("\"total_cycles\":{total}")));
+}
+
+/// The Prometheus export prints each metric family as one group. A
+/// quiesced commit and then a quiesced revert first count
+/// `mv_rt_commits_total{op="commit"}`, then a quiesce window, then
+/// `mv_rt_commits_total{op="revert"}`; every sample must still directly
+/// follow its own family's `# HELP`/`# TYPE` lines.
+#[test]
+fn every_family_prints_as_one_group() {
+    let program = Program::build(&[("t.c", SRC)]).unwrap();
+    let mut w = program.boot_smp(2);
+    w.spawn_all("worker", &[200]).unwrap();
+    w.set("fast_path", 1).unwrap();
+    w.commit_quiesced(CommitStrategy::StopMachine).unwrap();
+    w.revert_quiesced(CommitStrategy::StopMachine).unwrap();
+    let prom = export::prometheus(&w.metrics());
+
+    let (mut family, mut seen) = ("", Vec::new());
+    for line in prom.lines() {
+        if let Some(help) = line.strip_prefix("# HELP ") {
+            family = help.split(' ').next().unwrap();
+            assert!(!seen.contains(&family), "{family} printed twice:\n{prom}");
+            seen.push(family);
+        } else if let Some(ty) = line.strip_prefix("# TYPE ") {
+            assert_eq!(ty.split(' ').next(), Some(family), "{line}:\n{prom}");
+        } else {
+            let name = line.split(['{', ' ']).next().unwrap();
+            assert_eq!(name, family, "`{line}` is outside its family:\n{prom}");
+        }
+    }
+    for series in [
+        "mv_rt_commits_total{op=\"commit\",outcome=\"ok\"} 1",
+        "mv_rt_commits_total{op=\"revert\",outcome=\"ok\"} 1",
+        "mv_rt_quiesce_total{strategy=\"stop-machine\",outcome=\"ok\"} 2",
+    ] {
+        assert!(prom.contains(series), "{series} missing:\n{prom}");
+    }
 }

@@ -7,7 +7,7 @@
 //! quiesced commit must produce an image byte-identical to the same
 //! plan committed on an idle single-vCPU world.
 
-use multiverse::mvrt::mvmetrics::Registry;
+use multiverse::mvrt::mvmetrics::SampleValue;
 use multiverse::mvrt::mvtrace::EventKind;
 use multiverse::mvrt::{CommitDaemon, CommitStrategy, Lane, MvdConfig, MvdOp, RtError, TxnOp};
 use multiverse::mvvm::{FaultOp, FaultPlan};
@@ -314,8 +314,6 @@ fn quiesced_and_daemon_commits_are_timed() {
 fn failed_trap_unwind_still_closes_the_window() {
     let p = smp_contention::build().unwrap();
     let mut w = boot_workers(&p, SEEDS[1]);
-    let registry = Registry::new();
-    w.enable_metrics(&registry);
     w.smp
         .machine
         .inject_fault(FaultPlan::new(FaultOp::Mprotect, 3).sticky());
@@ -334,14 +332,17 @@ fn failed_trap_unwind_still_closes_the_window() {
         })
         .collect();
     assert_eq!(ends, [false], "one failed quiesce_end");
-    let failed = registry.counter_with(
-        "mv_rt_quiesce_total",
-        "Quiesce windows by strategy and outcome",
-        &[("strategy", "breakpoint"), ("outcome", "err")],
-    );
+    let failed = w
+        .metrics()
+        .into_iter()
+        .find(|s| {
+            s.name == "mv_rt_quiesce_total"
+                && s.labels() == [("strategy", "breakpoint".into()), ("outcome", "err".into())]
+        })
+        .map(|s| s.value);
     assert_eq!(
-        failed.get(),
-        1,
+        failed,
+        Some(SampleValue::Counter(1)),
         "one failed breakpoint window in the metrics"
     );
 }
