@@ -4,10 +4,10 @@
 //! ([`World::metrics`], [`SmpWorld::metrics`]) and `mv_mvd_*`
 //! ([`daemon_metrics`]). Each is read at export time from the counter
 //! that owns it — [`mvrt::Runtime::stats`] and [`mvrt::Runtime::tally`],
-//! the machine's [`mvvm::Stats`], block and native counters, and
-//! [`CommitDaemon::stats`] — so an exported number is the source
-//! counter itself. A family's samples are contiguous, so each prints as
-//! one group.
+//! the machine's [`mvvm::Stats`], block and native counters and
+//! [`mvvm::Memory::resident_pages`], and [`CommitDaemon::stats`] — so
+//! an exported number is the source counter itself. A family's samples
+//! are contiguous, so each prints as one group.
 //!
 //! `mvmetrics` keeps the flip timeline ([`SwitchHistory`]) and `mvvm`
 //! keeps per-symbol cycle attribution ([`mvvm::Profiler`]); this module
@@ -131,32 +131,46 @@ fn rt_samples(rt: &Runtime, out: &mut Vec<Sample>) {
     );
 }
 
-/// The machine counters behind the `mv_vm_*` series. A unicore machine
-/// has no shootdowns, trap hits, scheduler rounds or stalls.
-#[derive(Default)]
+/// The machine counters behind the `mv_vm_*` series.
 struct VmCounts {
     instructions: u64,
     cycles: u64,
+    /// Counters only an SMP machine keeps.
+    smp: Option<SmpCounts>,
+    blocks: BlockCacheStats,
+    native: NativeStats,
+    resident_pages: usize,
+}
+
+/// Shootdowns, trap hits, scheduler rounds and stalls: what a machine
+/// with vCPUs to coordinate counts.
+struct SmpCounts {
     shootdowns: u64,
     trap_hits: u64,
     rounds: u64,
     stall_cycles: u64,
-    blocks: BlockCacheStats,
-    native: NativeStats,
 }
 
-/// The `mv_vm_*` series every machine exports.
+/// The `mv_vm_*` series of a machine, the SMP-only ones where it has
+/// them.
 fn vm_samples(c: VmCounts, out: &mut Vec<Sample>) {
     let (b, n) = (c.blocks, c.native);
     series!(out, counter:
         "mv_vm_instructions_total", "Guest instructions retired" => c.instructions;
         "mv_vm_cycles_total", "Guest cycles consumed" => c.cycles;
-        "mv_vm_icache_shootdowns_total",
-            "Cross-vCPU instruction cache shootdowns" => c.shootdowns;
-        "mv_vm_trap_hits_total", "Breakpoint trap-byte hits observed by vCPUs" => c.trap_hits;
-        "mv_vm_sched_rounds_total", "SMP scheduler rounds" => c.rounds;
-        "mv_vm_stall_cycles_total",
-            "Cycles vCPUs spent parked or trapped during quiesce" => c.stall_cycles;
+    );
+    if let Some(s) = c.smp {
+        series!(out, counter:
+            "mv_vm_icache_shootdowns_total",
+                "Cross-vCPU instruction cache shootdowns" => s.shootdowns;
+            "mv_vm_trap_hits_total",
+                "Breakpoint trap-byte hits observed by vCPUs" => s.trap_hits;
+            "mv_vm_sched_rounds_total", "SMP scheduler rounds" => s.rounds;
+            "mv_vm_stall_cycles_total",
+                "Cycles vCPUs spent parked or trapped during quiesce" => s.stall_cycles;
+        );
+    }
+    series!(out, counter:
         "mv_vm_block_hits_total",
             "Decoded-block cache hits (block entries replayed)" => b.hits;
         "mv_vm_block_misses_total", "Decoded-block cache misses (blocks recorded)" => b.misses;
@@ -173,6 +187,11 @@ fn vm_samples(c: VmCounts, out: &mut Vec<Sample>) {
             "Guest instructions retired through native segments" => n.insns;
         "mv_vm_native_invalidations_total",
             "Native regions dropped after a code page changed" => n.invalidations;
+    );
+    series!(out, gauge:
+        "mv_vm_resident_pages",
+            "Guest pages holding bytes (written a non-zero byte since mapped)"
+            => c.resident_pages as f64;
     );
 }
 
@@ -214,7 +233,9 @@ pub fn daemon_metrics(daemon: &CommitDaemon) -> Vec<Sample> {
 impl World {
     /// Every `mv_rt_*` (with a runtime attached) and `mv_vm_*` series of
     /// this world, read now from the runtime's and the machine's own
-    /// counters.
+    /// counters. A unicore machine keeps no shootdown, trap-hit,
+    /// scheduler-round or stall counter, so only [`SmpWorld::metrics`]
+    /// exports those four series.
     pub fn metrics(&self) -> Vec<Sample> {
         let m = &self.machine;
         let mut out = Vec::with_capacity(SERIES);
@@ -224,9 +245,10 @@ impl World {
         let counts = VmCounts {
             instructions: m.stats.instructions,
             cycles: m.cycles(),
+            smp: None,
             blocks: m.block_stats(),
             native: m.native_stats(),
-            ..VmCounts::default()
+            resident_pages: m.mem.resident_pages(),
         };
         vm_samples(counts, &mut out);
         out
@@ -246,12 +268,15 @@ impl SmpWorld {
         let counts = VmCounts {
             instructions: smp.total_stats().instructions,
             cycles: (0..smp.vcpus()).map(|i| smp.cycles_of(i)).sum(),
-            shootdowns: smp.shootdowns(),
-            trap_hits: smp.trap_hits(),
-            rounds: smp.rounds(),
-            stall_cycles: smp.total_stall_cycles(),
+            smp: Some(SmpCounts {
+                shootdowns: smp.shootdowns(),
+                trap_hits: smp.trap_hits(),
+                rounds: smp.rounds(),
+                stall_cycles: smp.total_stall_cycles(),
+            }),
             blocks: smp.block_stats(),
             native: smp.machine.native_stats(),
+            resident_pages: smp.machine.mem.resident_pages(),
         };
         vm_samples(counts, &mut out);
         for i in 0..smp.vcpus() {

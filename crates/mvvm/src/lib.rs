@@ -16,10 +16,10 @@
 //! * cmp+jcc macro-fusion, so a *predicted* feature test costs what it
 //!   costs on real hardware — almost nothing in a tight microbenchmark
 //!   loop, which is exactly the warm-BTB effect §6.1 discusses;
-//! * paged memory with R/W/X protection and an explicitly flushed
-//!   instruction cache ([`mem`]): patching a page that was not made
-//!   writable faults, and patched bytes are not *executed* until the
-//!   icache is flushed — both observable, both tested;
+//! * demand-zero paged memory with R/W/X protection and an explicitly
+//!   flushed instruction cache ([`mem`]): patching a page that was not
+//!   made writable faults, and patched bytes are not *executed* until
+//!   the icache is flushed — both observable, both tested;
 //! * machine modes: unicore/multicore ([`MachineMode`]) switching the
 //!   atomic-operation cost, and native/Xen-guest ([`Platform`]) making
 //!   `sti`/`cli` trap while `hypercall` stays cheap.

@@ -61,7 +61,9 @@ pub struct MachineConfig {
     pub mode: MachineMode,
     /// Native or guest.
     pub platform: Platform,
-    /// Stack size in bytes.
+    /// Stack size in bytes. The stack is demand-zero memory: a page of
+    /// it costs host memory only once the guest writes a non-zero byte
+    /// there.
     pub stack_size: u64,
     /// Maximum instructions a single [`Machine::call`] may retire before
     /// failing with [`Fault::Timeout`].

@@ -1,4 +1,11 @@
 //! Paged guest memory with R/W/X protection and icache versioning.
+//!
+//! Pages are demand-zero, as a Linux process's stack and zero-filled
+//! data are: mapping a page costs its page-table entry and no bytes. A
+//! page reads as zeros from one shared immutable zero page until the
+//! first write of a non-zero byte gives it its own 4 KiB. Protection,
+//! fault plans, code versions and text generations do not depend on
+//! whether a page holds bytes.
 
 use crate::fault::{FaultOp, FaultPlan};
 use crate::fx::FxHashMap;
@@ -53,8 +60,13 @@ impl fmt::Display for MemError {
 
 impl std::error::Error for MemError {}
 
+/// The bytes of every page that holds none of its own.
+static ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+
 struct Page {
-    bytes: Box<[u8]>,
+    /// The page's own bytes, `None` until its first write of a
+    /// non-zero byte; until then it reads as [`ZERO_PAGE`].
+    bytes: Option<Box<[u8]>>,
     prot: Prot,
     /// Bumped by [`Memory::flush_icache`]; the CPU's decode cache keys on
     /// it. Writing patched bytes without flushing leaves stale decoded
@@ -75,12 +87,44 @@ struct Page {
 impl Page {
     fn new(prot: Prot) -> Page {
         Page {
-            bytes: vec![0u8; PAGE_SIZE as usize].into_boxed_slice(),
+            bytes: None,
             prot,
             code_version: 0,
             text_gen: 0,
             text: prot.exec,
         }
+    }
+
+    /// The page's bytes: its own, or the zero page.
+    #[inline]
+    fn bytes(&self) -> &[u8] {
+        self.bytes.as_deref().unwrap_or(&ZERO_PAGE)
+    }
+
+    /// Copies `data` to offset `po`. A page without bytes of its own
+    /// gets them only when `data` holds a non-zero byte; returns whether
+    /// this store gave them.
+    #[inline]
+    fn store(&mut self, po: usize, data: &[u8]) -> bool {
+        match &mut self.bytes {
+            Some(bytes) => {
+                bytes[po..po + data.len()].copy_from_slice(data);
+                false
+            }
+            None if data == &ZERO_PAGE[..data.len()] => false,
+            None => {
+                self.populate(po, data);
+                true
+            }
+        }
+    }
+
+    /// Gives the page its own bytes: zeros, with `data` at offset `po`.
+    #[cold]
+    fn populate(&mut self, po: usize, data: &[u8]) {
+        let mut bytes = vec![0u8; PAGE_SIZE as usize].into_boxed_slice();
+        bytes[po..po + data.len()].copy_from_slice(data);
+        self.bytes = Some(bytes);
     }
 }
 
@@ -92,11 +136,19 @@ const TLB_ENTRIES: usize = 256;
 /// reaches it.
 const NO_PAGE: u64 = u64::MAX;
 
-/// The guest physical/virtual memory (flat, demand-populated pages).
+/// The guest physical/virtual memory: flat, demand-zero pages.
+///
+/// Mapping a page costs a slot in the page slab and a page-table entry;
+/// its 4 KiB of bytes are allocated at its first write of a non-zero
+/// byte (see [`Memory::resident_pages`]). Until then reads, fetches and
+/// zero writes are served by one shared zero page.
 pub struct Memory {
     /// Every mapped page, in mapping order. Pages are never unmapped,
     /// so a page keeps its slot for the life of the memory.
     pages: Vec<Page>,
+    /// How many of `pages` hold bytes of their own. A page never gives
+    /// its bytes back, so this only grows.
+    resident: usize,
     /// Page number → slot in `pages`: the page table.
     slots: FxHashMap<u64, usize>,
     /// A direct-mapped software TLB of `(page number, slot)` pairs in
@@ -117,6 +169,7 @@ impl Default for Memory {
     fn default() -> Memory {
         Memory {
             pages: Vec::new(),
+            resident: 0,
             slots: FxHashMap::default(),
             tlb: std::array::from_fn(|_| Cell::new((NO_PAGE, 0))),
             fault: None,
@@ -193,13 +246,17 @@ impl Memory {
     /// Maps `len` bytes at `addr` with protection `prot`, zero-filled.
     /// Extends/overwrites protection of already-mapped pages in the range.
     /// A range running past the end of the address space is mapped up
-    /// to the end.
+    /// to the end. A new page costs one slab slot and one page-table
+    /// entry, both reserved once per call, and no bytes.
     pub fn map(&mut self, addr: u64, len: u64, prot: Prot) {
         if len == 0 {
             return;
         }
         let first = Self::page_no(addr);
         let last = Self::page_no(addr.saturating_add(len - 1));
+        let n = (last - first + 1) as usize;
+        self.pages.reserve(n);
+        self.slots.reserve(n);
         for p in first..=last {
             let page = self.page_or_map(p, prot);
             page.prot = prot;
@@ -370,6 +427,13 @@ impl Memory {
         self.text_epoch
     }
 
+    /// Pages holding bytes of their own: those written a non-zero byte
+    /// since they were mapped. Every other mapped page reads as zeros
+    /// and costs no page of host memory.
+    pub fn resident_pages(&self) -> usize {
+        self.resident
+    }
+
     /// Checks every page of `[addr, addr+len)` before anything is
     /// copied, so a faulting multi-page access has no effect. A range
     /// running past the end of the address space faults as unmapped at
@@ -406,7 +470,7 @@ impl Memory {
             let page = self.page(Self::page_no(a)).expect("checked");
             let po = (a % PAGE_SIZE) as usize;
             let n = (buf.len() - done).min(PAGE_SIZE as usize - po);
-            buf[done..done + n].copy_from_slice(&page.bytes[po..po + n]);
+            buf[done..done + n].copy_from_slice(&page.bytes()[po..po + n]);
             done += n;
         }
     }
@@ -423,7 +487,7 @@ impl Memory {
             }
             let po = (a % PAGE_SIZE) as usize;
             let n = (data.len() - done).min(PAGE_SIZE as usize - po);
-            page.bytes[po..po + n].copy_from_slice(&data[done..done + n]);
+            self.resident += usize::from(page.store(po, &data[done..done + n]));
             done += n;
         }
     }
@@ -433,7 +497,7 @@ impl Memory {
         if let Some(po) = Self::in_one_page(addr, buf.len()) {
             let page = self.page(Self::page_no(addr));
             let page = Self::permit(page, addr, Access::Read, |p| p.read)?;
-            buf.copy_from_slice(&page.bytes[po..po + buf.len()]);
+            buf.copy_from_slice(&page.bytes()[po..po + buf.len()]);
             return Ok(());
         }
         self.access(addr, buf.len(), Access::Read, |p| p.read)?;
@@ -489,7 +553,7 @@ impl Memory {
                 page.text_gen += 1;
                 self.text_epoch += 1;
             }
-            page.bytes[po..po + data.len()].copy_from_slice(data);
+            self.resident += usize::from(page.store(po, data));
             return Ok(());
         }
         self.access(addr, data.len(), Access::Write, |p| p.write)?;
@@ -525,7 +589,7 @@ impl Memory {
         // whether that is enough.
         let po = (addr % PAGE_SIZE) as usize;
         let mut n = buf.len().min(PAGE_SIZE as usize - po);
-        buf[..n].copy_from_slice(&page.bytes[po..po + n]);
+        buf[..n].copy_from_slice(&page.bytes()[po..po + n]);
         while n < buf.len() {
             let Some(a) = addr.checked_add(n as u64) else {
                 break;
@@ -533,7 +597,7 @@ impl Memory {
             match self.page(Self::page_no(a)) {
                 Some(p) if p.prot.exec => {
                     let take = (buf.len() - n).min(PAGE_SIZE as usize);
-                    buf[n..n + take].copy_from_slice(&p.bytes[..take]);
+                    buf[n..n + take].copy_from_slice(&p.bytes()[..take]);
                     n += take;
                 }
                 _ => break,
@@ -696,6 +760,98 @@ mod tests {
         assert_eq!(m.text_gen(0x3000), 2);
         assert_eq!(m.text_epoch(), 4);
         assert_eq!(m.flush_epoch(), 1, "only the flush counts as one");
+    }
+
+    /// Whether the page holding `addr` has bytes of its own.
+    fn populated(m: &Memory, addr: u64) -> bool {
+        m.page(Memory::page_no(addr)).unwrap().bytes.is_some()
+    }
+
+    /// A one-segment executable of `bytes` at `addr`.
+    fn image(addr: u64, prot: Prot, bytes: Vec<u8>) -> Executable {
+        Executable {
+            segments: vec![mvobj::Segment {
+                addr,
+                prot,
+                bytes,
+                name: ".data".into(),
+            }],
+            ..Executable::default()
+        }
+    }
+
+    #[test]
+    fn mapped_pages_read_as_zeros_and_hold_no_bytes() {
+        let mut m = Memory::new();
+        m.map(0x1000, 16 * PAGE_SIZE, Prot::RW);
+        assert_eq!(
+            m.read_vec(0x1000, 16 * PAGE_SIZE as usize).unwrap(),
+            vec![0; 16 * PAGE_SIZE as usize]
+        );
+        assert_eq!(m.resident_pages(), 0);
+        assert!(!populated(&m, 0x1000) && !populated(&m, 0x10fff));
+        m.write(0x3000, &[0, 5]).unwrap();
+        assert_eq!((m.resident_pages(), populated(&m, 0x3000)), (1, true));
+        assert_eq!(m.read_vec(0x2fff, 3).unwrap(), [0, 0, 5]);
+    }
+
+    #[test]
+    fn zero_writes_keep_pages_unpopulated_but_still_count_as_text_writes() {
+        let mut m = Memory::new();
+        m.map(0x1000, PAGE_SIZE, Prot::RW);
+        m.map(0x2000, PAGE_SIZE, Prot::RX);
+        m.mprotect(0x2000, PAGE_SIZE, Prot::RW).unwrap();
+        m.write(0x1000, &[0; 8]).unwrap();
+        m.write(0x2000, &[0; 8]).unwrap();
+        assert_eq!(m.resident_pages(), 0, "zeros leave both pages unpopulated");
+        assert_eq!((m.text_gen(0x1000), m.text_gen(0x2000)), (0, 1));
+        assert_eq!(m.text_epoch(), 1, "a zero text write moves the epoch");
+
+        m.set_fault_plan(FaultPlan::fail_nth_write(1));
+        let e = m.write(0x2010, &[0; 4]).unwrap_err();
+        assert_eq!((e.addr, e.access, e.mapped), (0x2010, Access::Write, true));
+        assert_eq!(m.clear_fault_plan().unwrap().fired(), 1);
+        assert_eq!(m.text_gen(0x2000), 1, "a tripped write moves nothing");
+        assert_eq!(m.resident_pages(), 0);
+    }
+
+    #[test]
+    fn cross_page_write_populates_only_the_page_given_non_zero_bytes() {
+        let mut m = Memory::new();
+        m.map(0x1000, 2 * PAGE_SIZE, Prot::RW);
+        m.write(0x2000 - 4, &[0, 0, 0, 0, 9, 9]).unwrap();
+        assert!(!populated(&m, 0x1000) && populated(&m, 0x2000));
+        m.write(0x2000 - 2, &[7, 7, 0, 0]).unwrap();
+        assert!(populated(&m, 0x1000));
+        assert_eq!(m.resident_pages(), 2);
+        assert_eq!(m.read_vec(0x2000 - 4, 6).unwrap(), [0, 0, 7, 7, 0, 0]);
+    }
+
+    #[test]
+    fn fetch_from_an_unpopulated_text_page_reads_zeros() {
+        let mut m = Memory::new();
+        m.map(0x1000, 2 * PAGE_SIZE, Prot::RX);
+        let mut buf = [0xAA; 16];
+        assert_eq!(m.fetch(0x2000 - 8, &mut buf), Ok(16));
+        assert_eq!(buf, [0; 16]);
+        assert_eq!(m.resident_pages(), 0);
+    }
+
+    #[test]
+    fn loading_zeros_over_a_populated_page_overwrites_its_bytes() {
+        let mut m = Memory::new();
+        m.load(&image(0x1000, Prot::RW, vec![3; 64]));
+        assert_eq!(m.resident_pages(), 1);
+        m.load(&image(0x1000, Prot::RW, vec![0; 64]));
+        assert_eq!(m.read_vec(0x1000, 64).unwrap(), vec![0; 64]);
+        assert_eq!(m.resident_pages(), 1, "the page keeps its bytes");
+        m.load(&image(0x4000, Prot::RX, vec![0; 3 * PAGE_SIZE as usize]));
+        assert_eq!(m.resident_pages(), 1, "an all-zero image stays unpopulated");
+        assert_eq!(
+            m.text_gen(0x5000),
+            1,
+            "loading text still moves its generation"
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Heap-allocation budget of quiesced commits and block-tier
-//! shootdowns, counted by this binary's global allocator.
+//! Heap-allocation budget of quiesced commits, block-tier shootdowns
+//! and machine boots, counted by this binary's global allocator.
 //!
 //! The kernel is the §6.1 shape mvbench's `kernel_flip` uses: four
 //! switch-guarded hooks called from N recorded sites, run by two worker
@@ -12,14 +12,20 @@
 //! * a full shootdown followed by a worker run at the block tiers makes
 //!   the same small number of allocations and frees at both N — the
 //!   shootdown frees nothing per cached block, and re-recording appends
-//!   to the arenas the caches kept.
+//!   to the arenas the caches kept;
+//! * booting mini-grep — a unicore or a 2-vCPU machine, then its image
+//!   loaded — makes the same number of allocations with a 1 MiB and a
+//!   16 MiB stack: guest memory is demand-zero, so a mapped page costs
+//!   a page-table entry, not a 4 KiB buffer.
 //!
 //! Counts are per thread, so the test harness's other threads never
 //! land in a measurement.
 
+use multiverse::mvobj::Executable;
 use multiverse::mvrt::{CommitStrategy, Runtime, TxnOp};
-use multiverse::mvvm::ExecTier;
+use multiverse::mvvm::{CostModel, ExecTier, Machine, MachineConfig, SmpMachine};
 use multiverse::{Program, SmpWorld};
+use mv_workloads::grep;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fmt::Write as _;
@@ -219,4 +225,33 @@ fn block_tier_shootdown_and_rerecord_do_not_allocate_per_block() {
             "{tier}: {large:?} allocations and frees"
         );
     }
+}
+
+/// Allocations of booting `exe` on a unicore and on a 2-vCPU machine
+/// with a `stack_size`-byte stack: the machine made, then the image
+/// loaded.
+fn boot_allocs(exe: &Executable, stack_size: u64) -> (u64, u64) {
+    let config = MachineConfig {
+        stack_size,
+        ..MachineConfig::default()
+    };
+    let (_, uni, _) = counted(|| {
+        let mut m = Machine::new(CostModel::default(), config);
+        m.load(exe);
+        m
+    });
+    let (_, smp, _) = counted(|| {
+        let mut smp = SmpMachine::new(CostModel::default(), config, VCPUS);
+        smp.machine.load(exe);
+        smp
+    });
+    (uni, smp)
+}
+
+#[test]
+fn boot_allocations_do_not_grow_with_the_stack() {
+    let p = Program::build(&[("grep.c", grep::SRC)]).expect("mini-grep compiles");
+    let [small, large] = [1 << 20, 16 << 20].map(|stack| boot_allocs(p.exe(), stack));
+    println!("(unicore, {VCPUS}-vCPU) boot allocations {small:?} with a 1 MiB stack, {large:?} with 16 MiB");
+    assert_eq!(small, large, "a mapped stack page allocates");
 }

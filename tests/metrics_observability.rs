@@ -1,11 +1,22 @@
 //! End-to-end metrics: the export reads the runtime, daemon and VM
-//! counters exactly, prints each family as one group, and the
-//! switch-history/residency join reconciles with the profiler and the
-//! daemon's own bookkeeping.
+//! counters exactly, prints each family as one group, names only the
+//! series the machine counts, and the switch-history/residency join
+//! reconciles with the profiler and the daemon's own bookkeeping. The
+//! daemon's export after a fixed storm is pinned by a golden file;
+//! regenerate it after an intended change with:
+//!
+//! ```sh
+//! BLESS=1 cargo test --test metrics_observability
+//! ```
 
 use multiverse::mvmetrics::{export, Sample, SampleValue};
-use multiverse::mvrt::{CommitDaemon, CommitStrategy, Lane, MvdConfig};
-use multiverse::{telemetry, Program};
+use multiverse::mvobj::Executable;
+use multiverse::mvrt::{CommitDaemon, CommitStrategy, Lane, MvdConfig, MvdOp};
+use multiverse::mvvm::{FaultPlan, Machine, PAGE_SIZE};
+use multiverse::{telemetry, Program, SmpWorld};
+use mv_workloads::{commit_storm, grep, musl};
+use std::collections::BTreeSet;
+use std::path::PathBuf;
 
 const SRC: &str = r#"
     multiverse bool fast_path;
@@ -43,6 +54,41 @@ fn counter(snap: &[Sample], name: &str) -> u64 {
         })
         .unwrap_or_else(|| panic!("{name} not exported"))
 }
+
+fn gauge(snap: &[Sample], name: &str) -> f64 {
+    match snap.iter().find(|s| s.name == name).map(|s| s.value) {
+        Some(SampleValue::Gauge(v)) => v,
+        other => panic!("{name}: {other:?}"),
+    }
+}
+
+/// Compares `actual` with `tests/golden/<name>`, or rewrites the file
+/// when `BLESS` is set.
+fn check_golden(name: &str, actual: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("missing golden file {path:?} ({e}); run with BLESS=1 to create it")
+    });
+    assert_eq!(
+        actual, expected,
+        "{name} drifted from its golden file; run with BLESS=1 if intended"
+    );
+}
+
+/// The `mv_vm_*` series only a machine with vCPUs to coordinate counts.
+const SMP_ONLY: [&str; 4] = [
+    "mv_vm_icache_shootdowns_total",
+    "mv_vm_trap_hits_total",
+    "mv_vm_sched_rounds_total",
+    "mv_vm_stall_cycles_total",
+];
 
 #[test]
 fn registry_mirrors_runtime_and_vm_exactly() {
@@ -143,6 +189,11 @@ fn storm_metrics_reconcile_with_daemon_and_profiler() {
     ] {
         assert_eq!(counter(&snap, name), want, "{name} diverged from MvdStats");
     }
+    // The golden pins every `mv_mvd_*` name, help text, order and
+    // value, so a series bound to the wrong `MvdStats` field fails here
+    // even though it reconciles above.
+    let daemon_prom = export::prometheus(&telemetry::daemon_metrics(&daemon));
+    check_golden("daemon_storm.prom", &daemon_prom);
 
     // Every committed entry in this workload is a flip, so the timeline
     // reconciles exactly with the committed counter…
@@ -199,5 +250,157 @@ fn every_family_prints_as_one_group() {
         "mv_rt_quiesce_total{strategy=\"stop-machine\",outcome=\"ok\"} 2",
     ] {
         assert!(prom.contains(series), "{series} missing:\n{prom}");
+    }
+}
+
+/// A fixed daemon script on the `commit_storm` kernel that gives every
+/// `MvdStats` counter its own value, so its golden export also fails
+/// when two `mv_mvd_*` series swap fields: 8 coalesced, 5 shed, 9
+/// rejected, 6 expired, 4 degraded, 3 healed, 2 failed, 1 quarantined
+/// and 7 failed fast, with 2 entries left queued.
+#[test]
+fn daemon_script_export_matches_its_golden() {
+    let mut w = commit_storm::boot(2, 1 << 40, 3).unwrap();
+    for _ in 0..8 {
+        w.smp.step_round();
+    }
+    let [a, b, c] = commit_storm::SWITCHES.map(|name| w.sym(name).unwrap());
+    let fa = w.sym("fa").unwrap();
+    let SmpWorld { smp, rt, .. } = &mut w;
+    let rt = rt.as_mut().unwrap();
+    let mut daemon = CommitDaemon::new(MvdConfig {
+        capacity: 2,
+        max_attempts: 3,
+        quarantine_after: 4,
+        degrade_after: 2,
+        strategy: CommitStrategy::Breakpoint,
+        ..MvdConfig::default()
+    });
+    let flip = |switch, value| MvdOp::Flip { switch, value };
+
+    // Eight requests merge into the first one's queued entry.
+    for i in 0..9 {
+        daemon.submit(rt, flip(a, (i + 1) % 2), Lane::Normal);
+    }
+    daemon.drain(rt, smp);
+    // Two entries fill the queue; each request for a third switch
+    // sheds the oldest.
+    for sw in [a, b, c, a, b, c, a] {
+        daemon.submit(rt, flip(sw, 1), Lane::Normal);
+    }
+    daemon.drain(rt, smp);
+    // A queue full of priority work refuses normal requests.
+    daemon.submit(rt, flip(a, 0), Lane::Priority);
+    daemon.submit(rt, flip(b, 0), Lane::Priority);
+    for _ in 0..9 {
+        daemon.submit(rt, flip(c, 0), Lane::Normal);
+    }
+    daemon.drain(rt, smp);
+    // Of two one-epoch requests, the second is popped too late.
+    for i in 0..6 {
+        daemon.submit_with_ttl(rt, flip(a, (i + 1) % 2), Lane::Normal, Some(1));
+        daemon.submit_with_ttl(rt, flip(b, 1), Lane::Normal, Some(1));
+        daemon.drain(rt, smp);
+    }
+    // Trap plants fail: two breakpoint attempts, then stop-machine
+    // lands the flip and degrades the daemon; once they work again the
+    // next flip's breakpoint probe heals it.
+    for i in 0..3 {
+        smp.machine
+            .inject_fault(FaultPlan::fail_nth_trap_plant(1).sticky());
+        daemon.submit(rt, flip(c, i % 2), Lane::Normal);
+        daemon.drain(rt, smp);
+        smp.machine.clear_fault();
+        daemon.submit(rt, flip(b, (i + 1) % 2), Lane::Normal);
+        daemon.drain(rt, smp);
+    }
+    // Every text write to `fa`'s entry faults: the first request fails
+    // three attempts (the third degraded), the second reaches the
+    // quarantine threshold, and later requests fail fast.
+    smp.machine
+        .inject_fault(FaultPlan::fail_nth_write(1).sticky().in_range(fa, fa + 5));
+    for _ in 0..2 {
+        daemon.submit(rt, flip(a, 1), Lane::Normal);
+        daemon.drain(rt, smp);
+    }
+    for _ in 0..7 {
+        daemon.submit(rt, flip(a, 1), Lane::Normal);
+    }
+    smp.machine.clear_fault();
+    daemon.submit(rt, flip(b, 0), Lane::Normal);
+    daemon.submit(rt, flip(c, 1), Lane::Priority);
+    daemon.take_completions();
+
+    let prom = export::prometheus(&telemetry::daemon_metrics(&daemon));
+    check_golden("daemon_script.prom", &prom);
+}
+
+#[test]
+fn smp_only_series_are_exported_by_smp_worlds_alone() {
+    let program = Program::build(&[("t.c", SRC)]).unwrap();
+    let mut w = program.boot();
+    w.call("worker", &[20]).unwrap();
+    let snap = w.metrics();
+    for name in SMP_ONLY {
+        assert!(
+            snap.iter().all(|s| s.name != name),
+            "a unicore world exports {name}"
+        );
+    }
+
+    let mut w = program.boot_smp(2);
+    w.spawn_all("worker", &[200]).unwrap();
+    w.set("fast_path", 1).unwrap();
+    w.commit_quiesced(CommitStrategy::StopMachine).unwrap();
+    w.set("logging", 1).unwrap();
+    w.commit_quiesced(CommitStrategy::Breakpoint).unwrap();
+    w.run(10_000_000).unwrap();
+    let snap = w.metrics();
+    let smp = &w.smp;
+    let want = [
+        smp.shootdowns(),
+        smp.trap_hits(),
+        smp.rounds(),
+        smp.total_stall_cycles(),
+    ];
+    for (name, want) in SMP_ONLY.into_iter().zip(want) {
+        assert_eq!(counter(&snap, name), want, "{name}");
+    }
+    assert!(smp.shootdowns() > 0 && smp.rounds() > 0);
+}
+
+/// The pages of `exe`'s image that hold a non-zero byte.
+fn non_zero_image_pages(exe: &Executable) -> BTreeSet<u64> {
+    let mut pages = BTreeSet::new();
+    for seg in &exe.segments {
+        for (i, _) in seg.bytes.iter().enumerate().filter(|&(_, &b)| b != 0) {
+            pages.insert((seg.addr + i as u64) / PAGE_SIZE);
+        }
+    }
+    pages
+}
+
+/// Guest memory is demand-zero: booting an image gives bytes only to
+/// the pages of it that hold a non-zero byte; the stack and every
+/// zero-filled page cost none until written.
+#[test]
+fn boot_makes_only_non_zero_image_pages_resident() {
+    for (name, src) in [("grep.c", grep::SRC), ("musl.c", musl::SRC)] {
+        let program = Program::build(&[(name, src)]).unwrap();
+        let exe = program.exe();
+        let image_pages: u64 = exe
+            .segments
+            .iter()
+            .map(|s| (s.bytes.len() as u64).div_ceil(PAGE_SIZE))
+            .sum();
+        let non_zero = non_zero_image_pages(exe).len();
+        let m = Machine::boot(exe);
+        println!("{name}: {non_zero} of {image_pages} image pages hold a non-zero byte");
+        assert_eq!(m.mem.resident_pages(), non_zero, "{name}");
+        assert!((non_zero as u64) < image_pages, "{name}: zero pages exist");
+
+        let w = program.boot();
+        let resident = w.machine.mem.resident_pages();
+        assert_eq!(gauge(&w.metrics(), "mv_vm_resident_pages"), resident as f64);
     }
 }
