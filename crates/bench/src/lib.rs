@@ -506,95 +506,67 @@ pub fn compile_cost_src(n_funcs: usize, n_switches: usize, domain: usize) -> Str
 }
 
 /// One row of [`compile_cost_data`]: a (switch count, domain width)
-/// configuration compiled sequentially and in parallel.
+/// configuration and what compiling it cost.
 #[derive(Clone, Debug)]
 pub struct CompileCostRow {
     /// Human label, e.g. `"4 fns × 3^4 assignments"`.
     pub config: String,
-    /// Clones materialized in the sequential build.
+    /// Clones materialized.
     pub clones: u64,
     /// Variants emitted post-merge.
     pub variants: u64,
-    /// Merge rate of the sequential build (fraction of clones
-    /// eliminated).
+    /// Merge rate (fraction of clones eliminated).
     pub merge_rate: f64,
-    /// Sequential (`-j 1`) wall time.
-    pub seq_wall: std::time::Duration,
-    /// Parallel (`-j N`) wall time.
-    pub par_wall: std::time::Duration,
-    /// `true` iff the sequential and parallel objects are byte-identical
-    /// (fingerprint over sections, symbols and relocations).
-    pub identical: bool,
+    /// Wall time of the compile.
+    pub wall: std::time::Duration,
 }
 
-/// §7.1's build-time table, extended with the pipeline's parallel
-/// clone+fold (`jobs`). Each `(n_funcs, n_switches, domain)`
-/// configuration is compiled sequentially and in parallel, and the two
-/// objects are compared byte-for-byte.
-pub fn compile_cost_data(configs: &[(usize, usize, usize)], jobs: usize) -> Vec<CompileCostRow> {
+/// §7.1's build-time table: each `(n_funcs, n_switches, domain)`
+/// configuration is compiled once through the staged pipeline.
+pub fn compile_cost_data(configs: &[(usize, usize, usize)]) -> Vec<CompileCostRow> {
     use multiverse::mvc::{Options, Pipeline};
     use std::time::Instant;
     let mut rows = Vec::new();
     for &(n_funcs, n_switches, domain) in configs {
         let src = compile_cost_src(n_funcs, n_switches, domain);
-        let limit = domain.pow(n_switches as u32) * 2;
-        let opts = |jobs: usize| Options {
-            variant_limit: limit,
-            jobs,
+        let mut pipeline = Pipeline::new(Options {
+            variant_limit: domain.pow(n_switches as u32) * 2,
             ..Options::default()
-        };
-
-        let mut seq = Pipeline::new(opts(1));
+        });
         let t0 = Instant::now();
-        let (obj_seq, _) = seq.compile_unit(&src, "cost.c").expect("sequential build");
-        let seq_wall = t0.elapsed();
+        pipeline.compile_unit(&src, "cost.c").expect("build");
+        let wall = t0.elapsed();
 
-        let mut par = Pipeline::new(opts(jobs));
-        let t0 = Instant::now();
-        let (obj_par, _) = par.compile_unit(&src, "cost.c").expect("parallel build");
-        let par_wall = t0.elapsed();
-
-        let stats = seq.stats();
+        let stats = pipeline.stats();
         rows.push(CompileCostRow {
             config: format!("{n_funcs} fns × {domain}^{n_switches} assignments"),
             clones: stats.clones,
             variants: stats.variants,
             merge_rate: stats.merge_rate(),
-            seq_wall,
-            par_wall,
-            identical: obj_seq.fingerprint() == obj_par.fingerprint(),
+            wall,
         });
     }
     rows
 }
 
 /// Renders [`compile_cost_data`] rows as an aligned table.
-pub fn render_compile_cost_table(rows: &[CompileCostRow], jobs: usize) -> String {
+pub fn render_compile_cost_table(rows: &[CompileCostRow]) -> String {
     use std::fmt::Write as _;
-    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "{:<28} {:>7} {:>8} {:>7} {:>10} {:>10} {:>6}",
-        "configuration",
-        "clones",
-        "variants",
-        "merge%",
-        "seq (ms)",
-        format!("-j{jobs} (ms)"),
-        "ident"
+        "{:<28} {:>7} {:>8} {:>7} {:>10}",
+        "configuration", "clones", "variants", "merge%", "wall (ms)"
     );
     for r in rows {
         let _ = writeln!(
             s,
-            "{:<28} {:>7} {:>8} {:>6.1}% {:>10.3} {:>10.3} {:>6}",
+            "{:<28} {:>7} {:>8} {:>6.1}% {:>10.3}",
             r.config,
             r.clones,
             r.variants,
             r.merge_rate * 100.0,
-            ms(r.seq_wall),
-            ms(r.par_wall),
-            if r.identical { "yes" } else { "NO" }
+            r.wall.as_secs_f64() * 1e3
         );
     }
     s
@@ -1169,41 +1141,6 @@ pub fn vexec_data(configs: &[(usize, usize, usize)]) -> Vec<VexecRow> {
     rows
 }
 
-/// Renders [`vexec_data`] rows as an aligned table (E16).
-pub fn render_vexec_table(rows: &[VexecRow]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{:<28} {:>6} {:>12} {:>12} {:>8} {:>7} {:>7} {:>5} {:>6}",
-        "configuration",
-        "leaves",
-        "shared",
-        "enumerated",
-        "speedup",
-        "splits",
-        "joins",
-        "live",
-        "equiv"
-    );
-    for r in rows {
-        let _ = writeln!(
-            s,
-            "{:<28} {:>6} {:>12} {:>12} {:>7.1}x {:>7} {:>7} {:>5} {:>6}",
-            r.config,
-            r.leaves,
-            r.shared_steps,
-            r.enum_insns,
-            r.speedup,
-            r.splits,
-            r.joins,
-            r.max_live,
-            if r.equivalent { "yes" } else { "NO" }
-        );
-    }
-    s
-}
-
 impl VexecRow {
     /// This row as a [`bench_json`] row (`BENCH_vexec.json`).
     pub fn json(&self) -> Obj {
@@ -1302,37 +1239,18 @@ mod tests {
     }
 
     /// CI's quick compile-pipeline gate (see `.github/workflows/ci.yml`):
-    /// parallel output is byte-identical to sequential, and the merge
-    /// stage actually shares clones.
+    /// the merge stage actually shares clones.
     #[test]
     fn compile_cost_quick() {
         use multiverse::mvc::{Options, Pipeline};
         let src = compile_cost_src(3, 3, 3); // 3 fns × 27 assignments
-        let opts = |jobs: usize| Options {
+
+        // `if (s)` bodies collapse all non-zero values, so 27 clones
+        // merge to 2^3 = 8 variants per fn.
+        let mut p = Pipeline::new(Options {
             variant_limit: 64,
-            jobs,
             ..Options::default()
-        };
-
-        // Differential: -j {2,4,8} objects are byte-identical to -j 1.
-        let (seq_obj, seq_warn) = Pipeline::new(opts(1))
-            .compile_unit(&src, "cost.c")
-            .expect("sequential");
-        for jobs in [2usize, 4, 8] {
-            let (par_obj, par_warn) = Pipeline::new(opts(jobs))
-                .compile_unit(&src, "cost.c")
-                .expect("parallel");
-            assert_eq!(
-                seq_obj.fingerprint(),
-                par_obj.fingerprint(),
-                "-j {jobs} diverged from -j 1"
-            );
-            assert_eq!(seq_warn, par_warn, "-j {jobs} warnings diverged");
-        }
-
-        // The merge stage shares work: `if (s)` bodies collapse all
-        // non-zero values, so 27 clones merge to 2^3 = 8 variants per fn.
-        let mut p = Pipeline::new(opts(1));
+        });
         p.compile_unit(&src, "cost.c").expect("build");
         assert_eq!(p.stats().clones, 3 * 27);
         assert_eq!(p.stats().variants, 3 * 8);

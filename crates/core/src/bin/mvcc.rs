@@ -1,11 +1,8 @@
 //! `mvcc` — the multiverse compiler driver.
 //!
 //! ```text
-//! mvcc build  <file.c>… [-j N] [--timings] [--stats]
+//! mvcc build  <file.c>… [--timings] [--stats]
 //!                                   compile + link, print image summary;
-//!                                   -j runs the optimize/codegen pipeline
-//!                                   stages on N threads (0 = all cores,
-//!                                   output byte-identical to -j 1);
 //!                                   --timings/--stats print the staged
 //!                                   pipeline's wall-time / counter report
 //!                                   (--timings additionally records
@@ -111,7 +108,6 @@
 //!   --dynamic            build without multiverse (binding B)
 //!   --static VAR=V       fix a switch at compile time (binding A)
 //!   --variant-limit N    override the variant-explosion limit
-//!   -j / --jobs N        pipeline worker threads (default 1, 0 = cores)
 //!   --smp N              run/verify on an N-vCPU SMP machine
 //!   --strategy S         concurrent-commit protocol for --smp commits:
 //!                        stop-machine (default) or breakpoint
@@ -157,8 +153,8 @@ struct Args {
     history: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut it = std::env::args().skip(1);
+/// Parses the command line after the program name.
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let cmd = it
         .next()
         .ok_or_else(|| format!("missing command ({})", command_names()))?;
@@ -195,7 +191,7 @@ fn parse_args() -> Result<Args, String> {
     };
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--dynamic" => args.opts = Options::dynamic(),
+            "--dynamic" => args.opts.multiverse = false,
             "--static" => {
                 let kv = it.next().ok_or("--static needs VAR=V")?;
                 let (k, v) = kv.split_once('=').ok_or("--static needs VAR=V")?;
@@ -225,13 +221,6 @@ fn parse_args() -> Result<Args, String> {
             "--out" => args.out = Some(it.next().ok_or("--out needs a path")?),
             "--format" => args.format = Some(it.next().ok_or("--format needs a name")?),
             "--per-fn" => args.per_fn = true,
-            "-j" | "--jobs" => {
-                args.opts.jobs = it
-                    .next()
-                    .ok_or("-j needs a worker count (0 = all cores)")?
-                    .parse()
-                    .map_err(|_| "bad worker count")?;
-            }
             "--smp" => {
                 args.smp = it
                     .next()
@@ -603,7 +592,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             );
         }
     }
-    let _ = mvrt::PatchStrategy::CallSites; // (re-exported for scripting)
     Ok(())
 }
 
@@ -1572,7 +1560,7 @@ fn command_names() -> String {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("mvcc: {e}");
@@ -1590,5 +1578,30 @@ fn main() -> ExitCode {
             eprintln!("mvcc: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Args {
+        parse_args(line.split_whitespace().map(String::from)).expect("parses")
+    }
+
+    /// `--dynamic` and `--static` each switch multiverse off and nothing
+    /// else, so the static config survives in either order.
+    #[test]
+    fn dynamic_keeps_the_static_config_in_either_order() {
+        for line in [
+            "build x.c --static X=1 --dynamic",
+            "build x.c --dynamic --static X=1",
+        ] {
+            let args = parse(line);
+            assert!(!args.opts.multiverse, "{line}");
+            assert_eq!(args.opts.static_config.get("X"), Some(&1), "{line}");
+        }
+        let args = parse("build x.c --variant-limit 9 --dynamic");
+        assert_eq!(args.opts.variant_limit, 9);
     }
 }

@@ -4,7 +4,7 @@ use mvc::Options;
 use mvobj::Executable;
 use mvrt::{
     CommitDaemon, CommitReport, CommitStrategy, Lane, MvdOp, QuiesceReport, RequestId, RtError,
-    Runtime, TxnOp,
+    Runtime,
 };
 use mvvm::{CostModel, ExecTier, Fault, Machine, MachineConfig, SmpMachine, Stats};
 use std::fmt;
@@ -443,20 +443,6 @@ impl SmpWorld {
             .as_mut()
             .ok_or(BuildError::Rt(RtError::UnknownFunction(0)))?;
         Ok(rt.revert_quiesced(&mut self.smp, strategy)?)
-    }
-
-    /// `multiverse_commit_refs(&var)` by switch name, under quiesce.
-    pub fn commit_refs_quiesced(
-        &mut self,
-        var: &str,
-        strategy: CommitStrategy,
-    ) -> Result<QuiesceReport, BuildError> {
-        let addr = self.sym(var)?;
-        let rt = self
-            .rt
-            .as_mut()
-            .ok_or(BuildError::Rt(RtError::UnknownVariable(addr)))?;
-        Ok(rt.run_quiesced(&mut self.smp, TxnOp::CommitRefs(addr), strategy)?)
     }
 
     /// Machine-wide event-counter roll-up across every vCPU.

@@ -27,7 +27,7 @@ use mvobj::descriptor::{parse_functions, parse_variables, DescError};
 use mvobj::{SEC_MV_FUNCTIONS, SEC_MV_VARIABLES};
 use mvtrace::TraceRing;
 use mvvm::Memory;
-use mvvx::{ConfigSpace, SpaceError, SwitchDomain, Vexec, VexecReport};
+use mvvx::{ConfigSpace, SpaceError, SwitchDomain, Vexec, VexecLeaf, VexecReport};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -270,6 +270,67 @@ fn mismatch(space: &ConfigSpace, leaf: usize, what: String) -> VxError {
     }
 }
 
+/// Where [`replay_leaves`] hands a leaf's world to a cross-check's hook.
+#[derive(Clone, Copy, PartialEq)]
+enum At {
+    /// Between the switch stores and the call.
+    Call,
+    /// After a call that returned the leaf's exit value, before the
+    /// output is compared.
+    Return,
+    /// Last, once the output matched.
+    End,
+}
+
+/// The leaf loop both cross-checks share: for each leaf of `report`,
+/// boot a fresh world, store the leaf's switch values, call `func`, and
+/// compare the halt, the exit value and the output with the leaf's.
+/// `hook` adds the cross-check's own steps at each [`At`]; `who` names
+/// the replay in fault messages and `prefix` heads the exit and output
+/// messages.
+fn replay_leaves<F>(
+    boot: F,
+    space: &ConfigSpace,
+    func: &str,
+    args: &[u64],
+    report: &VexecReport,
+    (who, prefix): (&str, &str),
+    mut hook: impl FnMut(At, &mut World, &VexecLeaf) -> Result<(), VxError>,
+) -> Result<(), VxError>
+where
+    F: Fn() -> Result<World, BuildError>,
+{
+    for leaf in &report.leaves {
+        let fail = |what: String| Err(mismatch(space, leaf.leaf, what));
+        let mut w = boot()?;
+        set_assignment(&mut w, space, leaf.leaf)?;
+        hook(At::Call, &mut w, leaf)?;
+        let exit = match w.call(func, args) {
+            Ok(v) => Some(v),
+            Err(BuildError::Fault(mvvm::Fault::Halted)) if leaf.halted => None,
+            Err(e) => return fail(format!("{who} faulted: {e}")),
+        };
+        if let Some(exit) = exit {
+            if leaf.halted {
+                return fail(format!("{who} returned, vexec halted"));
+            }
+            if exit != leaf.exit {
+                return fail(format!("{prefix}exit {exit:#x} != vexec {:#x}", leaf.exit));
+            }
+            hook(At::Return, &mut w, leaf)?;
+        }
+        let out = w.machine.take_output();
+        if out != leaf.out {
+            return fail(format!(
+                "{prefix}output {out:02x?} != vexec {:02x?}",
+                leaf.out
+            ));
+        }
+        hook(At::End, &mut w, leaf)?;
+    }
+    Ok(())
+}
+
 /// Replays every leaf of `report` through the *generic* path — fresh
 /// world, switches stored but **not** committed, ordinary interpreter —
 /// and asserts the full architectural observation matches: exit value,
@@ -303,71 +364,38 @@ pub fn enumerate_check_with<F>(
 where
     F: Fn() -> Result<World, BuildError>,
 {
-    let mut insns = 0u64;
-    for leaf in &report.leaves {
-        let mut w = boot()?;
-        set_assignment(&mut w, space, leaf.leaf)?;
-        let before = w.machine.stats.instructions;
-        let exit = match w.call(func, args) {
-            Ok(v) => Some(v),
-            Err(BuildError::Fault(mvvm::Fault::Halted)) if leaf.halted => None,
-            Err(e) => return Err(mismatch(space, leaf.leaf, format!("replay faulted: {e}"))),
-        };
-        insns += w.machine.stats.instructions - before;
-        if let Some(exit) = exit {
-            if leaf.halted {
-                return Err(mismatch(
-                    space,
-                    leaf.leaf,
-                    "replay returned, vexec halted".into(),
-                ));
-            }
-            if exit != leaf.exit {
-                return Err(mismatch(
-                    space,
-                    leaf.leaf,
-                    format!("exit {exit:#x} != vexec {:#x}", leaf.exit),
-                ));
-            }
-            for (r, (&got, &want)) in w.machine.cpu.regs.iter().zip(&leaf.regs).enumerate() {
-                if got != want {
-                    return Err(mismatch(
-                        space,
-                        leaf.leaf,
-                        format!("r{r} {got:#x} != vexec {want:#x}"),
-                    ));
+    let (mut before, mut insns) = (0, 0);
+    let words = ("replay", "");
+    replay_leaves(boot, space, func, args, report, words, |at, w, leaf| {
+        let fail = |what: String| Err(mismatch(space, leaf.leaf, what));
+        let cpu = &w.machine.cpu;
+        match at {
+            At::Call => before = w.machine.stats.instructions,
+            At::Return => {
+                for (r, (&got, &want)) in cpu.regs.iter().zip(&leaf.regs).enumerate() {
+                    if got != want {
+                        return fail(format!("r{r} {got:#x} != vexec {want:#x}"));
+                    }
+                }
+                if cpu.cmp != leaf.cmp {
+                    return fail(format!("cmp {:?} != vexec {:?}", cpu.cmp, leaf.cmp));
+                }
+                if cpu.if_flag != leaf.if_flag {
+                    return fail("interrupt flag differs".into());
                 }
             }
-            if w.machine.cpu.cmp != leaf.cmp {
-                return Err(mismatch(
-                    space,
-                    leaf.leaf,
-                    format!("cmp {:?} != vexec {:?}", w.machine.cpu.cmp, leaf.cmp),
-                ));
-            }
-            if w.machine.cpu.if_flag != leaf.if_flag {
-                return Err(mismatch(space, leaf.leaf, "interrupt flag differs".into()));
-            }
-        }
-        let out = w.machine.take_output();
-        if out != leaf.out {
-            return Err(mismatch(
-                space,
-                leaf.leaf,
-                format!("output {out:02x?} != vexec {:02x?}", leaf.out),
-            ));
-        }
-        for &(addr, byte) in &leaf.writes {
-            let got = w.machine.mem.read_uint(addr, 1)? as u8;
-            if got != byte {
-                return Err(mismatch(
-                    space,
-                    leaf.leaf,
-                    format!("mem[{addr:#x}] {got:#04x} != vexec {byte:#04x}"),
-                ));
+            At::End => {
+                insns += w.machine.stats.instructions - before;
+                for &(addr, byte) in &leaf.writes {
+                    let got = w.machine.mem.read_uint(addr, 1)? as u8;
+                    if got != byte {
+                        return fail(format!("mem[{addr:#x}] {got:#04x} != vexec {byte:#04x}"));
+                    }
+                }
             }
         }
-    }
+        Ok(())
+    })?;
     Ok(ReplayCheck {
         leaves_checked: report.leaves.len(),
         insns,
@@ -403,42 +431,13 @@ pub fn oracle_check_with<F>(
 where
     F: Fn() -> Result<World, BuildError>,
 {
-    for leaf in &report.leaves {
-        let mut w = boot()?;
-        set_assignment(&mut w, space, leaf.leaf)?;
-        if w.rt.is_some() {
+    let words = ("oracle", "committed ");
+    replay_leaves(boot, space, func, args, report, words, |at, w, _| {
+        if at == At::Call && w.rt.is_some() {
             w.commit()?;
         }
-        let exit = match w.call(func, args) {
-            Ok(v) => Some(v),
-            Err(BuildError::Fault(mvvm::Fault::Halted)) if leaf.halted => None,
-            Err(e) => return Err(mismatch(space, leaf.leaf, format!("oracle faulted: {e}"))),
-        };
-        if let Some(exit) = exit {
-            if leaf.halted {
-                return Err(mismatch(
-                    space,
-                    leaf.leaf,
-                    "oracle returned, vexec halted".into(),
-                ));
-            }
-            if exit != leaf.exit {
-                return Err(mismatch(
-                    space,
-                    leaf.leaf,
-                    format!("committed exit {exit:#x} != vexec {:#x}", leaf.exit),
-                ));
-            }
-        }
-        let out = w.machine.take_output();
-        if out != leaf.out {
-            return Err(mismatch(
-                space,
-                leaf.leaf,
-                format!("committed output {out:02x?} != vexec {:02x?}", leaf.out),
-            ));
-        }
-    }
+        Ok(())
+    })?;
     Ok(ReplayCheck {
         leaves_checked: report.leaves.len(),
         insns: 0,

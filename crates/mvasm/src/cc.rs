@@ -24,16 +24,6 @@ pub enum CallConv {
 }
 
 impl CallConv {
-    /// Registers available for passing arguments, in order.
-    pub fn arg_regs(self) -> &'static [Reg] {
-        &[Reg::R0, Reg::R1, Reg::R2, Reg::R3, Reg::R4, Reg::R5]
-    }
-
-    /// The return-value register.
-    pub fn ret_reg(self) -> Reg {
-        Reg::R0
-    }
-
     /// `true` if the callee must preserve `r` when clobbering it.
     pub fn is_callee_saved(self, r: Reg) -> bool {
         match self {

@@ -4,7 +4,7 @@
 //! Since the staged-pipeline refactor this module is a thin façade: it
 //! owns [`Options`] and forwards to [`crate::pipeline::Pipeline`], which
 //! runs the lower → mv-expand → optimize → merge → codegen stages with
-//! timing, tracing and parallelism.
+//! timing and tracing.
 
 use crate::error::{CompileError, Warning};
 use crate::pipeline::Pipeline;
@@ -29,9 +29,10 @@ pub struct Options {
     /// inline small non-multiverse functions (§7.1: multiversed
     /// functions are never inlined; everything else may be).
     pub optimize: bool,
-    /// Worker threads for the optimize/codegen pipeline stages: 1 =
-    /// sequential, 0 = all available cores. Output is byte-identical
-    /// for every value.
+    /// Read by nothing: every build runs on the calling thread. Kept
+    /// only because the benchmark harness under `mvbench/` still sets
+    /// it; ROADMAP item 9 drops that and then this field.
+    #[doc(hidden)]
     pub jobs: usize,
 }
 

@@ -49,8 +49,8 @@ pub struct MvResult {
 
 /// The mv-expand *plan* for one function: everything the expansion stage
 /// decides before any clone is materialized. Splitting planning from
-/// execution lets the pipeline run the (cheap, error-reporting) plan
-/// stage sequentially and farm the clone+fold work out to a thread pool.
+/// execution lets the pipeline report a unit's expansion errors before
+/// it folds a single clone, and time the two stages apart.
 #[derive(Clone, Debug)]
 pub struct ExpandPlan {
     /// Switch names the function specializes over, in deterministic
@@ -183,10 +183,11 @@ pub struct SpecializedBody {
     pub key: String,
 }
 
-/// One optimize worker: the body each clone is specialized and folded
-/// in, the passes' tables and the key buffer, all reused from clone to
-/// clone. What a clone allocates is what it keeps: its folded body,
-/// sized exactly, and its key.
+/// The optimize stage's folding state: the body each clone is
+/// specialized and folded in, the passes' tables and the key buffer,
+/// all reused from clone to clone. A [`crate::Pipeline`] owns one and
+/// folds every clone and generic body in it. What a clone allocates is
+/// what it keeps: its folded body, sized exactly, and its key.
 #[derive(Default)]
 pub struct Specializer {
     work: FuncIr,
@@ -198,8 +199,8 @@ impl Specializer {
     /// Stage "optimize", one item: copy `f` with every read of a switch
     /// in `assign` replaced by its constant, run the regular pass
     /// pipeline, and compute the canonical key the merge stage buckets
-    /// on. The result depends on `f` and `assign` alone, hence trivially
-    /// parallel across assignments.
+    /// on. The result depends on `f` and `assign` alone, never on what
+    /// this `Specializer` folded before.
     pub fn specialize(&mut self, f: &FuncIr, assign: &[(String, i64)]) -> SpecializedBody {
         let w = &mut self.work;
         w.name.clone_from(&f.name);
@@ -319,11 +320,11 @@ pub fn assemble_variants(
 
 /// Generates the variants of `f`, or `None` if `f` is not multiversed.
 ///
-/// Sequential reference path: plan → specialize each assignment in
-/// order → merge → assemble. The pipeline's parallel path runs the same
-/// stages with the specialize loop farmed out, and must produce
-/// byte-identical results; the differential test in
-/// `tests/compile_pipeline.rs` holds it to that.
+/// Does for one function what the pipeline's mv-expand, optimize and
+/// merge stages do to its clones: plan → specialize each assignment in
+/// order → merge → assemble. `tests/compile_pipeline.rs` drives it
+/// directly to check that every guard set covers exactly the
+/// assignments its variant merged.
 pub fn generate_variants(
     f: &FuncIr,
     ctx: &Ctx,

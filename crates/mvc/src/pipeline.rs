@@ -7,29 +7,24 @@
 //!   lower ──► mv-expand ──► optimize ──► merge ──► codegen
 //!   parse,    switch          clone+fold   content-    generic +
 //!   lower,    discovery,      per assign-  addressed   variant
-//!   inline    cross product   ment (par-   dedup +     machine code,
-//!                             allel, -j)   guards      object assembly
+//!   inline    cross product   ment         dedup +     machine code,
+//!                                          guards      object assembly
 //! ```
 //!
-//! Every build runs all five stages: the object depends only on the
-//! source and the [`Options`], and nothing survives from one
-//! [`Pipeline::compile_unit`] call to the next but the counters and the
-//! trace.
+//! Every build runs all five stages, one after the other on the calling
+//! thread, each writing straight into per-function state: the object
+//! depends only on the source and the [`Options`], and nothing survives
+//! from one [`Pipeline::compile_unit`] call to the next but the
+//! counters, the trace and the [`Specializer`]'s reused scratch.
 //!
 //! The [`Pipeline`] owns per-stage wall-clock timing and counters
 //! ([`PipelineStats`]), an optional [`TraceRing`] that receives
-//! `stage_begin`/`stage_end` events for mvtrace's sinks, and the knobs
-//! from [`Options`]:
-//!
-//! * **Parallelism** (`Options::jobs`): the optimize and codegen stages
-//!   fan their per-function / per-assignment work items out over a
-//!   scoped `std::thread` pool. Work is claimed by atomic index and the
-//!   results are collected *by index*, so the output is byte-identical
-//!   to the sequential path regardless of scheduling.
-//! * **Content-addressed merge**: structurally identical optimized
-//!   clones are bucketed by the FNV-1a hash of their canonical key
-//!   (full-key compare within a bucket), replacing the seed's pairwise
-//!   O(n²) scan. See [`crate::mv::merge_clones`].
+//! `stage_begin`/`stage_end` events for mvtrace's sinks, one
+//! [`Specializer`] that folds every clone and generic body it compiles,
+//! and the knobs from [`Options`]. Structurally identical optimized
+//! clones are merged by content address: bucketed by the FNV-1a hash of
+//! their canonical key, with a full-key compare within a bucket (see
+//! [`crate::mv::merge_clones`]).
 
 use crate::codegen::{gen_function, GenFn};
 use crate::driver::Options;
@@ -48,8 +43,6 @@ use mvobj::descriptor::{
 use mvobj::{link, Executable, Layout, Object};
 use mvtrace::{Event, EventKind, TraceRing};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Accumulated wall time and item count for one named stage.
@@ -77,8 +70,6 @@ pub struct PipelineStats {
     pub clones: u64,
     /// Variants emitted post-merge.
     pub variants: u64,
-    /// Effective worker count of the parallel stages.
-    pub jobs: usize,
 }
 
 impl PipelineStats {
@@ -116,11 +107,7 @@ impl PipelineStats {
             format!("{:.3}", ns as f64 / 1e6)
         }
         let mut out = String::new();
-        out.push_str(&format!(
-            "pipeline: {} stage(s), jobs={}\n",
-            self.stages.len(),
-            self.jobs
-        ));
+        out.push_str(&format!("pipeline: {} stage(s)\n", self.stages.len()));
         out.push_str("  stage       wall (ms)      items\n");
         for s in &self.stages {
             out.push_str(&format!(
@@ -156,67 +143,6 @@ impl PipelineStats {
 pub fn clear_compile_cache() {}
 
 // ---------------------------------------------------------------------
-// Parallel map
-// ---------------------------------------------------------------------
-
-/// Maps `f` over `items` on `workers` scoped threads, each with its own
-/// state from `init`, which `f` gets with every item the worker claims.
-///
-/// Work is claimed by a shared atomic index and each result lands in
-/// the slot of its input, so the returned vector is in input order —
-/// callers observe identical results for any worker count, which is
-/// what makes `-j N` byte-identical to `-j 1`.
-fn parallel_map<T, R, S, F>(workers: usize, items: Vec<T>, init: fn() -> S, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(&mut S, T) -> R + Sync,
-{
-    let n = items.len();
-    if workers <= 1 || n <= 1 {
-        let mut state = init();
-        return items.into_iter().map(|t| f(&mut state, t)).collect();
-    }
-    let input: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let output: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(n) {
-            s.spawn(|| {
-                let mut state = init();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let item = input[i]
-                        .lock()
-                        .unwrap()
-                        .take()
-                        .expect("each index is claimed exactly once");
-                    *output[i].lock().unwrap() = Some(f(&mut state, item));
-                }
-            });
-        }
-    });
-    output
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("worker filled its slot"))
-        .collect()
-}
-
-/// Resolves `Options::jobs`: 0 means "all available cores".
-fn effective_jobs(jobs: usize) -> usize {
-    if jobs == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        jobs
-    }
-}
-
-// ---------------------------------------------------------------------
 // Shared lowering helpers (moved from the monolithic driver)
 // ---------------------------------------------------------------------
 
@@ -248,15 +174,20 @@ fn apply_static_config(f: &mut FuncIr, config: &HashMap<String, i64>) {
 // The pipeline
 // ---------------------------------------------------------------------
 
-/// Per-function state threaded between stages.
+/// Per-function state, filled in stage by stage.
 struct FnWork {
     name: String,
-    /// Pre-optimize body (post static-config); replaced by the
-    /// optimized body after the optimize stage.
+    /// Pre-optimize body (post static-config); folded in place by the
+    /// optimize stage, after the clones specialized from it.
     generic: FuncIr,
     /// The clones to fold and merge; `None` when the function is not
-    /// multiversed or reads no switch (generic body only).
+    /// multiversed or reads no switch (generic body only). The merge
+    /// stage consumes it.
     plan: Option<ExpandPlan>,
+    /// The plan's folded clones, in assignment order (optimize → merge).
+    clones: Vec<SpecializedBody>,
+    /// The merged variants (merge → codegen); empty without a plan.
+    variants: Vec<VariantInfo>,
 }
 
 /// The staged compiler. One instance accumulates stats (and optionally
@@ -265,19 +196,19 @@ pub struct Pipeline {
     opts: Options,
     stats: PipelineStats,
     tracer: Option<TraceRing>,
+    /// Folds every clone and generic body, its scratch reused across
+    /// functions and units.
+    specializer: Specializer,
 }
 
 impl Pipeline {
     /// Creates a pipeline with the given options.
     pub fn new(opts: Options) -> Pipeline {
-        let stats = PipelineStats {
-            jobs: effective_jobs(opts.jobs),
-            ..PipelineStats::default()
-        };
         Pipeline {
             opts,
-            stats,
+            stats: PipelineStats::default(),
             tracer: None,
+            specializer: Specializer::default(),
         }
     }
 
@@ -332,7 +263,6 @@ impl Pipeline {
         unit_name: &str,
     ) -> Result<(Object, Vec<Warning>), CompileError> {
         let opts = self.opts.clone();
-        let jobs = effective_jobs(opts.jobs);
         let mut warnings: Vec<Warning> = Vec::new();
 
         // Stage 1: lower — parse, lower, inline.
@@ -352,7 +282,7 @@ impl Pipeline {
         self.stats.functions += lowered.funcs.len() as u64;
 
         // Stage 2: mv-expand — static config, switch discovery, cross
-        // product. Sequential: this is the cheap, error-reporting part.
+        // product; the cheap, error-reporting part.
         let mut work: Vec<FnWork> = self.run_stage(
             "mv-expand",
             |_| -> Result<Vec<FnWork>, CompileError> {
@@ -372,6 +302,8 @@ impl Pipeline {
                         name: f.name.clone(),
                         generic,
                         plan: plan.filter(|p| !p.switches.is_empty()),
+                        clones: Vec::new(),
+                        variants: Vec::new(),
                     });
                 }
                 Ok(out)
@@ -388,160 +320,81 @@ impl Pipeline {
             },
         )?;
 
-        // Stage 3: optimize — the expensive middle. One work item per
-        // generic body plus one per assignment clone, fanned out over
-        // the thread pool and collected by index. Each worker folds in
-        // one `Specializer`, reused across its items.
-        enum Job {
-            Generic(usize),
-            Clone(usize, usize),
-        }
-        enum JobOut {
-            Generic(FuncIr),
-            Clone(SpecializedBody),
-        }
-        let mut clone_results: Vec<Vec<Option<SpecializedBody>>> = work
-            .iter()
-            .map(|f| match &f.plan {
-                Some(plan) => (0..plan.assignments.len()).map(|_| None).collect(),
-                None => Vec::new(),
-            })
-            .collect();
-        {
-            let mut job_list: Vec<Job> = Vec::new();
-            for (i, f) in work.iter().enumerate() {
-                if opts.optimize {
-                    job_list.push(Job::Generic(i));
-                }
-                if let Some(plan) = &f.plan {
-                    for a in 0..plan.assignments.len() {
-                        job_list.push(Job::Clone(i, a));
-                    }
-                }
-            }
-            let n_jobs = job_list.len() as u64;
-            let work_ref = &work;
-            let outs: Vec<(Job, JobOut)> = self.run_stage(
-                "optimize",
-                move |_| {
-                    parallel_map(jobs, job_list, Specializer::default, |sp, job| {
-                        let out = match &job {
-                            Job::Generic(i) => {
-                                let mut g = work_ref[*i].generic.clone();
-                                optimize(&mut g, &mut sp.scratch);
-                                JobOut::Generic(g)
-                            }
-                            Job::Clone(i, a) => {
-                                let plan =
-                                    work_ref[*i].plan.as_ref().expect("clone job has a plan");
-                                JobOut::Clone(
-                                    sp.specialize(&work_ref[*i].generic, &plan.assignments[*a]),
-                                )
-                            }
-                        };
-                        (job, out)
-                    })
-                },
-                move |_| n_jobs,
-            );
-            for (job, out) in outs {
-                match (job, out) {
-                    (Job::Generic(i), JobOut::Generic(g)) => work[i].generic = g,
-                    (Job::Clone(i, a), JobOut::Clone(sb)) => {
-                        self.stats.clones += 1;
-                        clone_results[i][a] = Some(sb);
-                    }
-                    _ => unreachable!("job/result kinds always match"),
-                }
-            }
-        }
-
-        // Stage 4: merge — content-addressed dedup + guard synthesis.
-        // One variant list per function, empty when it has no plan.
-        let merged: Vec<Vec<VariantInfo>> = self.run_stage(
-            "merge",
+        // Stage 3: optimize — the expensive middle. One item per
+        // assignment clone plus one per generic body, all folded by the
+        // pipeline's one `Specializer`. A function's clones specialize
+        // its generic body as mv-expand left it, so the generic is
+        // folded last.
+        self.run_stage(
+            "optimize",
             |p| {
-                let mut out = Vec::with_capacity(work.len());
-                for (i, f) in work.iter_mut().enumerate() {
-                    let variants = match f.plan.take() {
-                        None => Vec::new(),
-                        Some(plan) => {
-                            let bodies: Vec<SpecializedBody> = clone_results[i]
-                                .iter_mut()
-                                .map(|s| s.take().expect("optimize stage filled every slot"))
-                                .collect();
-                            let groups = mv::merge_clones(&bodies);
-                            mv::assemble_variants(
-                                &f.name,
-                                &plan.switches,
-                                plan.assignments,
-                                bodies,
-                                &groups,
-                            )
-                        }
-                    };
-                    p.stats.variants += variants.len() as u64;
-                    if !variants.is_empty() {
-                        p.stats.mv_functions += 1;
+                let mut clones = 0;
+                for f in &mut work {
+                    if let Some(plan) = &f.plan {
+                        f.clones = plan
+                            .assignments
+                            .iter()
+                            .map(|a| p.specializer.specialize(&f.generic, a))
+                            .collect();
+                        clones += f.clones.len() as u64;
                     }
-                    out.push(variants);
+                    if opts.optimize {
+                        optimize(&mut f.generic, &mut p.specializer.scratch);
+                    }
                 }
-                out
+                p.stats.clones += clones;
+                clones + if opts.optimize { work.len() as u64 } else { 0 }
             },
-            |r| r.iter().map(|v| v.len() as u64).sum(),
+            |&items| items,
         );
 
-        // Stage 5: codegen — machine code for generics and variants
-        // (parallel, pure), then sequential object assembly.
+        // Stage 4: merge — content-addressed dedup + guard synthesis.
+        self.run_stage(
+            "merge",
+            |p| {
+                let mut items = 0;
+                for f in &mut work {
+                    let Some(plan) = f.plan.take() else {
+                        continue;
+                    };
+                    let clones = std::mem::take(&mut f.clones);
+                    let groups = mv::merge_clones(&clones);
+                    f.variants = mv::assemble_variants(
+                        &f.name,
+                        &plan.switches,
+                        plan.assignments,
+                        clones,
+                        &groups,
+                    );
+                    items += f.variants.len() as u64;
+                    if !f.variants.is_empty() {
+                        p.stats.mv_functions += 1;
+                    }
+                }
+                p.stats.variants += items;
+                items
+            },
+            |&items| items,
+        );
+
+        // Stage 5: codegen — machine code for each generic and its
+        // variants, then object assembly.
         let obj = self.run_stage(
             "codegen",
             |_| -> Result<Object, CompileError> {
-                // (fn index, None = generic | Some(variant index)).
-                let mut gen_jobs: Vec<(usize, Option<usize>)> = Vec::new();
-                for (i, variants) in merged.iter().enumerate() {
-                    gen_jobs.push((i, None));
-                    for v in 0..variants.len() {
-                        gen_jobs.push((i, Some(v)));
-                    }
-                }
-                let work_ref = &work;
-                let merged_ref = &merged;
-                let ctx_ref = &ctx;
-                type GenResult = ((usize, Option<usize>), Result<GenFn, CompileError>);
-                let results: Vec<GenResult> = parallel_map(
-                    jobs,
-                    gen_jobs,
-                    || (),
-                    |_, (i, v)| {
-                        let ir = match v {
-                            None => &work_ref[i].generic,
-                            Some(v) => &merged_ref[i][v].ir,
-                        };
-                        ((i, v), gen_function(ir, ctx_ref, opts.multiverse))
-                    },
-                );
-                let mut generics: Vec<Option<GenFn>> = (0..work.len()).map(|_| None).collect();
-                let mut vgens: Vec<Vec<Option<GenFn>>> = merged
+                let code = work
                     .iter()
-                    .map(|variants| (0..variants.len()).map(|_| None).collect())
-                    .collect();
-                for ((i, v), r) in results {
-                    let g = r?;
-                    match v {
-                        None => generics[i] = Some(g),
-                        Some(v) => vgens[i][v] = Some(g),
-                    }
-                }
-
-                assemble_object(
-                    unit_name,
-                    &ctx,
-                    &work,
-                    &merged,
-                    &generics,
-                    &vgens,
-                    opts.multiverse,
-                )
+                    .map(|f| {
+                        let generic = gen_function(&f.generic, &ctx, opts.multiverse)?;
+                        let variants = f
+                            .variants
+                            .iter()
+                            .map(|v| gen_function(&v.ir, &ctx, opts.multiverse))
+                            .collect::<Result<Vec<GenFn>, CompileError>>()?;
+                        Ok((generic, variants))
+                    })
+                    .collect::<Result<Vec<_>, CompileError>>()?;
+                assemble_object(unit_name, &ctx, &work, &code, opts.multiverse)
             },
             |r| r.as_ref().map(|o| o.symbols.len() as u64).unwrap_or(0),
         )?;
@@ -572,17 +425,15 @@ impl Pipeline {
     }
 }
 
-/// Sequential object assembly: globals, code, descriptors — emission
-/// order is fully determined by function order and `BTreeMap` key
-/// order, which is what keeps objects byte-identical across `-j`.
-#[allow(clippy::too_many_arguments)]
+/// Object assembly: globals, code, descriptors. `code[i]` is the
+/// machine code of `work[i]`'s generic body and of each of its
+/// variants. Emission order is fully determined by function order and
+/// `BTreeMap` key order, so a build is reproducible byte for byte.
 fn assemble_object(
     unit_name: &str,
     ctx: &Ctx,
     work: &[FnWork],
-    merged: &[Vec<VariantInfo>],
-    generics: &[Option<GenFn>],
-    vgens: &[Vec<Option<GenFn>>],
+    code: &[(GenFn, Vec<GenFn>)],
     multiverse: bool,
 ) -> Result<Object, CompileError> {
     let mut obj = Object::new(unit_name);
@@ -632,8 +483,7 @@ fn assemble_object(
     // Emit code and gather call-site records.
     let mut all_mv_sites: Vec<(String, u32, String)> = Vec::new(); // (caller, off, callee)
     let mut all_ptr_sites: Vec<(String, u32, String)> = Vec::new();
-    for (i, f) in work.iter().enumerate() {
-        let gen = generics[i].as_ref().expect("generic codegen ran");
+    for (f, (gen, vgens)) in work.iter().zip(code) {
         obj.add_code(&f.name, &gen.blob);
         if ctx
             .funcs
@@ -648,8 +498,7 @@ fn assemble_object(
         for (off, ptr) in &gen.ptr_callsites {
             all_ptr_sites.push((f.name.clone(), *off, ptr.clone()));
         }
-        for (v, variant) in merged[i].iter().enumerate() {
-            let vgen = vgens[i][v].as_ref().expect("variant codegen ran");
+        for (variant, vgen) in f.variants.iter().zip(vgens) {
             obj.add_code(&variant.name, &vgen.blob);
             for (off, callee) in &vgen.mv_callsites {
                 all_mv_sites.push((variant.name.clone(), *off, callee.clone()));
@@ -681,12 +530,11 @@ fn assemble_object(
 
         // Function descriptors: multiversed functions (with variants) and
         // address-taken pointer targets (registration only).
-        for (i, f) in work.iter().enumerate() {
-            let is_mv = !merged[i].is_empty();
+        for (f, (gen, vgens)) in work.iter().zip(code) {
+            let is_mv = !f.variants.is_empty();
             if !is_mv && !addr_taken.contains(&f.name) {
                 continue;
             }
-            let gen = generics[i].as_ref().expect("generic codegen ran");
             let name_sym = obj.intern_string(&f.name);
             emit_function(
                 &mut obj,
@@ -695,11 +543,11 @@ fn assemble_object(
                     generic_size: gen.blob.bytes.len() as u32,
                     generic_inline_len: gen.inline_len,
                     name_sym: Some(name_sym),
-                    variants: merged[i]
+                    variants: f
+                        .variants
                         .iter()
-                        .enumerate()
-                        .flat_map(|(v, variant)| {
-                            let vgen = vgens[i][v].as_ref().expect("variant codegen ran");
+                        .zip(vgens)
+                        .flat_map(|(variant, vgen)| {
                             // One descriptor entry per guard set; merged
                             // bodies share the symbol.
                             variant.guard_sets.iter().map(move |gs| VariantDescSym {

@@ -2,7 +2,7 @@
 
 use crate::reloc::{Reloc, RelocKind};
 use crate::section::{Section, SectionKind};
-use crate::symbol::{SymKind, Symbol};
+use crate::symbol::Symbol;
 
 /// A relocatable object file, as produced by the `mvc` compiler for one
 /// translation unit.
@@ -120,20 +120,15 @@ impl Object {
         });
     }
 
-    /// All symbols of the given kind.
-    pub fn symbols_of(&self, kind: SymKind) -> impl Iterator<Item = &Symbol> {
-        self.symbols.iter().filter(move |s| s.kind == kind)
-    }
-
     /// A stable 64-bit content fingerprint (FNV-1a) of the whole object:
     /// unit name, every section's kind, size and bytes, and every symbol
     /// and relocation, in emission order.
     ///
-    /// Emission order is part of the fingerprint on purpose: the
-    /// compiler's parallel pipeline must produce *identical* objects for
-    /// any `-j`, so the differential tests compare fingerprints (and the
-    /// full structures) rather than some order-insensitive digest that
-    /// could mask a scheduling-dependent reordering.
+    /// Emission order is part of the fingerprint on purpose: a build
+    /// must be reproducible byte for byte, so the compiler's golden and
+    /// differential tests compare fingerprints (and the full
+    /// structures) rather than some order-insensitive digest that could
+    /// mask a reordering.
     pub fn fingerprint(&self) -> u64 {
         fn feed(mut h: u64, bytes: &[u8]) -> u64 {
             for &b in bytes {

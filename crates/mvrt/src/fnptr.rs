@@ -11,9 +11,8 @@
 //! pointer, and a commit re-binds them with the ordinary call-site patcher.
 //!
 //! [`Runtime::commit_refs`] on a pointer switch is exactly that operation;
-//! this module adds the small conveniences the kernel work-flow uses
-//! (bind-then-commit, and a whole-table commit mirroring
-//! `apply_paravirt()`).
+//! this module adds the bind-then-commit convenience the kernel
+//! work-flow uses.
 
 use crate::error::RtError;
 use crate::runtime::{CommitReport, Runtime};
@@ -30,25 +29,4 @@ pub fn bind_and_commit(
 ) -> Result<CommitReport, RtError> {
     m.mem.write_int(ptr_addr, target, 8)?;
     rt.commit_refs(m, ptr_addr)
-}
-
-/// Commits every pointer in `table` (a `pv_ops`-style array of switch
-/// addresses), returning the merged report. This models the kernel's
-/// one-shot boot-time `apply_paravirt()` pass.
-pub fn commit_table(
-    rt: &mut Runtime,
-    m: &mut Machine,
-    table: &[u64],
-) -> Result<CommitReport, RtError> {
-    let mut merged = CommitReport::default();
-    for &ptr in table {
-        let r = rt.commit_refs(m, ptr)?;
-        merged.variants_committed += r.variants_committed;
-        merged.generic_fallbacks += r.generic_fallbacks;
-        merged.fnptr_sites += r.fnptr_sites;
-        merged.sites_touched += r.sites_touched;
-        merged.unchanged += r.unchanged;
-        merged.repatched += r.repatched;
-    }
-    Ok(merged)
 }

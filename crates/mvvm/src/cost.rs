@@ -117,39 +117,6 @@ impl CostModel {
             _ => self.alu,
         }
     }
-
-    /// A zero-cost model: every instruction costs one cycle, no penalties.
-    /// Useful for functional tests where cycle accounting is noise.
-    pub fn uniform() -> CostModel {
-        CostModel {
-            alu: 1,
-            mul: 1,
-            div: 1,
-            load: 1,
-            store: 1,
-            lea: 1,
-            cmp: 1,
-            branch: 1,
-            fused_cmp_branch: 1,
-            mispredict: 0,
-            call: 1,
-            call_ind: 1,
-            call_mem_extra: 0,
-            ret: 1,
-            jmp: 1,
-            push_pop: 1,
-            atomic_up: 1,
-            atomic_smp: 1,
-            sti_cli: 1,
-            guest_priv_trap: 1,
-            hypercall: 1,
-            rdtsc: 1,
-            pause: 1,
-            out: 1,
-            fence: 1,
-            nop: 1,
-        }
-    }
 }
 
 #[cfg(test)]

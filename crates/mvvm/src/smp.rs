@@ -216,11 +216,6 @@ impl SmpMachine {
         self.handler = Some(h);
     }
 
-    /// Removes the registered trap handler.
-    pub fn clear_trap_handler(&mut self) {
-        self.handler = None;
-    }
-
     /// Spawns a call to `addr` with register `args` on vCPU `i`: resets
     /// its context to a fresh stack, pushes the return sentinel and
     /// marks it runnable. Like [`Machine::call`] but scheduled rather
@@ -368,11 +363,6 @@ impl SmpMachine {
     /// The context of vCPU `i` (registers, predictors, stats, icache).
     pub fn context(&self, i: usize) -> &CpuContext {
         &self.ctxs[i]
-    }
-
-    /// Mutable context of vCPU `i`.
-    pub fn context_mut(&mut self, i: usize) -> &mut CpuContext {
-        &mut self.ctxs[i]
     }
 
     /// Current `pc` of vCPU `i`.

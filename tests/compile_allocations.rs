@@ -3,10 +3,10 @@
 //!
 //! The unit is mvbench's `variant_grid` shape: 16 multiversed functions
 //! over four switches of domain {0, 1, 2}, 16 × 3^4 = 1296 specialized
-//! clones merged to 256 variants. A `-j 1` build runs every stage on
-//! the calling thread, so the count covers lowering, every clone's specialization, the
-//! optimizer's fixpoint, the canonical keys, the merge, codegen and
-//! object assembly. The budget is per clone: the optimizer's scratch
+//! clones merged to 256 variants. A build runs every stage on the
+//! calling thread, so the count covers lowering, every clone's
+//! specialization, the optimizer's fixpoint, the canonical keys, the
+//! merge, codegen and object assembly. The budget is per clone: the optimizer's scratch
 //! tables are reused across clones, so what a clone costs is its own
 //! retained body and key, not the passes that fold it.
 //!
@@ -78,7 +78,6 @@ fn cold_grid_compile_allocations_stay_within_budget() {
     let src = grid_src(16);
     let opts = Options {
         variant_limit: 162,
-        jobs: 1,
         ..Options::default()
     };
     let mut cold = Pipeline::new(opts);

@@ -1,8 +1,7 @@
-//! The staged compile pipeline (§3): parallel clone+fold must be
-//! *byte-identical* to the sequential build, a second build in the same
-//! process must re-derive — not replay — every variant, and the
-//! content-addressed merge must keep guards covering exactly the
-//! assignments it merged.
+//! The staged compile pipeline (§3): every object must match its
+//! recorded fingerprint, a second build in the same process must
+//! re-derive — not replay — every variant, and the content-addressed
+//! merge must keep guards covering exactly the assignments it merged.
 //!
 //! The differential tests serialize whole `.mvo` objects and compare the
 //! bytes; the property tests drive random switch domains (contiguous and
@@ -46,73 +45,49 @@ fn units() -> Vec<(&'static str, &'static str)> {
     vec![("config.c", CONFIG), ("lib.c", LIB), ("main.c", MAIN)]
 }
 
-fn opts(jobs: usize) -> Options {
+fn opts() -> Options {
     Options {
         variant_limit: 64,
-        jobs,
         ..Options::default()
     }
 }
 
-/// `-j N` must produce the same serialized `.mvo` bytes — code,
-/// descriptors, symbols, relocations — as `-j 1`, unit by unit, along
-/// with the same warnings in the same order.
-#[test]
-fn parallel_objects_are_byte_identical() {
-    let mut baseline = Vec::new();
-    for (name, src) in units() {
-        let (obj, warn) = Pipeline::new(opts(1))
-            .compile_unit(src, name)
-            .expect("sequential build");
-        baseline.push((name, write_object(&obj), obj.fingerprint(), warn));
-    }
-    for jobs in [2usize, 4, 8] {
-        for (i, (name, src)) in units().into_iter().enumerate() {
-            let (obj, warn) = Pipeline::new(opts(jobs))
-                .compile_unit(src, name)
-                .expect("parallel build");
-            let (bname, bbytes, bfp, bwarn) = &baseline[i];
-            assert_eq!(*bname, name);
-            assert_eq!(obj.fingerprint(), *bfp, "{name}: -j {jobs} fingerprint");
-            assert_eq!(&write_object(&obj), bbytes, "{name}: -j {jobs} .mvo bytes");
-            assert_eq!(&warn, bwarn, "{name}: -j {jobs} warnings");
-        }
-    }
-}
-
 /// A build keeps nothing for the next one: compiling the same units a
-/// second time in one process, in parallel, clones every assignment
-/// again (`get`: 2 × 3, `pick`: 3) and serializes to the first build's
-/// exact bytes.
+/// second time in one process clones every assignment again (`get`:
+/// 2 × 3, `pick`: 3) and serializes to the first build's exact bytes —
+/// code, descriptors, symbols, relocations — with the same warnings in
+/// the same order. The first build reuses one pipeline, and so one
+/// `Specializer`, across the three units; the second gives each unit a
+/// fresh pipeline.
 #[test]
 fn second_build_reclones_and_is_byte_identical() {
-    let mut first = Pipeline::new(opts(1));
-    let mut first_bytes = Vec::new();
+    let mut first = Pipeline::new(opts());
+    let mut first_out = Vec::new();
     for (name, src) in units() {
-        let (obj, _) = first.compile_unit(src, name).expect("first build");
-        first_bytes.push(write_object(&obj));
+        let (obj, warn) = first.compile_unit(src, name).expect("first build");
+        first_out.push((write_object(&obj), warn));
     }
     assert_eq!(first.stats().clones, 9);
 
-    let mut second = Pipeline::new(opts(4));
-    for (i, (name, src)) in units().into_iter().enumerate() {
-        let (obj, _) = second.compile_unit(src, name).expect("second build");
-        assert_eq!(
-            write_object(&obj),
-            first_bytes[i],
-            "{name}: second .mvo bytes"
-        );
+    let (mut clones, mut variants) = (0, 0);
+    for ((name, src), (bytes, warn)) in units().into_iter().zip(&first_out) {
+        let mut second = Pipeline::new(opts());
+        let (obj, w) = second.compile_unit(src, name).expect("second build");
+        assert_eq!(&write_object(&obj), bytes, "{name}: second .mvo bytes");
+        assert_eq!(&w, warn, "{name}: second warnings");
+        clones += second.stats().clones;
+        variants += second.stats().variants;
     }
-    assert_eq!(second.stats().clones, 9, "every assignment is cloned again");
-    assert_eq!(second.stats().variants, first.stats().variants);
+    assert_eq!(clones, 9, "every assignment is cloned again");
+    assert_eq!(variants, first.stats().variants);
 }
 
 /// The whole-program entry points agree too: `Program` built through an
-/// explicit parallel pipeline behaves like the default build.
+/// explicit pipeline behaves like the default build.
 #[test]
 fn program_through_pipeline_matches_default_build() {
     let p_default = Program::build(&units()).expect("default build");
-    let mut pl = Pipeline::new(opts(4));
+    let mut pl = Pipeline::new(opts());
     let p_pipe = Program::build_with_pipeline(&units(), &mut pl, true).expect("pipeline build");
     let mut wd = p_default.boot();
     let mut wp = p_pipe.boot();
@@ -140,26 +115,35 @@ fn program_through_pipeline_matches_default_build() {
 /// A pipeline records exactly when it holds a ring: `enable_tracing`
 /// alone yields one `stage_begin`/`stage_end` pair per stage, in
 /// pipeline order, for a compile in a process that never traced a
-/// commit.
+/// commit. Each `stage_end` carries the stage's item count: `LIB` is
+/// one function (`get`) whose 2 × 3 assignments fold, with its generic
+/// body, to 6 + 1 optimize items and merge to 4 variants; codegen
+/// counts the object's 6 symbols.
 #[test]
 fn pipeline_with_a_ring_traces_every_stage() {
     use multiverse::mvtrace::EventKind;
-    let mut pl = Pipeline::new(opts(1));
+    let mut pl = Pipeline::new(opts());
     pl.enable_tracing(1024);
     pl.compile_unit(LIB, "lib.c").expect("compile");
     let events: Vec<_> = pl
         .take_trace()
         .into_iter()
         .map(|e| match e.kind {
-            EventKind::StageBegin { stage } => ("begin", stage),
-            EventKind::StageEnd { stage, .. } => ("end", stage),
+            EventKind::StageBegin { stage } => ("begin", stage, None),
+            EventKind::StageEnd { stage, items } => ("end", stage, Some(items)),
             other => panic!("unexpected {other:?}"),
         })
         .collect();
-    let want: Vec<_> = ["lower", "mv-expand", "optimize", "merge", "codegen"]
-        .into_iter()
-        .flat_map(|stage| [("begin", stage), ("end", stage)])
-        .collect();
+    let want: Vec<_> = [
+        ("lower", 1),
+        ("mv-expand", 6),
+        ("optimize", 7),
+        ("merge", 4),
+        ("codegen", 6),
+    ]
+    .into_iter()
+    .flat_map(|(stage, items)| [("begin", stage, None), ("end", stage, Some(items))])
+    .collect();
     assert_eq!(events, want);
 }
 
@@ -221,7 +205,7 @@ fn repeated_warnings_are_deduplicated() {
         }
         i64 main(void) { return 0; }
     "#;
-    let (_, warnings) = Pipeline::new(opts(1))
+    let (_, warnings) = Pipeline::new(opts())
         .compile_unit(src, "t.c")
         .expect("build");
     let writes: Vec<_> = warnings
@@ -292,7 +276,7 @@ proptest! {
         );
         let dynamic =
             Program::build_with(&[("t.c", &src)], &Options::dynamic()).unwrap();
-        let mv = Program::build_with(&[("t.c", &src)], &opts(2)).unwrap();
+        let mv = Program::build_with(&[("t.c", &src)], &opts()).unwrap();
         let mut wd = dynamic.boot();
         let mut wm = mv.boot();
         for &a in &d0 {
@@ -499,8 +483,7 @@ const FINGERPRINTS: &[(&str, &str, u64)] = &[
 ];
 
 /// Every workload source and E14 grid compiles to the recorded object,
-/// under `Options::default()`, `Options::dynamic()` and a static build,
-/// at `-j 1` and `-j 4`.
+/// under `Options::default()`, `Options::dynamic()` and a static build.
 #[test]
 fn objects_match_the_fingerprint_golden() {
     let mut got = Vec::new();
@@ -511,19 +494,14 @@ fn objects_match_the_fingerprint_golden() {
             ("static", static_options(&src)),
         ];
         for (mode, base) in modes {
-            let fps = [1usize, 4].map(|jobs| {
-                let opts = Options {
-                    variant_limit: limit,
-                    jobs,
-                    ..base.clone()
-                };
-                let (obj, _) = Pipeline::new(opts)
-                    .compile_unit(&src, &unit)
-                    .unwrap_or_else(|e| panic!("{unit} ({mode}): {e}"));
-                obj.fingerprint()
-            });
-            assert_eq!(fps[0], fps[1], "{unit} ({mode}): -j 4 differs from -j 1");
-            got.push((unit.clone(), mode, fps[0]));
+            let opts = Options {
+                variant_limit: limit,
+                ..base
+            };
+            let (obj, _) = Pipeline::new(opts)
+                .compile_unit(&src, &unit)
+                .unwrap_or_else(|e| panic!("{unit} ({mode}): {e}"));
+            got.push((unit.clone(), mode, obj.fingerprint()));
         }
     }
     let table: String = got
